@@ -16,7 +16,7 @@ import time
 
 from .erosion import ThickeningFamily, erosion_distance, union_bbox, verify_erosion
 from .fixtures import FIXTURES, build_fixture
-from .gf import is_prime
+from .gf import check_modulus
 from .invariants import (
     RankCache,
     containment_dot,
@@ -184,8 +184,7 @@ def _emit_table(table, fmt: str):
 def cmd_gri(args) -> int:
     module = _load_module(args.module, args)
     collection = _collection(module, args.collection, args.cap)
-    table = gri(module, collection, module_ref=os.path.basename(args.module),
-                threads=args.threads)
+    table = gri(module, collection, module_ref=os.path.basename(args.module))
     bad = table.check_monotone()
     if bad is not None:
         print(f"invariant violation: non-monotone table at {format_members(bad[0])} "
@@ -198,7 +197,7 @@ def cmd_gri(args) -> int:
 def cmd_gpd(args) -> int:
     module = _load_module(args.module, args)
     collection = _collection(module, args.collection, args.cap)
-    table = gri(module, collection, threads=args.threads)
+    table = gri(module, collection)
     diagram = gpd(table)
     if args.format == "dot":
         print(containment_dot(containment_poset(table.collection), diagram))
@@ -213,7 +212,7 @@ def cmd_gpd(args) -> int:
 def cmd_decompose(args) -> int:
     module = _load_module(args.module, args)
     collection = _collection(module, args.collection, args.cap)
-    diagram = gpd(gri(module, collection, threads=args.threads))
+    diagram = gpd(gri(module, collection))
     plus, minus = minimal_rank_decomposition(diagram)
     for it, m in plus:
         print(f"R\t{format_members(it)}\t{m}")
@@ -225,7 +224,7 @@ def cmd_decompose(args) -> int:
 def cmd_invertible(args) -> int:
     module = _load_module(args.module, args)
     collection = _collection(module, args.collection, args.cap)
-    table = gri(module, collection, threads=args.threads)
+    table = gri(module, collection)
     if args.support:
         support = _read_collection_file(module, args.support)
     else:
@@ -413,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="grinv", description=__doc__)
     ap.add_argument("--field", type=int, default=None,
                     help=f"prime field modulus (default: ${ENV_FIELD} or 2)")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads for rank tables")
     ap.add_argument("--cap", type=int, default=5_000_000,
                     help="enumeration guard: refuse collections larger than this")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -492,8 +490,10 @@ def main(argv=None) -> int:
         except CliError as e:
             print(f"error: {e}", file=sys.stderr)
             return e.code
-    if not is_prime(args.field):
-        print(f"error: field modulus {args.field} is not prime", file=sys.stderr)
+    try:
+        check_modulus(args.field)
+    except ValueError as e:
+        print(f"error: field {e}", file=sys.stderr)
         return EXIT_INPUT
     if getattr(args, "command", None) == "fixtures" and args.action == "run" and not args.name:
         print("error: fixtures run needs a name", file=sys.stderr)

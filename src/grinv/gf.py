@@ -3,18 +3,32 @@
 Everything downstream (limits, colimits, generalized ranks) reduces to
 rank / kernel / cokernel computations of small dense matrices.  Entries
 are stored as int64 residues in [0, p); elimination uses modular pivot
-inverses, so results are exact for any prime modulus.  Default p = 2.
+inverses, so results are exact for any prime modulus up to MAX_P.
+Default p = 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import isqrt
 
 import numpy as np
 
 DEFAULT_P = 2
 
+# Products are formed in int64 and reduced afterwards.  One entry of a
+# matrix product sums `inner` terms, each at most (p - 1)**2, and every
+# product grinv forms has the dimension of one element's space as its
+# inner dimension (edge maps, transitions, section and projection
+# blocks).  PModule caps those dimensions at MAX_DIM, and MAX_P is the
+# largest modulus with MAX_DIM * (p - 1)**2 < 2**63.  Elimination itself
+# only needs (p - 1)**2 + p < 2**63.
+MAX_DIM = 1 << 16
+MAX_P = isqrt((2**63 - 1) // MAX_DIM) + 1
 
+
+@cache
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -28,14 +42,21 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_modulus(p: int) -> None:
+    """Raise ValueError unless p is a prime for which int64 arithmetic stays exact."""
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
+    if p > MAX_P:
+        raise ValueError(f"modulus {p} exceeds {MAX_P}, the largest exact in int64")
+
+
 class FieldSpec:
     """A prime modulus. Kept as a tiny value object so callers can pass it around."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_P):
-        if not is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p}")
+        check_modulus(p)
         self.p = p
 
     def __eq__(self, other):
@@ -51,8 +72,7 @@ class FFMatrix:
     __slots__ = ("a", "p")
 
     def __init__(self, data, p: int = DEFAULT_P, copy: bool = True):
-        if not is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p}")
+        check_modulus(p)
         a = np.array(data, dtype=np.int64, copy=copy)
         if a.ndim != 2:
             raise ValueError("FFMatrix needs a 2-d array")
@@ -278,7 +298,7 @@ def random_invertible(rng: np.random.Generator, n: int, p: int) -> FFMatrix:
     lo = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
     up = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
     perm = np.eye(n, dtype=np.int64)[rng.permutation(n)]
-    return FFMatrix((lo @ up @ perm) % p, p, copy=False)
+    return FFMatrix((lo @ up) % p @ perm, p, copy=False)
 
 
 def rational_solve_in_span(columns: list[list[int]], target: list[int]) -> list[Fraction] | None:

@@ -11,6 +11,7 @@ exists.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gf import rational_solve_in_span
 from .mobius import PosetFunction, convolve, mobius_function
@@ -32,7 +33,10 @@ def _cache_key(region):
 class RankCache:
     """Memoised generalized ranks of one module, keyed by member set.
 
-    Grid intervals use the fence fast path.  ``queries`` counts cache
+    Grid intervals use the fence fast path, whose fence limits and
+    colimits are memoised on the module itself (exact: each is a
+    deterministic function of the fence and the module), so caches of
+    the same module share those solves.  ``queries`` counts cache
     misses — the deterministic work measure used by the erosion
     trade-off instrumentation.
     """
@@ -69,12 +73,18 @@ class GriTable:
         if len(self.collection) != len(self.ranks):
             raise ValueError("one rank per collection member")
 
-    def rank_of(self, item) -> int:
-        key = _key(item)
+    @cached_property
+    def _rank_by_key(self) -> dict:
+        out: dict = {}
         for it, r in zip(self.collection, self.ranks):
-            if _key(it) == key:
-                return r
-        raise KeyError("item not in collection")
+            out.setdefault(_key(it), r)
+        return out
+
+    def rank_of(self, item) -> int:
+        try:
+            return self._rank_by_key[_key(item)]
+        except KeyError:
+            raise KeyError("item not in collection") from None
 
     def as_dict(self) -> dict:
         return {it: r for it, r in zip(self.collection, self.ranks)}
@@ -111,12 +121,15 @@ class SignedDiagram:
     def items(self):
         return self.support
 
-    def value_of(self, item) -> int:
-        key = _key(item)
+    @cached_property
+    def _value_by_key(self) -> dict:
+        out: dict = {}
         for it, v in self.support:
-            if _key(it) == key:
-                return v
-        return 0
+            out.setdefault(_key(it), v)
+        return out
+
+    def value_of(self, item) -> int:
+        return self._value_by_key.get(_key(item), 0)
 
     def positive_part(self) -> tuple:
         return tuple((it, v) for it, v in self.support if v > 0)
@@ -182,18 +195,12 @@ def parse_table_tsv(text: str) -> tuple[tuple[frozenset, int], ...]:
 # -- building tables -----------------------------------------------------------
 
 
-def gri(module: PModule, collection, module_ref: str = "", cache: RankCache | None = None,
-        threads: int = 1) -> GriTable:
+def gri(module: PModule, collection, module_ref: str = "",
+        cache: RankCache | None = None) -> GriTable:
     """Rank table of a module over a collection, in canonical order."""
     items = sorted(collection, key=lambda it: it.sort_key)
     cache = cache or RankCache(module)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ranks = tuple(pool.map(cache.rank, items))
-    else:
-        ranks = tuple(cache.rank(it) for it in items)
+    ranks = tuple(cache.rank(it) for it in items)
     return GriTable(tuple(items), ranks, module_ref)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import DEFAULT_P, FFMatrix
+from .gf import DEFAULT_P, MAX_DIM, FFMatrix, check_modulus
 from .posets import FinitePoset, GridInterval, SubposetId, lower_fence, upper_fence
 
 FUNCTOR_CHECK_CAP = 512
@@ -46,7 +46,7 @@ class PModule:
     """A functor from a finite poset to GF(p) vector spaces."""
 
     __slots__ = ("poset", "dims", "maps", "p", "ambient", "_trans", "_window_idx",
-                 "_dim_grid")
+                 "_dim_grid", "_fences")
 
     def __init__(self, poset: FinitePoset, dims, maps, p: int = DEFAULT_P,
                  ambient: bool = False, validate: bool = True):
@@ -54,6 +54,9 @@ class PModule:
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != poset.n or any(d < 0 for d in self.dims):
             raise ValueError("dims must list one nonnegative dimension per element")
+        if any(d > MAX_DIM for d in self.dims):
+            raise ValueError(f"dimensions above {MAX_DIM} are not supported")
+        check_modulus(p)
         norm = {}
         for (a, b), m in maps.items():
             arr = m.a if isinstance(m, FFMatrix) else np.asarray(m, dtype=np.int64)
@@ -66,6 +69,7 @@ class PModule:
         self._trans = {}
         self._window_idx = poset.id_of_coord() if poset.grid_coords is not None else None
         self._dim_grid = None
+        self._fences = {}
         if validate:
             self._validate()
 
@@ -135,28 +139,29 @@ class PModule:
         raise AssertionError(f"no cover path from {a} to {b}")
 
     def window_origin_size(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        coords = self.poset.grid_coords
-        if coords is None:
-            raise ValueError("module is not on a grid window")
-        xs = [x for x, _ in coords]
-        ys = [y for _, y in coords]
-        return (min(xs), min(ys)), (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
+        ox, oy, grid = self._dims_by_coord()
+        h, w = grid.shape
+        return (ox, oy), (w, h)
 
     def contains_interval(self, gi: GridInterval) -> bool:
-        idx = self._window_idx
-        if idx is None:
-            raise ValueError("module is not on a grid window")
+        ox, oy, grid = self._dims_by_coord()
+        h, w = grid.shape
         x0, y0, x1, y1 = gi.bbox()
-        (ox, oy), (w, h) = self.window_origin_size()
         return ox <= x0 and oy <= y0 and x1 < ox + w and y1 < oy + h
 
     def _dims_by_coord(self):
+        """(x origin, y origin, dims as an array indexed [y - oy, x - ox]), built once."""
         if self._dim_grid is None:
-            (ox, oy), (w, h) = self.window_origin_size()
-            grid = np.zeros((h, w), dtype=np.int64)
-            for i, (x, y) in enumerate(self.poset.grid_coords):
+            coords = self.poset.grid_coords
+            if coords is None:
+                raise ValueError("module is not on a grid window")
+            xs = [x for x, _ in coords]
+            ys = [y for _, y in coords]
+            ox, oy = min(xs), min(ys)
+            grid = np.zeros((max(ys) - oy + 1, max(xs) - ox + 1), dtype=np.int64)
+            for i, (x, y) in enumerate(coords):
                 grid[y - oy, x - ox] = self.dims[i]
-            self._dim_grid = ((ox, oy), grid)
+            self._dim_grid = (ox, oy, grid)
         return self._dim_grid
 
     def _interval_rank_trivial(self, gi: GridInterval) -> bool:
@@ -166,7 +171,7 @@ class PModule:
             if self.ambient:
                 return True
             raise ValueError("interval leaves the window")
-        (ox, oy), grid = self._dims_by_coord()
+        ox, oy, grid = self._dims_by_coord()
         for i, (a, b) in enumerate(gi.rows):
             row = grid[gi.y0 + i - oy, a - ox : b - ox + 1]
             if not row.all():
@@ -215,7 +220,7 @@ class PModule:
         bas = [random_invertible(rng, d, self.p) for d in self.dims]
         maps = {}
         for a, b in self.poset.covers:
-            maps[(a, b)] = (bas[b].a @ self._edge(a, b) @ bas[a].inverse().a) % self.p
+            maps[(a, b)] = ((bas[b].a @ self._edge(a, b)) % self.p @ bas[a].inverse().a) % self.p
         return PModule(self.poset, self.dims, maps, self.p, ambient=self.ambient, validate=False)
 
     # -- serialisation -----------------------------------------------------------
@@ -427,6 +432,19 @@ def generalized_rank(module: PModule, region) -> int:
     return _rank_of_restriction(module, ms)
 
 
+def _fence_solve(module: PModule, fence, lower: bool):
+    """(sorted fence ids, limit of a lower or colimit of an upper fence), once per fence."""
+    key = (lower, fence)
+    hit = module._fences.get(key)
+    if hit is None:
+        idx = module._window_idx
+        ids = [idx[pt] for pt in fence]
+        sub = module.restrict(ids)
+        hit = (sorted(set(ids)), limit(sub) if lower else colimit(sub))
+        module._fences[key] = hit
+    return hit
+
+
 def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
     """Generalized rank over a grid interval via its boundary fences.
 
@@ -434,27 +452,25 @@ def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
     fence, and the colimit restricts isomorphically to the upper fence,
     so the limit-to-colimit rank is computed on the two fences plus one
     transition into the colimit.
+
+    Many intervals share a fence, so each fence's limit (lower) or
+    colimit (upper) is solved once per module and memoised on it.  The
+    memo is exact: the solve is a deterministic function of the fence
+    and the module alone, so a reused entry is the very result a fresh
+    solve would return.  It holds one entry per distinct fence queried.
     """
     if module._window_idx is None:
         raise ValueError("fast path needs a grid module")
-    idx = module._window_idx
     if module._interval_rank_trivial(gi):
         return 0
 
-    low = [idx[pt] for pt in lower_fence(gi)]
-    up = [idx[pt] for pt in upper_fence(gi)]
-
-    sub_l = module.restrict(low)
-    sections = limit(sub_l)
+    low_sorted, sections = _fence_solve(module, lower_fence(gi), lower=True)
     if sections.dim == 0:
         return 0
-    sub_u = module.restrict(up)
-    qdim, proj = colimit(sub_u)
+    up_sorted, (qdim, proj) = _fence_solve(module, upper_fence(gi), lower=False)
     if qdim == 0:
         return 0
 
-    low_sorted = sorted(set(low))
-    up_sorted = sorted(set(up))
     q0 = up_sorted[0]
     src = next(m for m in low_sorted if module.poset.leq[m, q0])
     t = module.transition(src, q0)
@@ -463,9 +479,8 @@ def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
     li = low_sorted.index(src)
     sec_block = sections.basis.a[offs_l[li] : offs_l[li + 1], :]
 
-    offs_u = _offsets([module.dims[m] for m in up_sorted])
-    ui = up_sorted.index(q0)
-    proj_block = proj.a[:, offs_u[ui] : offs_u[ui + 1]]
+    # q0 is the first fence element, so its coordinates lead the stacked ones
+    proj_block = proj.a[:, : module.dims[q0]]
 
-    psi = (proj_block @ t @ sec_block) % module.p
+    psi = ((proj_block @ t) % module.p @ sec_block) % module.p
     return FFMatrix(psi, module.p, copy=False).rank()

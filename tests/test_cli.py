@@ -235,6 +235,20 @@ def test_env_field_default(capsys, square_module_file, monkeypatch):
     assert "prime" in err
 
 
+def test_field_too_large_for_exact_arithmetic(capsys, square_module_file, monkeypatch, tmp_path):
+    big = str(2**31 - 1)
+    code, _, err = run(capsys, "--field", big, "gri", square_module_file)
+    assert code == EXIT_INPUT and "exceeds" in err
+    monkeypatch.setenv("GRINV_FIELD", big)
+    code, _, err = run(capsys, "gri", square_module_file)
+    assert code == EXIT_INPUT and "exceeds" in err
+    monkeypatch.delenv("GRINV_FIELD")
+    f = tmp_path / "big.txt"
+    f.write_text(open(square_module_file).read().replace("field 2", f"field {big}"))
+    code, _, err = run(capsys, "gri", str(f))
+    assert code == EXIT_INPUT and "exceeds" in err
+
+
 def test_fixtures_list_and_describe(capsys):
     code, out, _ = run(capsys, "fixtures", "list")
     assert code == EXIT_OK
@@ -279,12 +293,6 @@ def test_module_round_trip_through_cli_format(tmp_path, rng):
     text = m.to_text()
     back = PModule.from_text(text)
     assert back.to_text() == text
-
-
-def test_threads_flag_output_identical(capsys, square_module_file):
-    _, out1, _ = run(capsys, "gri", square_module_file)
-    _, out2, _ = run(capsys, "--threads", "4", "gri", square_module_file)
-    assert out1 == out2
 
 
 def test_table_tsv_round_trip(capsys, square_module_file):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grinv.gf import (
+    MAX_P,
     FFMatrix,
     FieldSpec,
     block_diag,
@@ -19,6 +20,23 @@ def test_field_spec_rejects_composites():
         FieldSpec(4)
     assert FieldSpec().p == 2
     assert FieldSpec(7).p == 7
+
+
+def test_moduli_beyond_int64_exactness_are_rejected():
+    # at 2**31 - 1 the int64 product of two 3x3 all-(p - 1) matrices wraps
+    # around and used to come out as 2147483646 instead of 3
+    big = 2**31 - 1
+    assert is_prime(big) and big > MAX_P
+    with pytest.raises(ValueError, match="exceeds"):
+        FFMatrix([[big - 1] * 3] * 3, big)
+    with pytest.raises(ValueError, match="exceeds"):
+        FieldSpec(big)
+
+
+def test_largest_allowed_prime_multiplies_exactly():
+    p = next(q for q in range(MAX_P, 2, -1) if is_prime(q))
+    m = FFMatrix([[p - 1] * 3] * 3, p)
+    assert (m @ m).a.tolist() == [[3] * 3] * 3
 
 
 def test_rank_identity_and_zero():

@@ -65,12 +65,6 @@ def test_gri_square_fixture_tables():
     assert tn.rank_of(fx.intervals["I"]) == 0
 
 
-def test_gri_threads_deterministic(rng, grid33):
-    m, _ = random_interval_decomposable(rng, grid33, 4)
-    ints = enumerate_grid_intervals(grid33)
-    assert gri(m, ints).ranks == gri(m, ints, threads=4).ranks
-
-
 # -- gpd ----------------------------------------------------------------------------
 
 

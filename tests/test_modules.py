@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grinv.gf import FFMatrix
 from grinv.modules import (
@@ -326,6 +327,19 @@ def test_fast_equals_slow_sampled_4x4(rng):
         for _ in range(40):
             gi = random_grid_interval(rng, (0, 0, 3, 3))
             assert generalized_rank_fast(m, gi) == generalized_rank(m, gi)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 10 ** 9), st.data())
+def test_fence_memo_matches_oracle_in_any_order(p, summands, seed, data):
+    """One module answers every interval of a 3x3 window in a drawn order, so
+    memoised fence solves are reused across intervals; each rank must still
+    equal the full limit/colimit solve."""
+    win = grid_poset(3, 3, (0, 0))
+    m = random_module(np.random.default_rng(seed), win, p, max_summands=summands)
+    ints = data.draw(st.permutations(enumerate_grid_intervals(win)))
+    for gi in ints:
+        assert generalized_rank_fast(m, gi) == generalized_rank(m, gi)
 
 
 def test_rectangle_rank_equals_corner_map_rank(rng):
