@@ -67,10 +67,7 @@ from .posets import (
     enumerate_grid_intervals,
     enumerate_intervals,
     enumerate_segments,
-    epsilon_thicken,
     grid_poset,
-    is_connected,
-    is_interval,
     subposet,
 )
 from .zigzag import (

@@ -2,9 +2,11 @@
 
 Everything downstream (limits, colimits, generalized ranks) reduces to
 rank / kernel / cokernel computations of small dense matrices.  Entries
-are stored as int64 residues in [0, p); elimination uses modular pivot
-inverses, so results are exact for any prime modulus up to MAX_P.
-Default p = 2.
+are stored as int64 residues in [0, p); products are numpy products,
+exact for any prime modulus up to MAX_P.  Elimination runs on rows of
+Python ints with modular pivot inverses: exact for every p, and on the
+small matrices grinv eliminates (tens of cells) it skips numpy's
+per-call overhead, which would otherwise dominate.  Default p = 2.
 """
 
 from __future__ import annotations
@@ -142,31 +144,34 @@ class FFMatrix:
         """Reduced row-echelon form.
 
         Returns (R, pivot_cols).  Pivoting takes the first nonzero entry in
-        each column, so the result is deterministic.
+        each column, so the result is deterministic.  The rows are
+        eliminated as lists of Python ints: exact, and far cheaper than
+        numpy row operations on matrices this small.
         """
-        r = self.a.copy()
         p = self.p
-        m, n = r.shape
+        m, n = self.a.shape
+        rows = self.a.tolist()
         pivots: list[int] = []
         row = 0
         for col in range(n):
             if row >= m:
                 break
-            sub = np.nonzero(r[row:, col])[0]
-            if sub.size == 0:
+            piv = next((i for i in range(row, m) if rows[i][col]), None)
+            if piv is None:
                 continue
-            piv = row + int(sub[0])
-            if piv != row:
-                r[[row, piv]] = r[[piv, row]]
-            inv = pow(int(r[row, col]), p - 2, p)
-            r[row] = (r[row] * inv) % p
-            mask = np.nonzero(r[:, col])[0]
-            for i in mask:
-                if i != row:
-                    r[i] = (r[i] - r[i, col] * r[row]) % p
+            prow = rows[piv]
+            rows[piv] = rows[row]
+            inv = pow(prow[col], p - 2, p)
+            if inv != 1:
+                prow = [v * inv % p for v in prow]
+            rows[row] = prow
+            for i in range(m):
+                f = rows[i][col]
+                if f and i != row:
+                    rows[i] = [(v - f * w) % p for v, w in zip(rows[i], prow)]
             pivots.append(col)
             row += 1
-        return FFMatrix(r, p, copy=False), pivots
+        return FFMatrix(np.array(rows, dtype=np.int64).reshape(m, n), p, copy=False), pivots
 
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
@@ -179,12 +184,11 @@ class FFMatrix:
         if n == 0:
             return FFMatrix.zeros(0, 0, self.p)
         r, pivots = self.rref()
-        free = [j for j in range(n) if j not in pivots]
+        pivot_set = set(pivots)
+        free = [j for j in range(n) if j not in pivot_set]
         k = np.zeros((n, len(free)), dtype=np.int64)
-        for idx, j in enumerate(free):
-            k[j, idx] = 1
-            for i, pc in enumerate(pivots):
-                k[pc, idx] = (-r.a[i, j]) % self.p
+        k[free, range(len(free))] = 1
+        k[pivots] = -r.a[: len(pivots), free]
         return FFMatrix(k, self.p, copy=False)
 
     def left_null_basis(self) -> "FFMatrix":

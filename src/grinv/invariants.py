@@ -97,13 +97,23 @@ class GriTable:
         return GriTable(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs), self.module_ref)
 
     def check_monotone(self) -> tuple | None:
-        """First violating pair (I, J) with I contained in J but rank(I) < rank(J)."""
-        n = len(self.collection)
-        for i in range(n):
-            for j in range(n):
-                if i != j and _key(self.collection[i]) <= _key(self.collection[j]):
-                    if self.ranks[i] < self.ranks[j]:
-                        return (self.collection[i], self.collection[j])
+        """First violating pair (I, J) with I contained in J but rank(I) < rank(J).
+
+        All ordered pairs are compared, ranks first; containment is a test
+        on int bitmasks over the members' points.
+        """
+        bit: dict = {}
+        masks = []
+        for it in self.collection:
+            mask = 0
+            for pt in _key(it):
+                mask |= 1 << bit.setdefault(pt, len(bit))
+            masks.append(mask)
+        outside = [(r, ~m) for r, m in zip(self.ranks, masks)]
+        for i, (ri, mi) in enumerate(zip(self.ranks, masks)):
+            for j, (rj, not_mj) in enumerate(outside):
+                if rj > ri and not mi & not_mj:
+                    return (self.collection[i], self.collection[j])
         return None
 
     def to_tsv(self) -> str:

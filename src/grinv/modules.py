@@ -16,6 +16,7 @@ materialising anything infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class PModule:
     """A functor from a finite poset to GF(p) vector spaces."""
 
     __slots__ = ("poset", "dims", "maps", "p", "ambient", "_trans", "_window_idx",
-                 "_dim_grid", "_fences")
+                 "_window_geom", "_fences")
 
     def __init__(self, poset: FinitePoset, dims, maps, p: int = DEFAULT_P,
                  ambient: bool = False, validate: bool = True):
@@ -68,7 +69,7 @@ class PModule:
             raise ValueError("extension-by-zero needs a grid window")
         self._trans = {}
         self._window_idx = poset.id_of_coord() if poset.grid_coords is not None else None
-        self._dim_grid = None
+        self._window_geom = None
         self._fences = {}
         if validate:
             self._validate()
@@ -139,30 +140,33 @@ class PModule:
         raise AssertionError(f"no cover path from {a} to {b}")
 
     def window_origin_size(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        ox, oy, grid = self._dims_by_coord()
-        h, w = grid.shape
-        return (ox, oy), (w, h)
+        ox, oy, zeros = self._window_geometry()
+        return (ox, oy), (len(zeros[0]) - 1, len(zeros))
 
     def contains_interval(self, gi: GridInterval) -> bool:
-        ox, oy, grid = self._dims_by_coord()
-        h, w = grid.shape
+        ox, oy, zeros = self._window_geometry()
         x0, y0, x1, y1 = gi.bbox()
-        return ox <= x0 and oy <= y0 and x1 < ox + w and y1 < oy + h
+        return ox <= x0 and oy <= y0 and x1 < ox + len(zeros[0]) - 1 and y1 < oy + len(zeros)
 
-    def _dims_by_coord(self):
-        """(x origin, y origin, dims as an array indexed [y - oy, x - ox]), built once."""
-        if self._dim_grid is None:
+    def _window_geometry(self):
+        """(x origin, y origin, zero prefix counts per window row), built once.
+
+        ``zeros[y - oy][k]`` counts the zero-dimensional points among the
+        first k points of window row y, so the row segment from x = a to
+        x = b avoids them iff ``zeros[y - oy][b - ox + 1] == zeros[y - oy][a - ox]``.
+        """
+        if self._window_geom is None:
             coords = self.poset.grid_coords
             if coords is None:
                 raise ValueError("module is not on a grid window")
             xs = [x for x, _ in coords]
             ys = [y for _, y in coords]
             ox, oy = min(xs), min(ys)
-            grid = np.zeros((max(ys) - oy + 1, max(xs) - ox + 1), dtype=np.int64)
+            is_zero = [[1] * (max(xs) - ox + 1) for _ in range(max(ys) - oy + 1)]
             for i, (x, y) in enumerate(coords):
-                grid[y - oy, x - ox] = self.dims[i]
-            self._dim_grid = (ox, oy, grid)
-        return self._dim_grid
+                is_zero[y - oy][x - ox] = int(self.dims[i] == 0)
+            self._window_geom = (ox, oy, [[0, *accumulate(row)] for row in is_zero])
+        return self._window_geom
 
     def _interval_rank_trivial(self, gi: GridInterval) -> bool:
         """True when the rank over gi is forced to 0: the interval leaves an
@@ -171,10 +175,10 @@ class PModule:
             if self.ambient:
                 return True
             raise ValueError("interval leaves the window")
-        ox, oy, grid = self._dims_by_coord()
-        for i, (a, b) in enumerate(gi.rows):
-            row = grid[gi.y0 + i - oy, a - ox : b - ox + 1]
-            if not row.all():
+        ox, oy, zeros = self._window_geometry()
+        for y, (a, b) in enumerate(gi.rows, gi.y0 - oy):
+            pre = zeros[y]
+            if pre[b - ox + 1] != pre[a - ox]:
                 return True
         return False
 
@@ -218,9 +222,10 @@ class PModule:
         from .gf import random_invertible
 
         bas = [random_invertible(rng, d, self.p) for d in self.dims]
+        inv = [m.inverse().a for m in bas]
         maps = {}
         for a, b in self.poset.covers:
-            maps[(a, b)] = ((bas[b].a @ self._edge(a, b)) % self.p @ bas[a].inverse().a) % self.p
+            maps[(a, b)] = ((bas[b].a @ self._edge(a, b)) % self.p @ inv[a]) % self.p
         return PModule(self.poset, self.dims, maps, self.p, ambient=self.ambient, validate=False)
 
     # -- serialisation -----------------------------------------------------------

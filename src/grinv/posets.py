@@ -268,22 +268,6 @@ def subposet(poset: FinitePoset, members, kind: str | None = None) -> SubposetId
     return SubposetId(kind, ms)
 
 
-def is_interval(poset: FinitePoset, members) -> bool:
-    return poset.is_interval_subset(members)
-
-
-def is_connected(poset: FinitePoset, members) -> bool:
-    return poset.is_connected_subset(members)
-
-
-def minimal_points(poset: FinitePoset, sub: SubposetId) -> tuple[int, ...]:
-    return poset.minimal_of(sub.members)
-
-
-def maximal_points(poset: FinitePoset, sub: SubposetId) -> tuple[int, ...]:
-    return poset.maximal_of(sub.members)
-
-
 # -- ambient grid intervals --------------------------------------------------
 
 
@@ -352,9 +336,9 @@ class GridInterval:
         return True
 
     def bbox(self) -> tuple[int, int, int, int]:
-        xs_lo = min(a for a, _ in self.rows)
-        xs_hi = max(b for _, b in self.rows)
-        return (xs_lo, self.y0, xs_hi, self.y1)
+        # row starts and ends never grow going up, so the top row starts
+        # leftmost and the bottom row ends rightmost
+        return (self.rows[-1][0], self.y0, self.rows[0][1], self.y1)
 
     def minimal_points(self) -> tuple[tuple[int, int], ...]:
         """The minimal antichain, listed in ascending x (descending y)."""
@@ -409,32 +393,6 @@ class GridInterval:
         if not (lo[0] <= hi[0] and lo[1] <= hi[1]):
             raise ValueError("rectangle corners must be ordered")
         return cls(lo[1], tuple((lo[0], hi[0]) for _ in range(lo[1], hi[1] + 1)))
-
-
-def epsilon_thicken(interval: GridInterval, eps: int) -> GridInterval:
-    return interval.thicken(eps)
-
-
-def interval_points_ok(pts) -> bool:
-    try:
-        GridInterval.from_points(pts)
-        return True
-    except ValueError:
-        return False
-
-
-def interval_to_subposet(poset: FinitePoset, gi: GridInterval) -> SubposetId:
-    """Ids of a grid interval inside a window poset (the interval must fit)."""
-    idx = poset.id_of_coord()
-    try:
-        ids = tuple(sorted(idx[pt] for pt in gi.points()))
-    except KeyError as e:
-        raise ValueError(f"interval point {e.args[0]} outside the window") from None
-    return SubposetId("interval", ids)
-
-
-def subposet_to_interval(poset: FinitePoset, sub: SubposetId) -> GridInterval:
-    return GridInterval.from_points(poset.coord_of(i) for i in sub.members)
 
 
 # -- enumeration --------------------------------------------------------------

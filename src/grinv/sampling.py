@@ -14,7 +14,7 @@ import numpy as np
 
 from .fixtures import grid3_zib_pair
 from .modules import PModule, direct_sum, grid_interval_module
-from .posets import FinitePoset, GridInterval, grid_poset
+from .posets import FinitePoset, GridInterval
 
 
 def random_poset(rng: np.random.Generator, n: int, density: float = 0.35) -> FinitePoset:
@@ -123,8 +123,3 @@ def random_faithful_path(rng: np.random.Generator, window: FinitePoset, length: 
         pts.append(options[int(rng.integers(0, len(options)))])
     return ZigzagPath(tuple(pts))
 
-
-def random_window_pair(rng: np.random.Generator, side: int, p: int = 2):
-    """Two random modules on the same side x side window (erosion studies)."""
-    window = grid_poset(side, side, (0, 0))
-    return random_module(rng, window, p), random_module(rng, window, p)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,19 +131,61 @@ def test_text_round_trip():
     assert nxt == 3
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(2, 6), st.integers(2, 6), st.data())
-def test_rref_reproduces_row_space(m, n, data):
+LARGEST_P = next(q for q in range(MAX_P, 2, -1) if is_prime(q))
+
+
+def numpy_rref(a: FFMatrix) -> tuple[FFMatrix, list[int]]:
+    """Elimination by numpy row operations: the oracle for FFMatrix.rref."""
+    r = a.a.copy()
+    p = a.p
+    m, n = r.shape
+    pivots: list[int] = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        sub = np.nonzero(r[row:, col])[0]
+        if sub.size == 0:
+            continue
+        piv = row + int(sub[0])
+        if piv != row:
+            r[[row, piv]] = r[[piv, row]]
+        inv = pow(int(r[row, col]), p - 2, p)
+        r[row] = (r[row] * inv) % p
+        for i in np.nonzero(r[:, col])[0]:
+            if i != row:
+                r[i] = (r[i] - r[i, col] * r[row]) % p
+        pivots.append(col)
+        row += 1
+    return FFMatrix(r, p, copy=False), pivots
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, LARGEST_P]), st.integers(0, 7), st.integers(0, 7), st.data())
+def test_rref_reproduces_row_space(p, m, n, data):
+    entry = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
     rows = data.draw(
-        st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m)
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
     )
-    a = FFMatrix(rows)
+    if m >= 2 and data.draw(st.booleans()):
+        # a dependent last row, so that large p also meets rank deficiency
+        c = data.draw(st.integers(0, p - 1))
+        rows[-1] = [(c * u + v) % p for u, v in zip(rows[0], rows[1])]
+    a = FFMatrix(np.array(rows, dtype=np.int64).reshape(m, n), p)
     r, pivots = a.rref()
-    assert len(pivots) == a.rank()
+    want_r, want_pivots = numpy_rref(a)
+    assert r == want_r and pivots == want_pivots
+    rank = a.rank()
+    assert len(pivots) == rank
     # every pivot column has a single 1 in its pivot row
     for i, c in enumerate(pivots):
         col = r.a[:, c]
         assert col[i] == 1 and col.sum() == 1
+    # R spans the row space of A
+    assert vstack([a, r]).rank() == rank
+    k = a.kernel_basis()
+    assert k.cols == n - rank
+    assert (a @ k).is_zero()
 
 
 def test_rational_solve_in_span():

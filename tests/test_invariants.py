@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grinv.fixtures import build_fixture
 from grinv.invariants import (
+    GriTable,
     IntervalDecomposableError,
     containment_dot,
     format_members,
@@ -19,6 +21,7 @@ from grinv.invariants import (
 from grinv.modules import direct_sum, grid_interval_module, zero_module
 from grinv.posets import (
     GridInterval,
+    SubposetId,
     containment_poset,
     enumerate_grid_intervals,
     grid_poset,
@@ -45,6 +48,32 @@ def test_gri_of_zero_module(grid33):
     table = gri(zero_module(grid33), ints)
     assert set(table.ranks) == {0}
     assert table.check_monotone() is None
+
+
+def test_check_monotone_finds_a_violation_beyond_one_point_extensions():
+    row = GridInterval.rectangle((0, 0), (2, 0))
+    point = GridInterval.rectangle((0, 0), (0, 0))
+    right = GridInterval.rectangle((2, 0), (2, 0))
+    far = GridInterval.rectangle((5, 5), (5, 5))
+    # point lies in row, two points short of it, with no member in between;
+    # every other contained pair keeps the rank from growing
+    table = GriTable((far, right, point, row), (9, 3, 1, 2))
+    assert table.check_monotone() == (point, row)
+    assert GriTable((far, right, point, row), (9, 3, 2, 2)).check_monotone() is None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.frozensets(st.integers(0, 5), min_size=1), st.integers(0, 3)),
+                max_size=12))
+def test_check_monotone_returns_the_first_all_pairs_violation(members):
+    items = [SubposetId("connected", tuple(sorted(s))) for s, _ in members]
+    ranks = tuple(r for _, r in members)
+    want = next(
+        ((items[i], items[j]) for i in range(len(items)) for j in range(len(items))
+         if i != j and items[i].member_set <= items[j].member_set and ranks[i] < ranks[j]),
+        None,
+    )
+    assert GriTable(tuple(items), ranks).check_monotone() == want
 
 
 def test_gri_of_interval_module_is_indicator(grid33, rng):

@@ -20,6 +20,7 @@ from grinv.posets import (
     GridInterval,
     enumerate_grid_intervals,
     grid_poset,
+    iter_grid_intervals,
 )
 from grinv.sampling import (
     random_grid_interval,
@@ -340,6 +341,45 @@ def test_fence_memo_matches_oracle_in_any_order(p, summands, seed, data):
     ints = data.draw(st.permutations(enumerate_grid_intervals(win)))
     for gi in ints:
         assert generalized_rank_fast(m, gi) == generalized_rank(m, gi)
+
+
+def grid_slice_trivial(module: PModule, grid: np.ndarray, gi: GridInterval) -> bool:
+    """The trivial-zero rule read off the dimension grid, one slice per row."""
+    ox, oy = module.window_origin_size()[0]
+    h, w = grid.shape
+    x0, y0, x1, y1 = gi.bbox()
+    if not (ox <= x0 and oy <= y0 and x1 < ox + w and y1 < oy + h):
+        if module.ambient:
+            return True
+        raise ValueError("interval leaves the window")
+    return any(
+        not grid[gi.y0 + i - oy, a - ox : b - ox + 1].all() for i, (a, b) in enumerate(gi.rows)
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 2), min_size=9, max_size=9),
+    st.booleans(),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+)
+def test_trivial_zero_filter_matches_grid_slices(dims, ambient, origin):
+    win = grid_poset(3, 3, origin)
+    m = PModule(win, dims, {}, ambient=ambient)
+    ox, oy = origin
+    grid = np.zeros((3, 3), dtype=np.int64)
+    for i, (x, y) in enumerate(win.grid_coords):
+        grid[y - oy, x - ox] = dims[i]
+    # every interval of a fixed 4x4 box that the shifted window only partly covers
+    for gi in iter_grid_intervals((0, 0, 3, 3)):
+        inside = m.contains_interval(gi)
+        if inside or ambient:
+            assert m._interval_rank_trivial(gi) == grid_slice_trivial(m, grid, gi)
+        else:
+            with pytest.raises(ValueError, match="leaves the window"):
+                m._interval_rank_trivial(gi)
+            with pytest.raises(ValueError, match="leaves the window"):
+                grid_slice_trivial(m, grid, gi)
 
 
 def test_rectangle_rank_equals_corner_map_rank(rng):

@@ -13,6 +13,7 @@ from grinv.posets import (
     enumerate_intervals,
     enumerate_segments,
     grid_poset,
+    iter_grid_intervals,
     lower_fence,
     subposet,
     upper_fence,
@@ -218,6 +219,13 @@ def test_grid_interval_validation():
         GridInterval(0, ((2, 1),))
     with pytest.raises(ValueError):
         GridInterval(0, ((0, 1), (2, 3)))  # disconnected rows
+
+
+def test_bbox_spans_the_points():
+    for gi in iter_grid_intervals((-1, 0, 2, 3)):
+        xs = [x for x, _ in gi.points()]
+        ys = [y for _, y in gi.points()]
+        assert gi.bbox() == (min(xs), min(ys), max(xs), max(ys))
 
 
 def test_from_points_canonical():
