@@ -16,7 +16,7 @@ Core surfaces:
 * :mod:`grinv.fixtures` — built-in example modules.
 """
 
-from .gf import DEFAULT_P, FFMatrix, FieldSpec
+from .gf import DEFAULT_P, FFMatrix
 from .invariants import (
     GriTable,
     RankCache,

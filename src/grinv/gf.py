@@ -3,10 +3,11 @@
 Everything downstream (limits, colimits, generalized ranks) reduces to
 rank / kernel / cokernel computations of small dense matrices.  Entries
 are stored as int64 residues in [0, p); products are numpy products,
-exact for any prime modulus up to MAX_P.  Elimination runs on rows of
-Python ints with modular pivot inverses: exact for every p, and on the
-small matrices grinv eliminates (tens of cells) it skips numpy's
-per-call overhead, which would otherwise dominate.  Default p = 2.
+exact for any prime modulus up to MAX_P.  Elimination (`rref_rows`, the
+one GF(p) elimination loop) runs on rows of Python ints with modular
+pivot inverses: exact for every p, and on the small matrices grinv
+eliminates (tens of cells) it skips numpy's per-call overhead, which
+would otherwise dominate.  Default p = 2.
 """
 
 from __future__ import annotations
@@ -52,20 +53,52 @@ def check_modulus(p: int) -> None:
         raise ValueError(f"modulus {p} exceeds {MAX_P}, the largest exact in int64")
 
 
-class FieldSpec:
-    """A prime modulus. Kept as a tiny value object so callers can pass it around."""
+def rref_rows(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row-echelon form of a matrix given as rows of residues in [0, p).
 
-    __slots__ = ("p",)
+    Returns (rows, pivot_cols); ``rows`` is reduced in place.  Pivoting
+    takes the first nonzero entry in each column (swap, scale, clear).
+    The rows are lists of Python ints: exact for every p, and far
+    cheaper than numpy row operations on matrices this small.
+    """
+    m = len(rows)
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        if row >= m:
+            break
+        piv = next((i for i in range(row, m) if rows[i][col]), None)
+        if piv is None:
+            continue
+        prow = rows[piv]
+        rows[piv] = rows[row]
+        inv = pow(prow[col], p - 2, p)
+        if inv != 1:
+            prow = [v * inv % p for v in prow]
+        rows[row] = prow
+        for i in range(m):
+            f = rows[i][col]
+            if f and i != row:
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], prow)]
+        pivots.append(col)
+        row += 1
+    return rows, pivots
 
-    def __init__(self, p: int = DEFAULT_P):
-        check_modulus(p)
-        self.p = p
 
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and other.p == self.p
-
-    def __repr__(self):
-        return f"FieldSpec(p={self.p})"
+def kernel_rows(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """A basis of ker(A) for A given as rows of residues, one vector per free column."""
+    r, pivots = rref_rows(rows, ncols, p)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -r[i][f] % p
+        basis.append(v)
+    return basis
 
 
 class FFMatrix:
@@ -141,37 +174,14 @@ class FFMatrix:
     # -- elimination ----------------------------------------------------
 
     def rref(self) -> tuple["FFMatrix", list[int]]:
-        """Reduced row-echelon form.
+        """Reduced row-echelon form, by :func:`rref_rows`.
 
         Returns (R, pivot_cols).  Pivoting takes the first nonzero entry in
-        each column, so the result is deterministic.  The rows are
-        eliminated as lists of Python ints: exact, and far cheaper than
-        numpy row operations on matrices this small.
+        each column, so the result is deterministic.
         """
-        p = self.p
         m, n = self.a.shape
-        rows = self.a.tolist()
-        pivots: list[int] = []
-        row = 0
-        for col in range(n):
-            if row >= m:
-                break
-            piv = next((i for i in range(row, m) if rows[i][col]), None)
-            if piv is None:
-                continue
-            prow = rows[piv]
-            rows[piv] = rows[row]
-            inv = pow(prow[col], p - 2, p)
-            if inv != 1:
-                prow = [v * inv % p for v in prow]
-            rows[row] = prow
-            for i in range(m):
-                f = rows[i][col]
-                if f and i != row:
-                    rows[i] = [(v - f * w) % p for v, w in zip(rows[i], prow)]
-            pivots.append(col)
-            row += 1
-        return FFMatrix(np.array(rows, dtype=np.int64).reshape(m, n), p, copy=False), pivots
+        rows, pivots = rref_rows(self.a.tolist(), n, self.p)
+        return FFMatrix(np.array(rows, dtype=np.int64).reshape(m, n), self.p, copy=False), pivots
 
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
@@ -262,39 +272,6 @@ def kernel_basis(m: FFMatrix) -> FFMatrix:
 
 def cokernel_projector(m: FFMatrix) -> tuple[int, FFMatrix]:
     return m.cokernel_projector()
-
-
-def compose(a: FFMatrix, b: FFMatrix) -> FFMatrix:
-    return a @ b
-
-
-def hstack(mats: list[FFMatrix]) -> FFMatrix:
-    p = mats[0].p
-    if any(m.p != p for m in mats):
-        raise ValueError("field mismatch")
-    return FFMatrix(np.hstack([m.a for m in mats]), p)
-
-
-def vstack(mats: list[FFMatrix]) -> FFMatrix:
-    p = mats[0].p
-    if any(m.p != p for m in mats):
-        raise ValueError("field mismatch")
-    return FFMatrix(np.vstack([m.a for m in mats]), p)
-
-
-def block_diag(mats: list[FFMatrix], p: int = DEFAULT_P) -> FFMatrix:
-    if not mats:
-        return FFMatrix.zeros(0, 0, p)
-    p = mats[0].p
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = np.zeros((rows, cols), dtype=np.int64)
-    r = c = 0
-    for m in mats:
-        out[r : r + m.rows, c : c + m.cols] = m.a
-        r += m.rows
-        c += m.cols
-    return FFMatrix(out, p, copy=False)
 
 
 def random_invertible(rng: np.random.Generator, n: int, p: int) -> FFMatrix:

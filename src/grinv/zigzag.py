@@ -7,19 +7,29 @@ the path, not the induced subposet), which is always
 interval-decomposable; its barcode is computed here by inclusion-
 exclusion over subpath ranks.
 
+Subpath ranks come from one sweep per left end i: while j advances, a
+map E from the limit of the zigzag over i..j into V_j and a map Q from
+V_j onto its colimit are updated by one pullback or pushout per step,
+and rank(i, j) = rank(Q E), because the limit-to-colimit map factors
+through every vertex.  A zero rank or a zero space ends the sweep.
+
 Fences (min_zz / max_zz), tameness, solidity and thinness connect path
 ranks to interval ranks: over a tame path the zigzag rank equals the
 generalized rank of the interval hull, which is both the fast
 computation route and the bridge for estimating either invariant from
-the other.
+the other.  Each path holds one lazy table of (hull, tameness) per
+index span, from which every bracket is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
+from operator import mul
 
-from .modules import PModule, generalized_rank
+from .gf import kernel_rows, rref_rows
+from .modules import PModule
 from .posets import FinitePoset, GridInterval, lower_fence, upper_fence
 
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -90,6 +100,17 @@ class ZigzagPath:
 
     def hull(self) -> GridInterval:
         return interval_hull(self)
+
+    @cached_property
+    def _span_table(self) -> dict[tuple[int, int], tuple[GridInterval, bool]]:
+        """(interval hull, tameness) of the subpath over indices a..b, for every span."""
+        n = len(self.points)
+        table = {}
+        for a in range(n):
+            for b in range(a, n):
+                sub = self.subpath(a, b)
+                table[a, b] = (interval_hull(sub), is_tame(sub))
+        return table
 
     # -- serialisation -------------------------------------------------------
 
@@ -282,14 +303,26 @@ def is_solid(gi: GridInterval) -> bool:
 # -- zigzag modules and barcodes -------------------------------------------------
 
 
+def _path_ids(module: PModule, path: ZigzagPath) -> list[int | None]:
+    """Module element of each path point; None off an extension-by-zero window."""
+    idx = module._window_idx
+    if idx is None:
+        raise ValueError("path restriction needs a grid module")
+    ids = []
+    for pt in path.points:
+        i = idx.get(pt)
+        if i is None and not module.ambient:
+            raise ValueError(f"path point {pt} outside the window")
+        ids.append(i)
+    return ids
+
+
 def path_module(module: PModule, path: ZigzagPath) -> PModule:
     """The zigzag module: the pullback of the module along the path's index poset.
 
     Points outside an extension-by-zero window carry the zero space.
     """
-    idx = module._window_idx
-    if idx is None:
-        raise ValueError("path restriction needs a grid module")
+    ids = _path_ids(module, path)
     n = len(path.points)
     covers = []
     for i, (p, q) in enumerate(zip(path.points, path.points[1:])):
@@ -298,26 +331,84 @@ def path_module(module: PModule, path: ZigzagPath) -> PModule:
         else:
             covers.append((i + 1, i))
     index_poset = FinitePoset.from_covers(n, covers)
-    dims = []
-    for pt in path.points:
-        i = idx.get(pt)
-        if i is None and not module.ambient:
-            raise ValueError(f"path point {pt} outside the window")
-        dims.append(0 if i is None else module.dims[i])
+    dims = [0 if i is None else module.dims[i] for i in ids]
     maps = {}
     for a, b in covers:
         if dims[a] == 0 or dims[b] == 0:
             continue
-        maps[(a, b)] = module.transition(idx[path.points[a]], idx[path.points[b]])
+        maps[(a, b)] = module.transition(ids[a], ids[b])
     return PModule(index_poset, dims, maps, module.p, validate=False)
+
+
+def _push(vecs, rows, p):
+    """Apply the matrix with the given rows to each vector."""
+    return [[sum(map(mul, row, v)) % p for row in rows] for v in vecs]
+
+
+def _pull(vecs, mt_rows, width, p):
+    """The new-space parts b of a basis of ker [vecs | M^T], with vecs as columns.
+
+    These are the b (``width`` entries) with M^T b in the span of vecs, up
+    to sign: the pullback of that span along M^T.
+    """
+    k = len(vecs)
+    m = [[v[r] for v in vecs] + row for r, row in enumerate(mt_rows)]
+    return [z[k:] for z in kernel_rows(m, k + width, p)]
+
+
+def _span_ranks(module: PModule, path: ZigzagPath, lefts) -> list[list[int]]:
+    """Zigzag ranks over path indices i..j: ranks[k][j - i] for the k-th left end i.
+
+    For each left end one sweep keeps E (limit -> V_j) as the images of a
+    basis of the limit, and Q (V_j -> colimit) as the coordinate
+    functionals of the colimit.  A step along M: V_j -> V_{j+1} pushes E
+    forward by M and takes the pushout for Q; a step along M: V_{j+1} -> V_j
+    pulls E back by M and pulls Q back by composition.  Both reduce to
+    the same two moves, since the pushout of Q along M is the pullback of
+    the dual functionals along M^T.
+    """
+    p = module.p
+    ids = _path_ids(module, path)
+    n = len(ids)
+    dims = [0 if i is None else module.dims[i] for i in ids]
+    steps = {}
+
+    def step(j):
+        # (forward, M as rows, M^T as rows), M from the side of j towards j + 1
+        if j not in steps:
+            a, b = path.points[j], path.points[j + 1]
+            forward = a[0] <= b[0] and a[1] <= b[1]
+            t = (module.transition(ids[j], ids[j + 1]) if forward
+                 else module.transition(ids[j + 1], ids[j]).T).tolist()
+            steps[j] = (forward, t, [list(col) for col in zip(*t)])
+        return steps[j]
+
+    out = []
+    for i in lefts:
+        row = [0] * (n - i)
+        d = dims[i]
+        e = [[int(r == c) for r in range(d)] for c in range(d)]
+        q = [list(v) for v in e]
+        rank, j = d, i
+        while rank:
+            row[j - i] = rank
+            if j == n - 1 or dims[j + 1] == 0:
+                break
+            forward, m, mt = step(j)
+            if forward:
+                e, q = _push(e, m, p), _pull(q, mt, dims[j + 1], p)
+            else:
+                e, q = _pull(e, mt, dims[j + 1], p), _push(q, m, p)
+            j += 1
+            qe = [[sum(map(mul, f, v)) % p for v in e] for f in q]
+            rank = len(rref_rows(qe, len(e), p)[1])
+        out.append(row)
+    return out
 
 
 def zigzag_rank(module: PModule, path: ZigzagPath) -> int:
     """Rank of the limit-to-colimit map of the zigzag module over the path."""
-    zz = path_module(module, path)
-    if any(d == 0 for d in zz.dims):
-        return 0
-    return generalized_rank(zz, range(zz.poset.n))
+    return _span_ranks(module, path, [0])[0][-1]
 
 
 @dataclass(frozen=True)
@@ -346,21 +437,6 @@ class Barcode:
         return "\n".join(f"{a}\t{b}\t{m}" for (a, b), m in self.bars)
 
 
-class _SubpathRanks:
-    """Memoised ranks of all contiguous subpaths of one path."""
-
-    def __init__(self, module: PModule, path: ZigzagPath):
-        self.module = module
-        self.path = path
-        self._memo: dict[tuple[int, int], int] = {}
-
-    def rank(self, i: int, j: int) -> int:
-        key = (i, j)
-        if key not in self._memo:
-            self._memo[key] = zigzag_rank(self.module, self.path.subpath(i, j))
-        return self._memo[key]
-
-
 def zigzag_barcode(module: PModule, path: ZigzagPath) -> Barcode:
     """Barcode of the zigzag module by inclusion-exclusion over subpath ranks.
 
@@ -368,22 +444,28 @@ def zigzag_barcode(module: PModule, path: ZigzagPath) -> Barcode:
     rank(i,j) - rank(i-1,j) - rank(i,j+1) + rank(i-1,j+1), with terms
     falling off the ends of the path dropped.  Zigzag modules decompose
     into interval summands, so every multiplicity must be >= 0 (checked).
+    The ranks come from one pullback/pushout sweep per left end, which
+    fills the whole table of subpath ranks in O(n^2) small eliminations.
 
     Any path of comparable steps qualifies, faithful or not: the corner
     zigzag p -> (p join q) <- q is the standard non-faithful use.
     """
     n = len(path.points)
-    ranks = _SubpathRanks(module, path)
+    table = _span_ranks(module, path, range(n))
+
+    def rank(i, j):
+        return table[i][j - i]
+
     bars = []
     for i in range(n):
         for j in range(i, n):
-            m = ranks.rank(i, j)
+            m = rank(i, j)
             if i > 0:
-                m -= ranks.rank(i - 1, j)
+                m -= rank(i - 1, j)
             if j < n - 1:
-                m -= ranks.rank(i, j + 1)
+                m -= rank(i, j + 1)
             if i > 0 and j < n - 1:
-                m += ranks.rank(i - 1, j + 1)
+                m += rank(i - 1, j + 1)
             if m < 0:
                 raise AssertionError(f"negative bar multiplicity at ({i}, {j})")
             if m:
@@ -409,13 +491,22 @@ def zib(module: PModule, paths) -> dict[ZigzagPath, Barcode]:
 # -- estimating one invariant from the other ----------------------------------------
 
 
-def _tame_subpaths(path: ZigzagPath):
-    n = len(path.points)
-    for i in range(n):
-        for j in range(i, n):
-            sub = path.subpath(i, j)
-            if is_tame(sub):
-                yield (i, j), sub
+def _upper_brackets(path: ZigzagPath, lo: int, hi: int, interval_rank) -> dict:
+    """Least hull rank over the tame subpaths of a..b, for every lo <= a <= b <= hi.
+
+    U(a, b) = min(h(a, b) if a..b is tame, U(a + 1, b), U(a, b - 1)); only
+    the hulls of tame spans are ranked.
+    """
+    table = path._span_table
+    upper = {}
+    for a in range(hi, lo - 1, -1):
+        for b in range(a, hi + 1):
+            hull, tame = table[a, b]
+            best = interval_rank(hull) if tame else inf
+            if b > a:
+                best = min(best, upper[a + 1, b], upper[a, b - 1])
+            upper[a, b] = best
+    return upper
 
 
 def rank_bounds_from_gri(path: ZigzagPath, interval_rank) -> tuple[int, int]:
@@ -426,9 +517,9 @@ def rank_bounds_from_gri(path: ZigzagPath, interval_rank) -> tuple[int, int]:
     Upper bound: least hull-rank over tame subpaths (single points are
     tame, so the minimum exists).  For a tame path the two coincide.
     """
-    m = interval_rank(interval_hull(path))
-    ell = min(interval_rank(interval_hull(sub)) for _, sub in _tame_subpaths(path))
-    return m, ell
+    last = len(path.points) - 1
+    m = interval_rank(path._span_table[0, last][0])
+    return m, _upper_brackets(path, 0, last, interval_rank)[0, last]
 
 
 def multiplicity_bounds(path: ZigzagPath, span: tuple[int, int], interval_rank) -> tuple[int, int]:
@@ -442,9 +533,14 @@ def multiplicity_bounds(path: ZigzagPath, span: tuple[int, int], interval_rank) 
     n = len(path.points)
     if not (0 <= i <= j < n):
         raise ValueError("span is not a subpath")
+    first, last = max(i - 1, 0), min(j + 1, n - 1)
+    table = path._span_table
+    hull_rank = {s: interval_rank(table[s][0])
+                 for s in ((i, j), (i, last), (first, j), (first, last))}
+    upper = _upper_brackets(path, first, last, interval_rank)
 
     def bounds(a, b):
-        return rank_bounds_from_gri(path.subpath(a, b), interval_rank)
+        return hull_rank[a, b], upper[a, b]
 
     m0, l0 = bounds(i, j)
     lo, hi = m0, l0

@@ -5,22 +5,22 @@ from hypothesis import given, settings, strategies as st
 from grinv.gf import (
     MAX_P,
     FFMatrix,
-    FieldSpec,
-    block_diag,
-    compose,
-    hstack,
+    check_modulus,
     is_prime,
+    kernel_rows,
     random_invertible,
     rational_solve_in_span,
-    vstack,
 )
 
 
-def test_field_spec_rejects_composites():
-    with pytest.raises(ValueError):
-        FieldSpec(4)
-    assert FieldSpec().p == 2
-    assert FieldSpec(7).p == 7
+def test_check_modulus_rejects_composites():
+    for p in (0, 1, 4, 9):
+        with pytest.raises(ValueError, match="prime"):
+            check_modulus(p)
+        with pytest.raises(ValueError, match="prime"):
+            FFMatrix([[1]], p)
+    check_modulus(2)
+    assert FFMatrix([[8]], 7).a.tolist() == [[1]]
 
 
 def test_moduli_beyond_int64_exactness_are_rejected():
@@ -31,7 +31,7 @@ def test_moduli_beyond_int64_exactness_are_rejected():
     with pytest.raises(ValueError, match="exceeds"):
         FFMatrix([[big - 1] * 3] * 3, big)
     with pytest.raises(ValueError, match="exceeds"):
-        FieldSpec(big)
+        check_modulus(big)
 
 
 def test_largest_allowed_prime_multiplies_exactly():
@@ -53,11 +53,6 @@ def test_one_plus_one_is_zero_mod_2():
     row = FFMatrix([[1, 1]])
     col = FFMatrix([[1], [1]])
     assert (row @ col).a.tolist() == [[0]]
-
-
-def test_compose_with_identity():
-    a = FFMatrix([[1, 0, 1], [0, 1, 1]])
-    assert compose(a, FFMatrix.identity(3)) == a
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -97,15 +92,6 @@ def test_matmul_associativity(rng):
         b = FFMatrix(rng.integers(0, 3, (4, 2)), 3)
         c = FFMatrix(rng.integers(0, 3, (2, 5)), 3)
         assert (a @ b) @ c == a @ (b @ c)
-
-
-def test_stacking_and_block_diag():
-    a = FFMatrix([[1, 0]])
-    b = FFMatrix([[0, 1]])
-    assert hstack([a, b]).a.tolist() == [[1, 0, 0, 1]]
-    assert vstack([a, b]).a.tolist() == [[1, 0], [0, 1]]
-    d = block_diag([FFMatrix.identity(2), FFMatrix([[1, 1]])])
-    assert d.a.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]
 
 
 def test_inverse_round_trip(rng):
@@ -182,10 +168,15 @@ def test_rref_reproduces_row_space(p, m, n, data):
         col = r.a[:, c]
         assert col[i] == 1 and col.sum() == 1
     # R spans the row space of A
-    assert vstack([a, r]).rank() == rank
+    assert FFMatrix(np.vstack([a.a, r.a]), p).rank() == rank
     k = a.kernel_basis()
     assert k.cols == n - rank
     assert (a @ k).is_zero()
+    basis = kernel_rows(a.a.tolist(), n, p)
+    assert len(basis) == n - rank
+    if basis:
+        kr = FFMatrix(np.array(basis, dtype=np.int64).T, p)
+        assert (a @ kr).is_zero() and kr.rank() == len(basis)
 
 
 def test_rational_solve_in_span():

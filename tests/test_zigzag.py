@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grinv.fixtures import build_fixture
 from grinv.gf import FFMatrix
 from grinv.invariants import RankCache
-from grinv.modules import generalized_rank, generalized_rank_fast, grid_interval_module
+from grinv.modules import PModule, generalized_rank, generalized_rank_fast, grid_interval_module
 from grinv.posets import GridInterval, grid_poset
 from grinv.sampling import (
     random_faithful_path,
@@ -13,6 +15,7 @@ from grinv.sampling import (
 )
 from grinv.zigzag import (
     ZigzagPath,
+    _span_ranks,
     boundary_cap,
     enumerate_simple_paths,
     full_bar_multiplicity,
@@ -26,6 +29,7 @@ from grinv.zigzag import (
     min_zz,
     multiplicity_bounds,
     negative_cover_path,
+    path_module,
     rank_bounds_from_gri,
     simple_tame_path,
     zib,
@@ -331,7 +335,127 @@ def test_grid3_fixture_path_barcodes_differ():
     assert dict(bm.bars) != dict(bn.bars)
 
 
+def draw_module_and_path(data, max_len):
+    """A random 3x3 or 4x4 module (ambient or not) and a path for it.
+
+    Walks take unit steps; bounces walk out and straight back, so they
+    revisit every point; corner paths join consecutive drawn points
+    through their join or meet, so steps need not be unit steps.  Paths
+    on an ambient module may leave the window, where the module is zero;
+    summands rarely cover the window, so zero-dimensional points inside
+    it are common too.
+    """
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    side = data.draw(st.sampled_from([3, 4]), label="side")
+    seed = data.draw(st.integers(0, 10**9), label="seed")
+    ambient = data.draw(st.booleans(), label="ambient")
+    kind = data.draw(st.sampled_from(["walk", "bounce", "corners"]), label="kind")
+    rng = np.random.default_rng(seed)
+    win = grid_poset(side, side, (0, 0))
+    m = random_module(rng, win, p, max_summands=int(rng.integers(1, 9)))
+    if not ambient:
+        m = PModule(m.poset, m.dims, m.maps, p, ambient=False, validate=False)
+    length = int(rng.integers(2, max_len + 1))
+    if kind == "walk":
+        return m, random_faithful_path(rng, win, length)
+    if kind == "bounce":
+        out = random_faithful_path(rng, win, (length + 1) // 2).points
+        return m, ZigzagPath(out + out[-2::-1])
+    lo, hi = (-1, side) if ambient else (0, side - 1)
+    point = st.tuples(st.integers(lo, hi), st.integers(lo, hi))
+    drawn = data.draw(st.lists(point, min_size=length, max_size=length), label="corners")
+    pts = [drawn[0]]
+    for q in drawn[1:]:
+        a = pts[-1]
+        if not ((a[0] <= q[0] and a[1] <= q[1]) or (q[0] <= a[0] and q[1] <= a[1])):
+            pick = max if data.draw(st.booleans()) else min
+            pts.append((pick(a[0], q[0]), pick(a[1], q[1])))
+        if q != pts[-1]:
+            pts.append(q)
+    return m, ZigzagPath(tuple(pts))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_span_ranks_match_the_limit_colimit_oracle(data):
+    m, path = draw_module_and_path(data, 7)
+    n = len(path.points)
+    table = _span_ranks(m, path, range(n))
+    for i in range(n):
+        assert len(table[i]) == n - i
+        for j in range(i, n):
+            zz = path_module(m, path.subpath(i, j))
+            assert table[i][j - i] == generalized_rank(zz, range(zz.poset.n)), (i, j)
+    assert zigzag_rank(m, path) == table[0][-1]
+
+
+def test_off_window_point_of_non_ambient_module_raises(rng, grid33):
+    amb = random_module(rng, grid33)
+    m = PModule(amb.poset, amb.dims, amb.maps, amb.p, ambient=False, validate=False)
+    path = ZigzagPath(((1, 1), (2, 1), (3, 1)))
+    for fn in (zigzag_rank, zigzag_barcode, path_module):
+        with pytest.raises(ValueError, match=r"path point \(3, 1\) outside the window"):
+            fn(m, path)
+    zigzag_barcode(amb, path)  # extended by zero instead
+
+
 # -- bounds --------------------------------------------------------------------------
+
+
+def tame_subpaths_reference(path):
+    """Every tame subpath, enumerated directly: the rule the span table replaces."""
+    n = len(path.points)
+    for i in range(n):
+        for j in range(i, n):
+            sub = path.subpath(i, j)
+            if is_tame(sub):
+                yield sub
+
+
+def rank_bounds_reference(path, interval_rank):
+    m = interval_rank(interval_hull(path))
+    return m, min(interval_rank(interval_hull(sub)) for sub in tame_subpaths_reference(path))
+
+
+def multiplicity_bounds_reference(path, span, interval_rank):
+    i, j = span
+    n = len(path.points)
+    lo, hi = rank_bounds_reference(path.subpath(i, j), interval_rank)
+    if j < n - 1:
+        mp, lp = rank_bounds_reference(path.subpath(i, j + 1), interval_rank)
+        lo, hi = lo - lp, hi - mp
+    if i > 0:
+        mm, lm = rank_bounds_reference(path.subpath(i - 1, j), interval_rank)
+        lo, hi = lo - lm, hi - mm
+    if i > 0 and j < n - 1:
+        mpm, lpm = rank_bounds_reference(path.subpath(i - 1, j + 1), interval_rank)
+        lo, hi = lo + mpm, hi + lpm
+    return lo, hi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_bounds_match_the_tame_subpath_rule(data):
+    m, path = draw_module_and_path(data, 8)
+    cache = RankCache(m)
+
+    def recording(log):
+        def interval_rank(gi):
+            log.add(gi.member_set)
+            return cache.rank(gi)
+        return interval_rank
+
+    got, want = set(), set()
+    assert (rank_bounds_from_gri(path, recording(got))
+            == rank_bounds_reference(path, recording(want)))
+    assert got == want
+    n = len(path.points)
+    for i in range(n):
+        for j in range(i, n):
+            got, want = set(), set()
+            assert (multiplicity_bounds(path, (i, j), recording(got))
+                    == multiplicity_bounds_reference(path, (i, j), recording(want)))
+            assert got == want, (i, j)
 
 
 def test_rank_bounds_tame_equality(rng, grid33):
