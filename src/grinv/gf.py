@@ -1,13 +1,15 @@
 """Exact dense linear algebra over a prime field GF(p).
 
 Everything downstream (limits, colimits, generalized ranks) reduces to
-rank / kernel / cokernel computations of small dense matrices.  Entries
-are stored as int64 residues in [0, p); products are numpy products,
-exact for any prime modulus up to MAX_P.  Elimination (`rref_rows`, the
-one GF(p) elimination loop) runs on rows of Python ints with modular
-pivot inverses: exact for every p, and on the small matrices grinv
-eliminates (tens of cells) it skips numpy's per-call overhead, which
-would otherwise dominate.  Default p = 2.
+rank / kernel / cokernel computations of small dense matrices.  The rank
+path runs on rows of Python ints and forms no numpy products: elimination
+(`rref_rows`, the one GF(p) elimination loop), kernels (`kernel_rows`)
+and the two moves of the zigzag sweep (`mul_rows`, `pull_rows`) use
+modular pivot inverses, exact for every p, and on the small matrices
+grinv eliminates (tens of cells) they skip numpy's per-call overhead,
+which would otherwise dominate.  `FFMatrix` wraps an int64 numpy array
+for module maps, files and the general limit/colimit route; its
+products are exact for any prime modulus up to MAX_P.  Default p = 2.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import isqrt
+from operator import mul
 
 import numpy as np
 
@@ -101,6 +104,26 @@ def kernel_rows(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     return basis
 
 
+def mul_rows(vecs: list[list[int]], rows: list[list[int]], p: int) -> list[list[int]]:
+    """Apply the matrix with the given rows to each vector."""
+    return [[sum(map(mul, row, v)) % p for row in rows] for v in vecs]
+
+
+def pull_rows(vecs: list[list[int]], mt_rows: list[list[int]], width: int,
+              p: int) -> list[list[int]]:
+    """Vectors b spanning the pullback of span(vecs) along M^T.
+
+    ``mt_rows`` are the rows of M^T (one per entry of the vectors, each
+    ``width`` long).  The result is the b-part of a basis of
+    ker [vecs | M^T], with vecs as columns: every b has M^T b in the span
+    of vecs, and together they span all such b.  Dependent vecs can make
+    the returned vectors dependent; only their span is meaningful.
+    """
+    k = len(vecs)
+    m = [[v[r] for v in vecs] + row for r, row in enumerate(mt_rows)]
+    return [z[k:] for z in kernel_rows(m, k + width, p)]
+
+
 class FFMatrix:
     """A dense matrix over GF(p), wrapping a numpy int64 array."""
 
@@ -145,9 +168,6 @@ class FFMatrix:
     def __repr__(self):
         return f"FFMatrix(p={self.p}, {self.a.tolist()})"
 
-    def copy(self) -> "FFMatrix":
-        return FFMatrix(self.a, self.p)
-
     def transpose(self) -> "FFMatrix":
         return FFMatrix(self.a.T, self.p)
 
@@ -162,14 +182,6 @@ class FFMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
         return FFMatrix((self.a @ other.a) % self.p, self.p, copy=False)
-
-    def __add__(self, other: "FFMatrix") -> "FFMatrix":
-        if self.p != other.p or self.a.shape != other.a.shape:
-            raise ValueError("shape/field mismatch")
-        return FFMatrix((self.a + other.a) % self.p, self.p, copy=False)
-
-    def __neg__(self) -> "FFMatrix":
-        return FFMatrix((-self.a) % self.p, self.p, copy=False)
 
     # -- elimination ----------------------------------------------------
 
@@ -224,20 +236,6 @@ class FFMatrix:
             raise ValueError("matrix is singular")
         return FFMatrix(r.a[:, n:], self.p, copy=False)
 
-    def solve(self, b: "FFMatrix") -> "FFMatrix | None":
-        """One solution x of A x = b (column-wise), or None if inconsistent."""
-        if b.rows != self.rows:
-            raise ValueError("shape mismatch")
-        n = self.cols
-        aug = FFMatrix(np.hstack([self.a, b.a]), self.p)
-        r, pivots = aug.rref()
-        if any(c >= n for c in pivots):
-            return None
-        x = np.zeros((n, b.cols), dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            x[pc] = r.a[i, n:]
-        return FFMatrix(x, self.p, copy=False)
-
     # -- serialisation ---------------------------------------------------
 
     def to_text(self) -> str:
@@ -257,21 +255,6 @@ class FFMatrix:
                 raise ValueError(f"matrix row {i}: expected {cols} entries")
             data[i] = [int(t) for t in toks]
         return cls(data, p), start + 1 + rows
-
-
-# -- module-level conveniences matching the operation surface -------------
-
-
-def rank(m: FFMatrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: FFMatrix) -> FFMatrix:
-    return m.kernel_basis()
-
-
-def cokernel_projector(m: FFMatrix) -> tuple[int, FFMatrix]:
-    return m.cokernel_projector()
 
 
 def random_invertible(rng: np.random.Generator, n: int, p: int) -> FFMatrix:

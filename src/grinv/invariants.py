@@ -33,17 +33,15 @@ def _cache_key(region):
 class RankCache:
     """Memoised generalized ranks of one module, keyed by member set.
 
-    Grid intervals use the fence fast path, whose fence limits and
-    colimits are memoised on the module itself (exact: each is a
-    deterministic function of the fence and the module), so caches of
-    the same module share those solves.  ``queries`` counts cache
-    misses — the deterministic work measure used by the erosion
-    trade-off instrumentation.
+    Grid intervals use the fence fast path, whose fence sweeps are
+    memoised on the module itself (exact: each is a deterministic
+    function of the fence and the module), so caches of the same module
+    share them.  ``queries`` counts cache misses — the deterministic work
+    measure used by the erosion trade-off instrumentation.
     """
 
-    def __init__(self, module: PModule, fast: bool = True):
+    def __init__(self, module: PModule):
         self.module = module
-        self.fast = fast
         self.queries = 0
         self._memo: dict[frozenset, int] = {}
 
@@ -53,7 +51,7 @@ class RankCache:
         if hit is not None:
             return hit
         self.queries += 1
-        if self.fast and isinstance(region, GridInterval):
+        if isinstance(region, GridInterval):
             val = generalized_rank_fast(self.module, region)
         else:
             val = generalized_rank(self.module, region)

@@ -5,7 +5,10 @@ matrix to every Hasse edge.  Functoriality (path independence of the
 composed matrices) is validated at construction.  Limits and colimits
 are computed from cover-edge constraints only, which suffices once
 functoriality holds; the test suite checks this against an
-all-comparable-pairs oracle rather than assuming it.
+all-comparable-pairs oracle rather than assuming it.  They are the
+general rank route and the oracle of the grid fast path, which solves
+each interval's two boundary fences with the zigzag sweep step
+(`sweep_step`, shared with path barcodes) on rows of Python ints.
 
 Modules on grid windows can opt into the extension-by-zero convention:
 the module is regarded as a plane module that vanishes outside its
@@ -20,7 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .gf import DEFAULT_P, MAX_DIM, FFMatrix, check_modulus
+from .gf import DEFAULT_P, MAX_DIM, FFMatrix, check_modulus, mul_rows, pull_rows, rref_rows
 from .posets import FinitePoset, GridInterval, SubposetId, lower_fence, upper_fence
 
 FUNCTOR_CHECK_CAP = 512
@@ -437,15 +440,51 @@ def generalized_rank(module: PModule, region) -> int:
     return _rank_of_restriction(module, ms)
 
 
+def sweep_step(module: PModule, a: int, b: int, e, q):
+    """One step of the zigzag sweep, from element a to a comparable element b.
+
+    ``e`` (E: limit -> V_a) holds the images in V_a of vectors spanning the
+    limit of the zigzag swept so far, and ``q`` (Q: V_a -> colimit) the
+    functionals on V_a spanning the coordinates of its colimit, both as
+    int rows; either may be None to leave it out.  Returns both moved to
+    V_b.  Along M: V_a -> V_b, E is pushed forward by M and Q is pulled
+    back along M^T (the pushout, as the pullback of the dual
+    functionals); along M: V_b -> V_a, E is pulled back along M and Q is
+    composed with M.  Only the spans matter: the vectors may be dependent.
+    """
+    p, width = module.p, module.dims[b]
+    forward = bool(module.poset.leq[a, b])
+    t = module.transition(a, b) if forward else module.transition(b, a)
+    if e is not None:
+        rows = t.tolist()
+        e = mul_rows(e, rows, p) if forward else pull_rows(e, rows, width, p)
+    if q is not None:
+        rows = t.T.tolist()
+        q = pull_rows(q, rows, width, p) if forward else mul_rows(q, rows, p)
+    return e, q
+
+
 def _fence_solve(module: PModule, fence, lower: bool):
-    """(sorted fence ids, limit of a lower or colimit of an upper fence), once per fence."""
+    """(last fence id, E of a lower or Q of an upper fence there), once per fence.
+
+    One sweep along the fence from the identity at its first point; a
+    lower fence keeps only E, an upper fence only Q.  The points of a
+    fence induce exactly the path's covers, so E spans the image of the
+    fence's limit and Q the coordinates of its colimit.
+    """
     key = (lower, fence)
     hit = module._fences.get(key)
     if hit is None:
         idx = module._window_idx
         ids = [idx[pt] for pt in fence]
-        sub = module.restrict(ids)
-        hit = (sorted(set(ids)), limit(sub) if lower else colimit(sub))
+        d = module.dims[ids[0]]
+        rows = [[int(r == c) for r in range(d)] for c in range(d)]
+        for a, b in zip(ids, ids[1:]):
+            if lower:
+                rows = sweep_step(module, a, b, rows, None)[0]
+            else:
+                rows = sweep_step(module, a, b, None, rows)[1]
+        hit = (ids[-1], rows)
         module._fences[key] = hit
     return hit
 
@@ -454,38 +493,30 @@ def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
     """Generalized rank over a grid interval via its boundary fences.
 
     Sections over the interval restrict isomorphically to the lower
-    fence, and the colimit restricts isomorphically to the upper fence,
-    so the limit-to-colimit rank is computed on the two fences plus one
-    transition into the colimit.
+    fence, and the colimit restricts isomorphically to the upper fence.
+    Both fences are zigzag paths, solved by the zigzag sweep: E spans the
+    image of the limit at the lower fence's last point a (the start of the
+    bottom row), Q maps the upper fence's last point b (the rightmost
+    maximal point) onto the colimit, and a <= b, so the rank is
+    rank(Q T(a, b) E), all on int rows.
 
-    Many intervals share a fence, so each fence's limit (lower) or
-    colimit (upper) is solved once per module and memoised on it.  The
-    memo is exact: the solve is a deterministic function of the fence
-    and the module alone, so a reused entry is the very result a fresh
-    solve would return.  It holds one entry per distinct fence queried.
+    Many intervals share a fence, so each fence's sweep is run once per
+    module and memoised on it.  The memo is exact: the sweep is a
+    deterministic function of the fence and the module alone, so a
+    reused entry is the very result a fresh sweep would return.  It
+    holds one entry per distinct fence queried.
     """
     if module._window_idx is None:
         raise ValueError("fast path needs a grid module")
     if module._interval_rank_trivial(gi):
         return 0
 
-    low_sorted, sections = _fence_solve(module, lower_fence(gi), lower=True)
-    if sections.dim == 0:
+    a, e = _fence_solve(module, lower_fence(gi), lower=True)
+    if not e:
         return 0
-    up_sorted, (qdim, proj) = _fence_solve(module, upper_fence(gi), lower=False)
-    if qdim == 0:
+    b, q = _fence_solve(module, upper_fence(gi), lower=False)
+    if not q:
         return 0
-
-    q0 = up_sorted[0]
-    src = next(m for m in low_sorted if module.poset.leq[m, q0])
-    t = module.transition(src, q0)
-
-    offs_l = sections.offsets
-    li = low_sorted.index(src)
-    sec_block = sections.basis.a[offs_l[li] : offs_l[li + 1], :]
-
-    # q0 is the first fence element, so its coordinates lead the stacked ones
-    proj_block = proj.a[:, : module.dims[q0]]
-
-    psi = ((proj_block @ t) % module.p @ sec_block) % module.p
-    return FFMatrix(psi, module.p, copy=False).rank()
+    p = module.p
+    psi = mul_rows(mul_rows(e, module.transition(a, b).tolist(), p), q, p)
+    return len(rref_rows(psi, len(q), p)[1])

@@ -551,16 +551,10 @@ def enumerate_segments(poset: FinitePoset) -> list[SubposetId]:
     for a in range(poset.n):
         for b in poset.up_ids(a):
             out.append(SubposetId("segment", tuple(int(i) for i in poset.segment(a, int(b)))))
+    # [p, q] has p as its unique minimum and q as its unique maximum, so no
+    # two segments coincide as sets
     out.sort(key=lambda s: s.sort_key)
-    # distinct segments can coincide as sets only if [p,q] == [p',q'] forces
-    # (p,q) == (p',q'), which holds; keep a dedupe anyway for safety.
-    dedup = []
-    seen = set()
-    for s in out:
-        if s.members not in seen:
-            seen.add(s.members)
-            dedup.append(s)
-    return dedup
+    return out
 
 
 # -- boundary fences -------------------------------------------------------------

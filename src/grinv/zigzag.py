@@ -11,7 +11,9 @@ Subpath ranks come from one sweep per left end i: while j advances, a
 map E from the limit of the zigzag over i..j into V_j and a map Q from
 V_j onto its colimit are updated by one pullback or pushout per step,
 and rank(i, j) = rank(Q E), because the limit-to-colimit map factors
-through every vertex.  A zero rank or a zero space ends the sweep.
+through every vertex.  A zero rank or a zero space ends the sweep.  The
+step is `modules.sweep_step`, which also solves the boundary fences of
+the grid fast path.
 
 Fences (min_zz / max_zz), tameness, solidity and thinness connect path
 ranks to interval ranks: over a tame path the zigzag rank equals the
@@ -26,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from operator import mul
 
-from .gf import kernel_rows, rref_rows
-from .modules import PModule
+from .gf import mul_rows, rref_rows
+from .modules import PModule, sweep_step
 from .posets import FinitePoset, GridInterval, lower_fence, upper_fence
 
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -109,7 +110,8 @@ class ZigzagPath:
         for a in range(n):
             for b in range(a, n):
                 sub = self.subpath(a, b)
-                table[a, b] = (interval_hull(sub), is_tame(sub))
+                hull = interval_hull(sub)
+                table[a, b] = (hull, _tame_in_hull(sub, hull))
         return table
 
     # -- serialisation -------------------------------------------------------
@@ -202,7 +204,11 @@ def _is_contiguous(small: tuple, big: tuple) -> bool:
 
 def is_tame(path: ZigzagPath) -> bool:
     """Both fences of the hull appear (forwards or backwards) as contiguous subpaths."""
-    hull = interval_hull(path)
+    return _tame_in_hull(path, interval_hull(path))
+
+
+def _tame_in_hull(path: ZigzagPath, hull: GridInterval) -> bool:
+    """:func:`is_tame` given the path's interval hull."""
     for fence in (lower_fence(hull), upper_fence(hull)):
         rev = tuple(reversed(fence))
         if not (_is_contiguous(fence, path.points) or _is_contiguous(rev, path.points)):
@@ -340,49 +346,19 @@ def path_module(module: PModule, path: ZigzagPath) -> PModule:
     return PModule(index_poset, dims, maps, module.p, validate=False)
 
 
-def _push(vecs, rows, p):
-    """Apply the matrix with the given rows to each vector."""
-    return [[sum(map(mul, row, v)) % p for row in rows] for v in vecs]
-
-
-def _pull(vecs, mt_rows, width, p):
-    """The new-space parts b of a basis of ker [vecs | M^T], with vecs as columns.
-
-    These are the b (``width`` entries) with M^T b in the span of vecs, up
-    to sign: the pullback of that span along M^T.
-    """
-    k = len(vecs)
-    m = [[v[r] for v in vecs] + row for r, row in enumerate(mt_rows)]
-    return [z[k:] for z in kernel_rows(m, k + width, p)]
-
-
 def _span_ranks(module: PModule, path: ZigzagPath, lefts) -> list[list[int]]:
     """Zigzag ranks over path indices i..j: ranks[k][j - i] for the k-th left end i.
 
-    For each left end one sweep keeps E (limit -> V_j) as the images of a
-    basis of the limit, and Q (V_j -> colimit) as the coordinate
-    functionals of the colimit.  A step along M: V_j -> V_{j+1} pushes E
-    forward by M and takes the pushout for Q; a step along M: V_{j+1} -> V_j
-    pulls E back by M and pulls Q back by composition.  Both reduce to
-    the same two moves, since the pushout of Q along M is the pullback of
-    the dual functionals along M^T.
+    For each left end one sweep keeps E (limit -> V_j) as the images of
+    vectors spanning the limit, and Q (V_j -> colimit) as functionals
+    spanning the colimit's coordinates, and moves both one step at a time with
+    :func:`~grinv.modules.sweep_step`, the step the boundary fences of
+    the grid fast path are solved with.
     """
     p = module.p
     ids = _path_ids(module, path)
     n = len(ids)
     dims = [0 if i is None else module.dims[i] for i in ids]
-    steps = {}
-
-    def step(j):
-        # (forward, M as rows, M^T as rows), M from the side of j towards j + 1
-        if j not in steps:
-            a, b = path.points[j], path.points[j + 1]
-            forward = a[0] <= b[0] and a[1] <= b[1]
-            t = (module.transition(ids[j], ids[j + 1]) if forward
-                 else module.transition(ids[j + 1], ids[j]).T).tolist()
-            steps[j] = (forward, t, [list(col) for col in zip(*t)])
-        return steps[j]
-
     out = []
     for i in lefts:
         row = [0] * (n - i)
@@ -394,14 +370,9 @@ def _span_ranks(module: PModule, path: ZigzagPath, lefts) -> list[list[int]]:
             row[j - i] = rank
             if j == n - 1 or dims[j + 1] == 0:
                 break
-            forward, m, mt = step(j)
-            if forward:
-                e, q = _push(e, m, p), _pull(q, mt, dims[j + 1], p)
-            else:
-                e, q = _pull(e, mt, dims[j + 1], p), _push(q, m, p)
+            e, q = sweep_step(module, ids[j], ids[j + 1], e, q)
             j += 1
-            qe = [[sum(map(mul, f, v)) % p for v in e] for f in q]
-            rank = len(rref_rows(qe, len(e), p)[1])
+            rank = len(rref_rows(mul_rows(e, q, p), len(q), p)[1])
         out.append(row)
     return out
 

@@ -8,6 +8,8 @@ from grinv.gf import (
     check_modulus,
     is_prime,
     kernel_rows,
+    mul_rows,
+    pull_rows,
     random_invertible,
     rational_solve_in_span,
 )
@@ -101,14 +103,6 @@ def test_inverse_round_trip(rng):
             assert m @ m.inverse() == FFMatrix.identity(4, p)
 
 
-def test_solve_consistent_and_inconsistent():
-    a = FFMatrix([[1, 0], [0, 0]])
-    b_ok = FFMatrix([[1], [0]])
-    x = a.solve(b_ok)
-    assert a @ x == b_ok
-    assert a.solve(FFMatrix([[0], [1]])) is None
-
-
 def test_text_round_trip():
     a = FFMatrix([[1, 2, 0], [0, 1, 2]], 3)
     text = a.to_text()
@@ -177,6 +171,34 @@ def test_rref_reproduces_row_space(p, m, n, data):
     if basis:
         kr = FFMatrix(np.array(basis, dtype=np.int64).T, p)
         assert (a @ kr).is_zero() and kr.rank() == len(basis)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, LARGEST_P]), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_pull_rows_spans_the_pullback(p, k, n, w, data):
+    """k vectors of length n and M^T of shape n x w: pull_rows returns vectors
+    b with M^T b in the span of the vectors, spanning all such b."""
+    entry = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    vecs = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    if k >= 2 and data.draw(st.booleans()):
+        vecs[-1] = [(2 * v) % p for v in vecs[0]]
+    mt = data.draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=n, max_size=n))
+    span = np.array(vecs, dtype=np.int64).reshape(k, n).T
+    mt_a = np.array(mt, dtype=np.int64).reshape(n, w)
+
+    def rank(a):
+        return len(numpy_rref(FFMatrix(a, p))[1])
+
+    bs = pull_rows(vecs, mt, w, p)
+    assert all(len(b) == w for b in bs)
+    b_cols = np.array(bs, dtype=np.int64).reshape(len(bs), w).T
+    images = mul_rows(bs, mt, p)
+    assert images == ((mt_a @ b_cols) % p).T.tolist()
+    for img in images:
+        col = np.array(img, dtype=np.int64).reshape(n, 1)
+        assert rank(np.hstack([span, col])) == rank(span)
+    assert rank(b_cols) == w - rank(np.hstack([span, mt_a])) + rank(span)
 
 
 def test_rational_solve_in_span():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grinv.gf import FFMatrix
+from grinv.gf import MAX_P, FFMatrix, is_prime
 from grinv.modules import (
     PModule,
     colimit,
@@ -21,6 +21,8 @@ from grinv.posets import (
     enumerate_grid_intervals,
     grid_poset,
     iter_grid_intervals,
+    lower_fence,
+    upper_fence,
 )
 from grinv.sampling import (
     random_grid_interval,
@@ -330,17 +332,54 @@ def test_fast_equals_slow_sampled_4x4(rng):
             assert generalized_rank_fast(m, gi) == generalized_rank(m, gi)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 10 ** 9), st.data())
-def test_fence_memo_matches_oracle_in_any_order(p, summands, seed, data):
-    """One module answers every interval of a 3x3 window in a drawn order, so
-    memoised fence solves are reused across intervals; each rank must still
-    equal the full limit/colimit solve."""
-    win = grid_poset(3, 3, (0, 0))
-    m = random_module(np.random.default_rng(seed), win, p, max_summands=summands)
-    ints = data.draw(st.permutations(enumerate_grid_intervals(win)))
-    for gi in ints:
-        assert generalized_rank_fast(m, gi) == generalized_rank(m, gi)
+LARGEST_P = next(q for q in range(MAX_P, 2, -1) if is_prime(q))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 5, LARGEST_P]),
+    st.sampled_from([3, 4]),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    st.booleans(),
+    st.integers(1, 4),
+    st.integers(0, 10 ** 9),
+    st.data(),
+)
+def test_fence_memo_matches_oracle_in_any_order(p, side, origin, ambient, summands, seed, data):
+    """One module answers many intervals in a drawn order, so memoised fence
+    sweeps are reused across intervals; each rank must still equal the full
+    limit/colimit solve.  A 3x3 window answers all of its intervals, a 4x4
+    window a drawn sample with repeats; both also meet intervals of the box
+    one ring wider, which leave the window.  Few summands leave points of
+    the window zero-dimensional."""
+    rng = np.random.default_rng(seed)
+    win = grid_poset(side, side, origin)
+    m = random_module(rng, win, p, max_summands=summands)
+    if not ambient:
+        m = PModule(m.poset, m.dims, m.maps, p, ambient=False, validate=False)
+    ints = enumerate_grid_intervals(win)
+    if side == 4:
+        ints = data.draw(st.lists(st.sampled_from(ints), min_size=40, max_size=80))
+    ox, oy = origin
+    box = (ox - 1, oy - 1, ox + side, oy + side)
+    ints += [random_grid_interval(rng, box) for _ in range(12)]
+    for gi in data.draw(st.permutations(ints)):
+        if ambient or m.contains_interval(gi):
+            assert generalized_rank_fast(m, gi) == generalized_rank(m, gi)
+        else:
+            with pytest.raises(ValueError, match="interval leaves the window"):
+                generalized_rank_fast(m, gi)
+
+
+def test_lower_fence_ends_below_the_upper_fence_end():
+    """The fast path maps the lower fence's last point a into the upper
+    fence's last point b: a is the start of the bottom row, b the rightmost
+    maximal point, and a <= b."""
+    for gi in iter_grid_intervals((0, 0, 5, 5)):
+        a, b = lower_fence(gi)[-1], upper_fence(gi)[-1]
+        x0, x1 = gi.rows[0]
+        assert a == (x0, gi.y0) and b[0] == x1 and b == gi.maximal_points()[-1]
+        assert a[0] <= b[0] and a[1] <= b[1]
 
 
 def grid_slice_trivial(module: PModule, grid: np.ndarray, gi: GridInterval) -> bool:
