@@ -169,6 +169,11 @@ def _read_collection_file(module: PModule, path: str):
             else:
                 rehoused.append(it)
         out = rehoused
+    seen = set()
+    for ln, it in zip(lines, out):
+        if it.member_set in seen:
+            raise CliError(f"duplicate collection line {ln!r}")
+        seen.add(it.member_set)
     return out
 
 
@@ -227,6 +232,11 @@ def cmd_invertible(args) -> int:
     table = gri(module, collection)
     if args.support:
         support = _read_collection_file(module, args.support)
+        for it in support:
+            try:
+                table.rank_of(it)
+            except KeyError:
+                raise CliError(f"support member {format_members(it)} is not in the collection")
     else:
         support = [it for it, r in zip(table.collection, table.ranks) if r > 0]
     report = verify_invertibility(table, support)

@@ -6,6 +6,12 @@ explicit list).  Its Mobius inversion over the containment order is a
 ``SignedDiagram``: a finitely supported integer function whose positive
 and negative parts form the minimal rank decomposition whenever one
 exists.  Everything here is exact integer arithmetic.
+
+Containment is read from per-point member bitsets (``posets.Supersets``):
+the inversion is a sparse back-substitution from the largest members
+down, and the zeta sum and the monotonicity alarm are bitset ANDs.  The
+incidence algebra of :mod:`grinv.mobius` is the general API and the
+test oracle.
 """
 
 from __future__ import annotations
@@ -14,9 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .gf import rational_solve_in_span
-from .mobius import PosetFunction, convolve, mobius_function
 from .modules import PModule, direct_sum, generalized_rank, generalized_rank_fast, grid_interval_module, interval_module, zero_module
-from .posets import ContainmentPoset, GridInterval, SubposetId, containment_poset
+from .posets import ContainmentPoset, GridInterval, SubposetId, Supersets, bitset, iter_bits, superset_masks
 
 
 def _key(item) -> frozenset:
@@ -97,21 +102,25 @@ class GriTable:
     def check_monotone(self) -> tuple | None:
         """First violating pair (I, J) with I contained in J but rank(I) < rank(J).
 
-        All ordered pairs are compared, ranks first; containment is a test
-        on int bitmasks over the members' points.
+        All ordered pairs, in collection order: for each I, the members
+        containing I (a bitset AND over I's points) meet the members of
+        greater rank, and the lowest common bit is the first such J.
         """
-        bit: dict = {}
-        masks = []
-        for it in self.collection:
-            mask = 0
-            for pt in _key(it):
-                mask |= 1 << bit.setdefault(pt, len(bit))
-            masks.append(mask)
-        outside = [(r, ~m) for r, m in zip(self.ranks, masks)]
-        for i, (ri, mi) in enumerate(zip(self.ranks, masks)):
-            for j, (rj, not_mj) in enumerate(outside):
-                if rj > ri and not mi & not_mj:
-                    return (self.collection[i], self.collection[j])
+        by_rank: dict = {}
+        for j, r in enumerate(self.ranks):
+            by_rank.setdefault(r, []).append(j)
+        n = len(self.ranks)
+        above, greater = {}, 0
+        for r in sorted(by_rank, reverse=True):
+            above[r] = greater
+            greater |= bitset(by_rank[r], n)
+        sup = Supersets(_key(it) for it in self.collection)
+        for it, r in zip(self.collection, self.ranks):
+            hit = above[r]
+            if hit:
+                hit &= sup.containing(_key(it))
+            if hit:
+                return (it, self.collection[(hit & -hit).bit_length() - 1])
         return None
 
     def to_tsv(self) -> str:
@@ -212,30 +221,49 @@ def gri(module: PModule, collection, module_ref: str = "",
     return GriTable(tuple(items), ranks, module_ref)
 
 
-def gpd(table: GriTable, cont: ContainmentPoset | None = None) -> SignedDiagram:
+def _invert(masks: list[int], values) -> list[int]:
+    """f with values(I) = sum of f(J) over the members J containing I.
+
+    Members in canonical order (sizes non-decreasing), so solving
+    f(I) = values(I) - sum of f(J) over J strictly containing I from the
+    last member down finds every such f(J) already solved; only the set
+    bits of (members containing I) & (members with f != 0) are walked.
+    """
+    f = [0] * len(masks)
+    nonzero = 0
+    for k in range(len(masks) - 1, -1, -1):
+        v = values[k]
+        for j in iter_bits(masks[k] & nonzero):
+            v -= f[j]
+        if v:
+            f[k] = v
+            nonzero |= 1 << k
+    return f
+
+
+def _diagram(items, f) -> SignedDiagram:
+    return SignedDiagram(tuple((it, v) for it, v in zip(items, f) if v))
+
+
+def gpd(table: GriTable) -> SignedDiagram:
     """Mobius inversion of a rank table over the containment order.
 
     The support is always contained in the support of the table (the
     table is non-increasing under containment, so inversion cannot
-    create mass where the rank vanishes).
+    create mass where the rank vanishes).  Raises ``ValueError`` on a
+    collection with two equal members.
     """
-    cont = cont or containment_poset(table.collection)
-    values = {cont.index_of(it): r for it, r in zip(table.collection, table.ranks)}
-    g = PosetFunction.from_dict(cont.poset, values)
-    f = convolve(g, mobius_function(cont.poset))
-    sup = [(cont.items[i], v) for i, v in enumerate(f.values) if v != 0]
-    sup.sort(key=lambda iv: iv[0].sort_key)
-    return SignedDiagram(tuple(sup))
+    items, masks = superset_masks(table.collection)
+    return _diagram(items, _invert(masks, [table.rank_of(it) for it in items]))
 
 
 def reconstruct_table(diagram: SignedDiagram, collection) -> GriTable:
     """Evaluate sum of diagram values over supersets: the zeta convolution."""
     items = sorted(collection, key=lambda it: it.sort_key)
-    ranks = []
-    for it in items:
-        k = _key(it)
-        ranks.append(sum(v for jt, v in diagram.support if k <= _key(jt)))
-    return GriTable(tuple(items), tuple(ranks))
+    sup = Supersets(_key(jt) for jt, _ in diagram.support)
+    values = [v for _, v in diagram.support]
+    ranks = tuple(sum(values[j] for j in iter_bits(sup.containing(_key(it)))) for it in items)
+    return GriTable(tuple(items), ranks)
 
 
 @dataclass(frozen=True)
@@ -255,8 +283,8 @@ def verify_invertibility(table: GriTable, candidate_support) -> InvertibilityRep
     sub = table.restrict(candidate_support)
     diagram = gpd(sub)
     recon = reconstruct_table(diagram, table.collection)
-    for it, want, got in zip(table.collection, table.ranks, recon.ranks):
-        if want != got:
+    for it, got in zip(recon.collection, recon.ranks):
+        if table.rank_of(it) != got:
             return InvertibilityReport(False, None, it)
     return InvertibilityReport(True, diagram)
 
@@ -291,13 +319,12 @@ def realize(part, host, p: int = 2) -> PModule:
 
 def indicator_inversion(collection, item) -> SignedDiagram:
     """Mobius inversion over the collection of the indicator of one member."""
-    cont = containment_poset(collection)
-    i0 = cont.index_of(item)
-    g = PosetFunction.from_dict(cont.poset, {i0: 1})
-    f = convolve(g, mobius_function(cont.poset))
-    sup = [(cont.items[i], v) for i, v in enumerate(f.values) if v != 0]
-    sup.sort(key=lambda iv: iv[0].sort_key)
-    return SignedDiagram(tuple(sup))
+    items, masks = superset_masks(collection)
+    k = _key(item)
+    indicator = [int(_key(it) == k) for it in items]
+    if not any(indicator):
+        raise KeyError("item not in collection")
+    return _diagram(items, _invert(masks, indicator))
 
 
 def minimal_nonisomorphic_pair(collection, item, host, p: int = 2) -> tuple[PModule, PModule, SignedDiagram]:
@@ -363,21 +390,14 @@ def gri_difference_kernel_check(m1: PModule, m2: PModule, small_collection, big_
     )
     if not agree:
         return False
-    cont = containment_poset(t1.collection)
-    mu = mobius_function(cont.poset)
-    d1 = gpd(t1, cont)
-    d2 = gpd(t2, cont)
-    diff = {}
-    for it, v in d1.support:
-        diff[_key(it)] = diff.get(_key(it), 0) + v
-    for it, v in d2.support:
-        diff[_key(it)] = diff.get(_key(it), 0) - v
-    order = cont.items
-    target = [diff.get(_key(it), 0) for it in order]
-    # the inverted indicator of a member is the corresponding row of mu
+    items, masks = superset_masks(t1.collection)
+    d1 = _invert(masks, [t1.rank_of(it) for it in items])
+    d2 = _invert(masks, [t2.rank_of(it) for it in items])
+    target = [a - b for a, b in zip(d1, d2)]
+    # the inverted indicator of member i (row i of mu)
     columns = [
-        [mu.values.get((i, j), 0) for j in range(len(order))]
-        for i, it in enumerate(order)
+        _invert(masks, [int(j == i) for j in range(len(items))])
+        for i, it in enumerate(items)
         if _key(it) not in small_keys
     ]
     coeffs = rational_solve_in_span(columns, target) if columns else ([] if not any(target) else None)

@@ -49,8 +49,8 @@ class SectionSpace:
 class PModule:
     """A functor from a finite poset to GF(p) vector spaces."""
 
-    __slots__ = ("poset", "dims", "maps", "p", "ambient", "_trans", "_window_idx",
-                 "_window_geom", "_fences")
+    __slots__ = ("poset", "dims", "maps", "p", "ambient", "_trans", "_trans_rows",
+                 "_window_idx", "_window_geom", "_fences")
 
     def __init__(self, poset: FinitePoset, dims, maps, p: int = DEFAULT_P,
                  ambient: bool = False, validate: bool = True):
@@ -71,6 +71,7 @@ class PModule:
         if self.ambient and poset.grid_coords is None:
             raise ValueError("extension-by-zero needs a grid window")
         self._trans = {}
+        self._trans_rows = {}
         self._window_idx = poset.id_of_coord() if poset.grid_coords is not None else None
         self._window_geom = None
         self._fences = {}
@@ -141,6 +142,16 @@ class PModule:
                 self._trans[key] = out
                 return out
         raise AssertionError(f"no cover path from {a} to {b}")
+
+    def transition_rows(self, a: int, b: int, transpose: bool = False) -> list:
+        """T(a, b), or its transpose, as int rows; cached per module."""
+        key = (a, b, transpose)
+        rows = self._trans_rows.get(key)
+        if rows is None:
+            t = self.transition(a, b)
+            rows = (t.T if transpose else t).tolist()
+            self._trans_rows[key] = rows
+        return rows
 
     def window_origin_size(self) -> tuple[tuple[int, int], tuple[int, int]]:
         ox, oy, zeros = self._window_geometry()
@@ -454,12 +465,12 @@ def sweep_step(module: PModule, a: int, b: int, e, q):
     """
     p, width = module.p, module.dims[b]
     forward = bool(module.poset.leq[a, b])
-    t = module.transition(a, b) if forward else module.transition(b, a)
+    lo, hi = (a, b) if forward else (b, a)
     if e is not None:
-        rows = t.tolist()
+        rows = module.transition_rows(lo, hi)
         e = mul_rows(e, rows, p) if forward else pull_rows(e, rows, width, p)
     if q is not None:
-        rows = t.T.tolist()
+        rows = module.transition_rows(lo, hi, transpose=True)
         q = pull_rows(q, rows, width, p) if forward else mul_rows(q, rows, p)
     return e, q
 
@@ -518,5 +529,5 @@ def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
     if not q:
         return 0
     p = module.p
-    psi = mul_rows(mul_rows(e, module.transition(a, b).tolist(), p), q, p)
+    psi = mul_rows(mul_rows(e, module.transition_rows(a, b), p), q, p)
     return len(rref_rows(psi, len(q), p)[1])

@@ -606,6 +606,65 @@ def upper_fence(gi: GridInterval) -> tuple[tuple[int, int], ...]:
 # -- the containment poset -----------------------------------------------------
 
 
+class Supersets:
+    """Which members of a collection of sets contain a given set of points.
+
+    Built once per collection: for every point x, the Python-int bitset
+    of the members that contain x (bit j for member j).  The members
+    containing a set I are then the AND of those bitsets over the points
+    of I: |I| big-int ANDs in C instead of a loop over the members.
+    """
+
+    __slots__ = ("_full", "_by_point")
+
+    def __init__(self, sets):
+        sets = list(sets)
+        n = len(sets)
+        self._full = (1 << n) - 1
+        rows: dict = {}
+        for j, s in enumerate(sets):
+            for x in s:
+                rows.setdefault(x, []).append(j)
+        self._by_point = {x: bitset(js, n) for x, js in rows.items()}
+
+    def containing(self, points) -> int:
+        """Bitset of the members that contain every one of the points."""
+        mask = self._full
+        for x in points:
+            mask &= self._by_point.get(x, 0)
+            if not mask:
+                break
+        return mask
+
+
+def bitset(indices, n: int) -> int:
+    """The int with exactly the given bits set, all below n (packed by numpy)."""
+    row = np.zeros(-(-n // 8) * 8, dtype=bool)
+    row[list(indices)] = True
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def iter_bits(mask: int):
+    """Indices of the set bits of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def superset_masks(items) -> tuple[tuple, list[int]]:
+    """The items in canonical order and, per member, the bitset of the members containing it.
+
+    Raises ``ValueError`` when two members are equal as sets.
+    """
+    items = tuple(sorted(items, key=lambda it: it.sort_key))
+    sets = [it.member_set for it in items]
+    if len(set(sets)) != len(sets):
+        raise ValueError("duplicate items in collection")
+    sup = Supersets(sets)
+    return items, [sup.containing(s) for s in sets]
+
+
 @dataclass(frozen=True)
 class ContainmentPoset:
     """A collection of subsets ordered by reverse inclusion: I <= J iff I >= J.
@@ -629,16 +688,14 @@ class ContainmentPoset:
 
 
 def containment_poset(items) -> ContainmentPoset:
-    items = list(items)
-    sets = [it.member_set for it in items]
-    if len(set(sets)) != len(sets):
-        raise ValueError("duplicate items in collection")
-    order = sorted(range(len(items)), key=lambda i: items[i].sort_key)
-    items = [items[i] for i in order]
-    sets = [sets[i] for i in order]
+    """The collection in canonical order, ordered by reverse inclusion.
+
+    Column j of ``leq`` is the bitset of the members containing member j.
+    """
+    items, masks = superset_masks(items)
     n = len(items)
-    leq = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            leq[i, j] = sets[j] <= sets[i]
-    return ContainmentPoset(tuple(items), FinitePoset(leq))
+    nbytes = (n + 7) // 8
+    packed = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    cols = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(n, nbytes),
+                         axis=1, bitorder="little")[:, :n]
+    return ContainmentPoset(items, FinitePoset(cols.T.astype(bool), validate=False))

@@ -115,10 +115,9 @@ def test_criterion_03_completeness_on_3x3():
     rng = np.random.default_rng(103)
     win = grid_poset(3, 3, (0, 0))
     ints = enumerate_grid_intervals(win)
-    cont = containment_poset(ints)
     for _ in range(100):
         module, barcode = random_interval_decomposable(rng, win, 6)
-        diagram = gpd(gri(module, ints), cont)
+        diagram = gpd(gri(module, ints))
         got = {it.member_set: v for it, v in diagram.support}
         assert got == barcode
         realized = realize(diagram.positive_part(), win)

@@ -178,6 +178,28 @@ def test_invertible_with_support_file(capsys, tmp_path, square_module_file):
     assert out.startswith("fails at ")
 
 
+def test_support_member_outside_the_collection_is_an_input_error(capsys, tmp_path, rng):
+    module = tmp_path / "m.txt"
+    module.write_text(random_interval_decomposable(rng, grid_poset(3, 3), 3)[0].to_text())
+    support = tmp_path / "s.txt"
+    support.write_text("0,0\n7,7\n")
+    code, out, err = run(capsys, "invertible", str(module), "--collection", "int:1,1",
+                         "--support", str(support))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and "7,7" in err
+
+
+@pytest.mark.parametrize("command", ["gri", "gpd"])
+def test_duplicate_collection_line_is_an_input_error(capsys, tmp_path, square_module_file, command):
+    coll = tmp_path / "dup.txt"
+    coll.write_text("0,0\n0,0 1,0\n1,0 0,0\n")
+    code, out, err = run(capsys, command, square_module_file, "--collection", f"file:{coll}")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and "'1,0 0,0'" in err
+
+
 def test_enumerate_segments(capsys, tmp_path):
     f = tmp_path / "p.txt"
     f.write_text("grid 2 2 0 0\n")

@@ -18,6 +18,7 @@ from grinv.invariants import (
     tightness_pair,
     verify_invertibility,
 )
+from grinv.mobius import PosetFunction, convolve, mobius_function
 from grinv.modules import direct_sum, grid_interval_module, zero_module
 from grinv.posets import (
     GridInterval,
@@ -222,6 +223,80 @@ def test_chain4_pair_tables_and_diagrams():
     assert {k: v for k, v in got_diff.items() if v} == want
 
 
+# -- the bitset paths against the incidence-algebra oracle ------------------------------
+
+
+@st.composite
+def drawn_tables(draw):
+    """Tables with drawn ranks (zeros included, not necessarily monotone) over a
+    random unsaturated id-subset collection or an int:M,N grid collection."""
+    if draw(st.booleans()):
+        sets = draw(st.lists(st.frozensets(st.integers(0, 6), min_size=1), unique=True,
+                             max_size=16))
+        items = [SubposetId("connected", tuple(sorted(s))) for s in sets]
+    else:
+        w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        items = enumerate_grid_intervals(grid_poset(w, h), draw(st.integers(1, 3)),
+                                         draw(st.integers(1, 3)))
+        items = draw(st.permutations(items))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=len(items), max_size=len(items)))
+    return GriTable(tuple(items), tuple(ranks))
+
+
+def dense_inversion(items, values) -> dict:
+    """{member set: value} of g * mu over the containment poset, g given per item."""
+    cont = containment_poset(items)
+    g = PosetFunction.from_dict(cont.poset, {cont.index_of(it): v for it, v in zip(items, values)})
+    f = convolve(g, mobius_function(cont.poset))
+    return {cont.items[i].member_set: v for i, v in enumerate(f.values) if v}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_tables())
+def test_gpd_equals_the_dense_mobius_inversion(table):
+    d = gpd(table)
+    assert {it.member_set: v for it, v in d.support} == dense_inversion(table.collection, table.ranks)
+    assert [it.sort_key for it, _ in d.support] == sorted(it.sort_key for it, _ in d.support)
+    back = reconstruct_table(d, table.collection)
+    assert dict(zip(back.collection, back.ranks)) == dict(zip(table.collection, table.ranks))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_tables(), st.data())
+def test_verify_invertibility_matches_the_dense_oracle(table, data):
+    support = [it for it in table.collection if data.draw(st.booleans())]
+    keys = {it.member_set for it in support}
+    sub = [(it, r) for it, r in zip(table.collection, table.ranks) if it.member_set in keys]
+    diagram = dense_inversion([it for it, _ in sub], [r for _, r in sub])
+    canonical = sorted(zip(table.collection, table.ranks), key=lambda ir: ir[0].sort_key)
+    witness = next((it for it, r in canonical
+                    if sum(v for k, v in diagram.items() if it.member_set <= k) != r), None)
+    report = verify_invertibility(table, support)
+    assert report.ok == (witness is None)
+    if report.ok:
+        assert {it.member_set: v for it, v in report.diagram.support} == diagram
+    else:
+        assert report.witness == witness
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_tables())
+def test_containment_poset_follows_the_frozenset_rule(table):
+    cont = containment_poset(table.collection)
+    assert list(cont.items) == sorted(table.collection, key=lambda it: it.sort_key)
+    sets = [it.member_set for it in cont.items]
+    want = [[sets[j] <= sets[i] for j in range(len(sets))] for i in range(len(sets))]
+    assert cont.poset.leq.tolist() == want
+
+
+def test_inversions_reject_duplicate_members():
+    a, b = SubposetId("connected", (0, 1)), SubposetId("connected", (1, 0))
+    with pytest.raises(ValueError, match="duplicate"):
+        gpd(GriTable((a, b), (1, 1)))
+    with pytest.raises(ValueError, match="duplicate"):
+        indicator_inversion([a, b], a)
+
+
 # -- invertibility -------------------------------------------------------------------
 
 
@@ -254,6 +329,15 @@ def test_invertibility_failure_returns_first_witness(grid33):
     report = verify_invertibility(table, [corner])
     assert not report.ok
     assert report.witness.member_set == full.member_set
+
+
+def test_invertibility_reads_a_table_in_any_order():
+    row = GridInterval.rectangle((0, 0), (1, 0))
+    point = GridInterval.rectangle((0, 0), (0, 0))
+    report = verify_invertibility(GriTable((row, point), (1, 2)), [row, point])
+    assert report.ok
+    assert {it.member_set: v for it, v in report.diagram.support} == {
+        row.member_set: 1, point.member_set: 1}
 
 
 def test_counterexample_witnesses_accumulate():
