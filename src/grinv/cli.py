@@ -116,6 +116,8 @@ def _parse_members(module: PModule, tokens: list[str], kind: str | None = None):
     Connected non-intervals stay id-based subsets; intervals become
     ambient grid intervals when the module has coordinates."""
     if all("," in t for t in tokens):
+        if module.poset.grid_coords is None:
+            raise ValueError("coordinates need a module on a grid window")
         pts = []
         for t in tokens:
             x, y = t.split(",")

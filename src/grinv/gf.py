@@ -1,15 +1,17 @@
 """Exact dense linear algebra over a prime field GF(p).
 
 Everything downstream (limits, colimits, generalized ranks) reduces to
-rank / kernel / cokernel computations of small dense matrices.  The rank
-path runs on rows of Python ints and forms no numpy products: elimination
-(`rref_rows`, the one GF(p) elimination loop), kernels (`kernel_rows`)
-and the two moves of the zigzag sweep (`mul_rows`, `pull_rows`) use
-modular pivot inverses, exact for every p, and on the small matrices
-grinv eliminates (tens of cells) they skip numpy's per-call overhead,
-which would otherwise dominate.  `FFMatrix` wraps an int64 numpy array
-for module maps, files and the general limit/colimit route; its
-products are exact for any prime modulus up to MAX_P.  Default p = 2.
+rank / kernel / cokernel computations of small dense matrices, and all
+of it runs on rows of Python ints with no numpy products: elimination
+(`rref_rows`, the one GF(p) elimination loop), kernels (`kernel_rows`,
+the one kernel routine; a cokernel is the kernel of the transpose) and
+the two moves of the zigzag sweep (`mul_rows`, `pull_rows`) use modular
+pivot inverses, exact for every p, and on the small matrices grinv
+eliminates (tens of cells) they skip numpy's per-call overhead, which
+would otherwise dominate.  `FFMatrix` wraps an int64 numpy array and
+serves module maps and files only (parsing, writing, the basis changes
+of `PModule.scramble`); the numpy products of module maps are exact for
+any prime modulus up to MAX_P.  Default p = 2.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ import numpy as np
 
 DEFAULT_P = 2
 
-# Products are formed in int64 and reduced afterwards.  One entry of a
-# matrix product sums `inner` terms, each at most (p - 1)**2, and every
-# product grinv forms has the dimension of one element's space as its
-# inner dimension (edge maps, transitions, section and projection
-# blocks).  PModule caps those dimensions at MAX_DIM, and MAX_P is the
-# largest modulus with MAX_DIM * (p - 1)**2 < 2**63.  Elimination itself
-# only needs (p - 1)**2 + p < 2**63.
+# Products of module maps are formed in int64 and reduced afterwards.
+# One entry of a matrix product sums `inner` terms, each at most
+# (p - 1)**2, and every numpy product grinv forms (composite transitions,
+# the functoriality check, basis changes) has the dimension of one
+# element's space as its inner dimension.  PModule caps those dimensions
+# at MAX_DIM, and MAX_P is the largest modulus with
+# MAX_DIM * (p - 1)**2 < 2**63.  The int-row routines are exact for
+# every p.
 MAX_DIM = 1 << 16
 MAX_P = isqrt((2**63 - 1) // MAX_DIM) + 1
 
@@ -137,16 +140,6 @@ class FFMatrix:
         self.a = a % p
         self.p = p
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int = DEFAULT_P) -> "FFMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), p, copy=False)
-
-    @classmethod
-    def identity(cls, n: int, p: int = DEFAULT_P) -> "FFMatrix":
-        return cls(np.eye(n, dtype=np.int64), p, copy=False)
-
     # -- basic shape / access -----------------------------------------
 
     @property
@@ -168,21 +161,6 @@ class FFMatrix:
     def __repr__(self):
         return f"FFMatrix(p={self.p}, {self.a.tolist()})"
 
-    def transpose(self) -> "FFMatrix":
-        return FFMatrix(self.a.T, self.p)
-
-    def is_zero(self) -> bool:
-        return not self.a.any()
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __matmul__(self, other: "FFMatrix") -> "FFMatrix":
-        if self.p != other.p:
-            raise ValueError("field mismatch")
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
-        return FFMatrix((self.a @ other.a) % self.p, self.p, copy=False)
-
     # -- elimination ----------------------------------------------------
 
     def rref(self) -> tuple["FFMatrix", list[int]]:
@@ -194,37 +172,6 @@ class FFMatrix:
         m, n = self.a.shape
         rows, pivots = rref_rows(self.a.tolist(), n, self.p)
         return FFMatrix(np.array(rows, dtype=np.int64).reshape(m, n), self.p, copy=False), pivots
-
-    def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        return len(self.rref()[1])
-
-    def kernel_basis(self) -> "FFMatrix":
-        """Columns form a basis of ker(A); A @ K == 0."""
-        m, n = self.a.shape
-        if n == 0:
-            return FFMatrix.zeros(0, 0, self.p)
-        r, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(n) if j not in pivot_set]
-        k = np.zeros((n, len(free)), dtype=np.int64)
-        k[free, range(len(free))] = 1
-        k[pivots] = -r.a[: len(pivots), free]
-        return FFMatrix(k, self.p, copy=False)
-
-    def left_null_basis(self) -> "FFMatrix":
-        """Rows form a basis of the left null space; L @ A == 0."""
-        return self.transpose().kernel_basis().transpose()
-
-    def cokernel_projector(self) -> tuple[int, "FFMatrix"]:
-        """Quotient by the column space.
-
-        Returns (q, P) with q = rows - rank, P of shape (q, rows), P @ A == 0,
-        and P surjective, so P presents coker(A) = k^rows / col(A).
-        """
-        proj = self.left_null_basis()
-        return proj.rows, proj
 
     def inverse(self) -> "FFMatrix":
         n = self.rows

@@ -3,12 +3,14 @@
 A module assigns a GF(p) vector space dimension to every element and a
 matrix to every Hasse edge.  Functoriality (path independence of the
 composed matrices) is validated at construction.  Limits and colimits
-are computed from cover-edge constraints only, which suffices once
+are the kernels of the stacked cover-edge constraints (on sections, and
+on the functionals that vanish on the relations), which suffices once
 functoriality holds; the test suite checks this against an
 all-comparable-pairs oracle rather than assuming it.  They are the
 general rank route and the oracle of the grid fast path, which solves
 each interval's two boundary fences with the zigzag sweep step
-(`sweep_step`, shared with path barcodes) on rows of Python ints.
+(`sweep_step`, shared with path barcodes).  Both routes run on rows of
+Python ints through the `gf` row routines.
 
 Modules on grid windows can opt into the extension-by-zero convention:
 the module is regarded as a plane module that vanishes outside its
@@ -23,7 +25,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .gf import DEFAULT_P, MAX_DIM, FFMatrix, check_modulus, mul_rows, pull_rows, rref_rows
+from .gf import (DEFAULT_P, MAX_DIM, FFMatrix, check_modulus, kernel_rows, mul_rows, pull_rows,
+                 rref_rows)
 from .posets import FinitePoset, GridInterval, SubposetId, lower_fence, upper_fence
 
 FUNCTOR_CHECK_CAP = 512
@@ -33,17 +36,17 @@ FUNCTOR_CHECK_CAP = 512
 class SectionSpace:
     """Basis of the space of sections (the limit) of a module.
 
-    ``basis`` columns are sections; coordinates are stacked over the
-    poset's elements in id order, ``offsets[i]`` giving the first
-    coordinate of element i.
+    ``vectors`` are the sections, one int row each; coordinates are
+    stacked over the poset's elements in id order, ``offsets[i]`` giving
+    the first coordinate of element i.
     """
 
-    basis: FFMatrix
+    vectors: list[list[int]]
     offsets: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.vectors)
 
 
 class PModule:
@@ -343,53 +346,44 @@ def pullback(n_module: PModule, pi, target_poset: FinitePoset, ambient: bool | N
 # -- limits, colimits, ranks -----------------------------------------------------
 
 
-def _offsets(dims) -> tuple[int, ...]:
-    out = [0]
-    for d in dims:
-        out.append(out[-1] + d)
-    return tuple(out)
+def _cover_constraints(module: PModule, what: str, transpose: bool):
+    """(offsets, rows) of the cover constraints over the stacked coordinates.
+
+    For each cover a -> b with map M: sections satisfy x_b - M x_a = 0
+    (d_b rows); with ``transpose``, functionals vanishing on the relations
+    satisfy f_a - M^T f_b = 0 (d_a rows).
+    """
+    if not module.poset.is_connected_subset(range(module.poset.n)):
+        raise ValueError(f"{what} requires a connected poset")
+    offs = tuple(accumulate(module.dims, initial=0))
+    p = module.p
+    rows = []
+    for a, b in module.poset.covers:
+        own, other = (a, b) if transpose else (b, a)
+        for i, m_row in enumerate(module.transition_rows(a, b, transpose)):
+            row = [0] * offs[-1]
+            row[offs[own] + i] = 1
+            row[offs[other] : offs[other + 1]] = [-v % p for v in m_row]
+            rows.append(row)
+    return offs, rows
 
 
 def limit(module: PModule) -> SectionSpace:
     """The space of sections, as the kernel of the stacked cover constraints."""
-    if not module.poset.is_connected_subset(range(module.poset.n)):
-        raise ValueError("limit requires a connected poset")
-    offs = _offsets(module.dims)
-    total = offs[-1]
-    covers = module.poset.covers
-    rows = sum(module.dims[b] for _, b in covers)
-    c = np.zeros((rows, total), dtype=np.int64)
-    r = 0
-    for a, b in covers:
-        db = module.dims[b]
-        c[r : r + db, offs[b] : offs[b + 1]] = np.eye(db, dtype=np.int64)
-        c[r : r + db, offs[a] : offs[a + 1]] = (-module._edge(a, b)) % module.p
-        r += db
-    basis = FFMatrix(c, module.p, copy=False).kernel_basis()
-    return SectionSpace(basis, offs)
+    offs, rows = _cover_constraints(module, "limit", transpose=False)
+    return SectionSpace(kernel_rows(rows, offs[-1], module.p), offs)
 
 
-def colimit(module: PModule) -> tuple[int, FFMatrix]:
+def colimit(module: PModule) -> tuple[int, list[list[int]]]:
     """Quotient of the direct sum by the cover-edge relations.
 
-    Returns (dim, projection) where the projection maps stacked
-    coordinates onto the colimit.
+    Returns (dim, functionals): int rows on the stacked coordinates, a
+    basis of the functionals that vanish on every relation (v at a) minus
+    (M v at b), so together they map the direct sum onto the colimit.
     """
-    if not module.poset.is_connected_subset(range(module.poset.n)):
-        raise ValueError("colimit requires a connected poset")
-    offs = _offsets(module.dims)
-    total = offs[-1]
-    covers = module.poset.covers
-    cols = sum(module.dims[a] for a, _ in covers)
-    rel = np.zeros((total, cols), dtype=np.int64)
-    c = 0
-    for a, b in covers:
-        da = module.dims[a]
-        rel[offs[a] : offs[a + 1], c : c + da] = np.eye(da, dtype=np.int64)
-        rel[offs[b] : offs[b + 1], c : c + da] = (-module._edge(a, b)) % module.p
-        c += da
-    qdim, proj = FFMatrix(rel, module.p, copy=False).cokernel_projector()
-    return qdim, proj
+    offs, rows = _cover_constraints(module, "colimit", transpose=True)
+    proj = kernel_rows(rows, offs[-1], module.p)
+    return len(proj), proj
 
 
 def _rank_of_restriction(module: PModule, ms: list[int]) -> int:
@@ -402,11 +396,10 @@ def _rank_of_restriction(module: PModule, ms: list[int]) -> int:
     qdim, proj = colimit(sub)
     if qdim == 0:
         return 0
-    offs = sections.offsets
-    p0 = 0
-    block = slice(offs[p0], offs[p0 + 1])
-    psi = (proj.a[:, block] @ sections.basis.a[block, :]) % module.p
-    return FFMatrix(psi, module.p, copy=False).rank()
+    lo, hi = sections.offsets[:2]
+    e = [v[lo:hi] for v in sections.vectors]
+    q = [f[lo:hi] for f in proj]
+    return len(rref_rows(mul_rows(e, q, module.p), qdim, module.p)[1])
 
 
 def _members_of(module: PModule, region) -> list[int] | None:

@@ -86,12 +86,21 @@ class FinitePoset:
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges (a, b) with a covered by b, sorted."""
+        """Hasse edges (a, b) with a covered by b, sorted.
+
+        From the strict up-set bitsets: b covers a unless b lies in up(c)
+        for some c in up(a), so the cost follows the number of comparable
+        pairs instead of n**3.
+        """
         if self._covers is None:
             lt = self.leq & ~np.eye(self.n, dtype=bool)
-            redundant = lt @ lt
-            self._covers = tuple(zip(*np.nonzero(lt & ~redundant)))
-            self._covers = tuple(sorted((int(a), int(b)) for a, b in self._covers))
+            packed = np.packbits(lt, axis=1, bitorder="little")
+            up = [int.from_bytes(row.tobytes(), "little") for row in packed]
+            lows, highs = (ix.tolist() for ix in np.nonzero(lt))
+            above = [0] * self.n
+            for a, c in zip(lows, highs):
+                above[a] |= up[c]
+            self._covers = tuple((a, b) for a, b in zip(lows, highs) if not above[a] >> b & 1)
         return self._covers
 
     def topological_order(self) -> tuple[int, ...]:

@@ -190,6 +190,20 @@ def test_support_member_outside_the_collection_is_an_input_error(capsys, tmp_pat
     assert err.startswith("error: ") and "7,7" in err
 
 
+def test_coordinate_collection_on_an_abstract_poset_is_an_input_error(capsys, tmp_path):
+    module = tmp_path / "abs.txt"
+    module.write_text(
+        "poset 3\ncover 0 1\ncover 0 2\nfield 2\ndims 0 1\ndims 1 1\ndims 2 1\n"
+        "map 0 1\n1 1\n1\nmap 0 2\n1 1\n1\n"
+    )
+    coll = tmp_path / "c.txt"
+    coll.write_text("0,0\n")
+    code, out, err = run(capsys, "gri", str(module), "--collection", f"file:{coll}")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and "grid" in err
+
+
 @pytest.mark.parametrize("command", ["gri", "gpd"])
 def test_duplicate_collection_line_is_an_input_error(capsys, tmp_path, square_module_file, command):
     coll = tmp_path / "dup.txt"

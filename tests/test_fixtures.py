@@ -84,7 +84,7 @@ def test_serrated_section_space_is_the_all_ones_line():
         sub = fx.modules["m"].restrict(sorted(idx[pt] for pt in gi.points()))
         sec = limit(sub)
         assert sec.dim == 1
-        assert set(sec.basis.a[:, 0].tolist()) == {1}
+        assert set(sec.vectors[0]) == {1}
 
 
 def test_staircase_summand_not_interval_realizable():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from grinv.gf import MAX_P, FFMatrix, is_prime
+from grinv.gf import MAX_P, is_prime, kernel_rows, mul_rows, rref_rows
 from grinv.modules import (
     PModule,
     colimit,
@@ -32,41 +32,63 @@ from grinv.sampling import (
 )
 
 
-def all_pairs_limit_dim(module):
-    """Oracle: sections constrained on every comparable pair, not just covers."""
+LARGEST_P = next(q for q in range(MAX_P, 2, -1) if is_prime(q))
+
+
+def rank(mat, p):
+    """Rank of a numpy matrix over GF(p)."""
+    return len(rref_rows((mat % p).tolist(), mat.shape[1], p)[1])
+
+
+def all_pairs_systems(module, ms=None):
+    """Oracle: the section constraints x_b - T x_a and the relations
+    (v at a) - (T v at b) on every comparable pair of ms (default: all
+    elements), not just on covers.  Returns (offsets, constraints,
+    relations), the relations as the columns of a matrix."""
+    ms = list(range(module.poset.n)) if ms is None else list(ms)
+    dims = [module.dims[m] for m in ms]
     offs = [0]
-    for d in module.dims:
+    for d in dims:
         offs.append(offs[-1] + d)
-    rows = []
-    for a in range(module.poset.n):
-        for b in range(module.poset.n):
-            if a != b and module.poset.leq[a, b]:
-                block = np.zeros((module.dims[b], offs[-1]), dtype=np.int64)
-                block[:, offs[b] : offs[b + 1]] = np.eye(module.dims[b], dtype=np.int64)
-                block[:, offs[a] : offs[a + 1]] = -module.transition(a, b)
+    rows = [np.zeros((0, offs[-1]), dtype=np.int64)]
+    cols = [np.zeros((offs[-1], 0), dtype=np.int64)]
+    for a, ma in enumerate(ms):
+        for b, mb in enumerate(ms):
+            if a != b and module.poset.leq[ma, mb]:
+                t = module.transition(ma, mb)
+                block = np.zeros((dims[b], offs[-1]), dtype=np.int64)
+                block[:, offs[b] : offs[b + 1]] = np.eye(dims[b], dtype=np.int64)
+                block[:, offs[a] : offs[a + 1]] = -t
                 rows.append(block)
-    if not rows:
-        return offs[-1]
-    mat = FFMatrix(np.vstack(rows), module.p)
-    return mat.kernel_basis().cols
+                block = np.zeros((offs[-1], dims[a]), dtype=np.int64)
+                block[offs[a] : offs[a + 1], :] = np.eye(dims[a], dtype=np.int64)
+                block[offs[b] : offs[b + 1], :] = -t
+                cols.append(block)
+    return offs, np.vstack(rows), np.hstack(cols)
+
+
+def all_pairs_limit_dim(module):
+    offs, constraints, _ = all_pairs_systems(module)
+    return offs[-1] - rank(constraints, module.p)
 
 
 def all_pairs_colimit_dim(module):
-    offs = [0]
-    for d in module.dims:
-        offs.append(offs[-1] + d)
-    cols = []
-    for a in range(module.poset.n):
-        for b in range(module.poset.n):
-            if a != b and module.poset.leq[a, b]:
-                block = np.zeros((offs[-1], module.dims[a]), dtype=np.int64)
-                block[offs[a] : offs[a + 1], :] = np.eye(module.dims[a], dtype=np.int64)
-                block[offs[b] : offs[b + 1], :] = -module.transition(a, b)
-                cols.append(block)
-    if not cols:
-        return offs[-1]
-    mat = FFMatrix(np.hstack(cols), module.p)
-    return offs[-1] - mat.rank()
+    offs, _, relations = all_pairs_systems(module)
+    return offs[-1] - rank(relations, module.p)
+
+
+def all_pairs_generalized_rank(module, ms):
+    """Oracle: the rank of limit -> V_first -> colimit over ms, both solved
+    from the all-pairs systems of the unrestricted module."""
+    p = module.p
+    offs, constraints, relations = all_pairs_systems(module, ms)
+    sections = kernel_rows((constraints % p).tolist(), offs[-1], p)
+    functionals = kernel_rows((relations.T % p).tolist(), offs[-1], p)
+    if not sections or not functionals:
+        return 0
+    e = [v[offs[0] : offs[1]] for v in sections]
+    q = [f[offs[0] : offs[1]] for f in functionals]
+    return len(rref_rows(mul_rows(e, q, p), len(q), p)[1])
 
 
 # -- construction -----------------------------------------------------------------
@@ -202,23 +224,24 @@ def test_limit_sections_satisfy_cover_constraints(rng):
     offs = sec.offsets
     for a, b in win.covers:
         for col in range(sec.dim):
-            va = sec.basis.a[offs[a] : offs[a + 1], col]
-            vb = sec.basis.a[offs[b] : offs[b + 1], col]
-            assert np.array_equal((m._edge(a, b) @ va) % m.p, vb)
+            va = sec.vectors[col][offs[a] : offs[a + 1]]
+            vb = sec.vectors[col][offs[b] : offs[b + 1]]
+            assert ((m._edge(a, b) @ va) % m.p).tolist() == vb
 
 
 def test_cover_only_limits_match_all_pairs_oracle(rng):
     for _ in range(12):
-        p = random_poset(rng, 6)
+        poset = random_poset(rng, 6)
+        field = int(rng.choice([2, 3, 5, LARGEST_P]))
         mods = []
         from conftest import brute_force_intervals
 
-        ivs = brute_force_intervals(p)
+        ivs = brute_force_intervals(poset)
         for _ in range(2):
             ms = ivs[int(rng.integers(0, len(ivs)))]
-            mods.append(interval_module(p, ms))
+            mods.append(interval_module(poset, ms, field))
         m = direct_sum(*mods).scramble(rng)
-        if not p.is_connected_subset(range(p.n)):
+        if not poset.is_connected_subset(range(poset.n)):
             continue
         assert limit(m).dim == all_pairs_limit_dim(m)
         assert colimit(m)[0] == all_pairs_colimit_dim(m)
@@ -312,6 +335,35 @@ def test_rank_over_connected_sets_counts_containing_summands(rng):
             pts = frozenset(coords[i] for i in sub.members)
             want = sum(mult for supp, mult in barcode.items() if pts <= supp)
             assert generalized_rank(m, sub) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.sampled_from([2, 3, 5, LARGEST_P]), st.integers(0, 2**32 - 1),
+       st.data())
+def test_generalized_rank_matches_all_pairs_oracle_on_abstract_posets(n, field, seed, data):
+    from conftest import brute_force_intervals
+
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    poset = FinitePoset.from_covers(n, edges)
+    ivs = brute_force_intervals(poset)
+    supports = data.draw(st.lists(st.sampled_from(ivs), min_size=1, max_size=4))
+    m = direct_sum(*(interval_module(poset, ms, field) for ms in supports))
+    m = m.scramble(np.random.default_rng(seed))
+    ms = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    assume(poset.is_connected_subset(ms))
+    assert generalized_rank(m, ms) == all_pairs_generalized_rank(m, ms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, LARGEST_P]), st.integers(0, 2**32 - 1),
+       st.sets(st.integers(0, 8), min_size=1))
+def test_generalized_rank_matches_all_pairs_oracle_on_connected_grid_subsets(field, seed, ids):
+    win = grid_poset(3, 3, (0, 0))
+    ms = sorted(ids)
+    assume(win.is_connected_subset(ms))
+    m = random_module(np.random.default_rng(seed), win, p=field)
+    assert generalized_rank(m, ms) == all_pairs_generalized_rank(m, ms)
 
 
 def test_fast_equals_slow_on_all_intervals(rng):
@@ -431,7 +483,7 @@ def test_rectangle_rank_equals_corner_map_rank(rng):
             x1, y1 = int(rng.integers(x0, 4)), int(rng.integers(y0, 4))
             rect = GridInterval.rectangle((x0, y0), (x1, y1))
             t = m.transition(idx[(x0, y0)], idx[(x1, y1)])
-            assert generalized_rank_fast(m, rect) == FFMatrix(t, m.p).rank()
+            assert generalized_rank_fast(m, rect) == rank(t, m.p)
 
 
 # -- serialisation --------------------------------------------------------------------

@@ -209,6 +209,25 @@ def test_containment_antisymmetric_transitive(rng):
     assert np.array_equal(regen.leq, leq)
 
 
+def dense_covers(poset):
+    """Oracle: a < b with no c strictly between, by a boolean matrix product."""
+    lt = poset.leq & ~np.eye(poset.n, dtype=bool)
+    redundant = lt @ lt
+    return tuple(sorted((int(a), int(b)) for a, b in zip(*np.nonzero(lt & ~redundant))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 70), st.data())
+def test_covers_match_the_dense_rule(n, data):
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    # relabel, so that ids are not always a linear extension of the order
+    perm = data.draw(st.permutations(range(n)))
+    closed = FinitePoset.from_covers(n, edges).leq
+    poset = FinitePoset(closed[np.ix_(perm, perm)], validate=False)
+    assert poset.covers == dense_covers(poset)
+
+
 # -- grid intervals and thickening --------------------------------------------------
 
 
