@@ -4,8 +4,10 @@ The collection is a thickening-closed family of plane intervals; the
 working finite slice is the set of members inside the union bounding
 box of the two windows, since every rank over an interval leaving both
 windows vanishes under extension-by-zero and the erosion inequalities
-hold there automatically.  Feasibility is monotone in the thickening
-radius, so the distance is found by binary search.
+hold there automatically.  Ranks never increase under containment, so
+a member whose two ranks agree never bounds the radius, and for the
+others the one inequality that can fail is monotone in the radius: the
+distance is found in one walk of the collection with a running radius.
 """
 
 from __future__ import annotations
@@ -70,10 +72,18 @@ def erosion_distance(m1: PModule, m2: PModule, collection=None,
                      caches=None) -> int | float:
     """Least radius admitting an erosion between the two rank invariants.
 
+    One walk of the collection with a running radius eps, starting at 0.
+    Since I is inside its thickening and ranks never increase under
+    containment, a member with r1(I) = r2(I) passes at every radius and
+    is skipped.  Otherwise, with r_small(I) < r_big(I), only
+    r_big(I^eps) <= r_small(I) can fail, and it stays true once it
+    holds, so eps is raised until the member passes.  The final eps is
+    the least radius at which every member passes.
+
     With extension-by-zero windows the search is bounded: one past the
     bounding-box diameter every thickened interval exits both windows
     and the check passes, so the distance is finite; the infinity return
-    is kept for interface completeness.
+    (eps passing that bound) is kept for interface completeness.
     """
     if m1.p != m2.p:
         raise ValueError("field mismatch")
@@ -85,19 +95,17 @@ def erosion_distance(m1: PModule, m2: PModule, collection=None,
         caches = (RankCache(m1), RankCache(m2))
     c1, c2 = caches
     hi = max(bbox[2] - bbox[0], bbox[3] - bbox[1]) + 1
-    if verify_erosion(m1, m2, collection, hi, c1, c2) is not None:
-        return math.inf
-    lo = 0
-    if verify_erosion(m1, m2, collection, lo, c1, c2) is None:
-        return 0
-    # invariant: lo infeasible, hi feasible
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if verify_erosion(m1, m2, collection, mid, c1, c2) is None:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    eps = 0
+    for gi in collection:
+        r1, r2 = c1.rank(gi), c2.rank(gi)
+        if r1 == r2:
+            continue
+        small, big = (r1, c2) if r1 < r2 else (r2, c1)
+        while big.rank(gi.thicken(eps)) > small:
+            eps += 1
+            if eps > hi:
+                return math.inf
+    return eps
 
 
 def shift_module(module: PModule, delta: int) -> PModule:

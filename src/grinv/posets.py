@@ -39,7 +39,7 @@ class FinitePoset:
     reduction.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("n", "leq", "grid_coords", "_covers", "_topo")
+    __slots__ = ("n", "leq", "grid_coords", "_covers", "_topo", "_comparable_bits")
 
     def __init__(self, leq: np.ndarray, grid_coords: tuple | None = None, validate: bool = True):
         leq = np.asarray(leq, dtype=bool)
@@ -61,6 +61,7 @@ class FinitePoset:
         self.grid_coords = tuple(grid_coords) if grid_coords is not None else None
         self._covers = None
         self._topo = None
+        self._comparable_bits = None
 
     # -- constructors ---------------------------------------------------
 
@@ -94,8 +95,7 @@ class FinitePoset:
         """
         if self._covers is None:
             lt = self.leq & ~np.eye(self.n, dtype=bool)
-            packed = np.packbits(lt, axis=1, bitorder="little")
-            up = [int.from_bytes(row.tobytes(), "little") for row in packed]
+            up = row_bitsets(lt)
             lows, highs = (ix.tolist() for ix in np.nonzero(lt))
             above = [0] * self.n
             for a, c in zip(lows, highs):
@@ -134,18 +134,31 @@ class FinitePoset:
     # -- subset predicates -------------------------------------------------
 
     def is_connected_subset(self, members) -> bool:
-        ms = sorted(set(members))
-        if not ms:
+        """Whether the members span a connected subgraph of the comparability graph.
+
+        Breadth-first over int bitsets: bit b of ``_comparable_bits[a]`` is
+        set when a <= b or b <= a, and each round adds every member
+        comparable to the frontier.  The empty set is not connected.
+        """
+        mask = 0
+        for a in members:
+            mask |= 1 << int(a)
+        if not mask:
             return False
-        seen = {ms[0]}
-        stack = [ms[0]]
-        while stack:
-            a = stack.pop()
-            for b in ms:
-                if b not in seen and (self.leq[a, b] or self.leq[b, a]):
-                    seen.add(b)
-                    stack.append(b)
-        return len(seen) == len(ms)
+        if self._comparable_bits is None:
+            self._comparable_bits = row_bitsets(self.leq | self.leq.T)
+        comp = self._comparable_bits
+        seen = frontier = mask & -mask
+        while frontier and seen != mask:
+            reach = 0
+            # iter_bits inlined: its generator doubles the cost of small calls
+            while frontier:
+                low = frontier & -frontier
+                reach |= comp[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~seen
+            seen |= frontier
+        return seen == mask
 
     def is_convex_subset(self, members) -> bool:
         ms = sorted(set(members))
@@ -651,6 +664,12 @@ def bitset(indices, n: int) -> int:
     row = np.zeros(-(-n // 8) * 8, dtype=bool)
     row[list(indices)] = True
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def row_bitsets(matrix: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int, bit j standing for column j."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(matrix, axis=1, bitorder="little")]
 
 
 def iter_bits(mask: int):

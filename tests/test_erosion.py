@@ -1,5 +1,8 @@
 import math
 
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
 from grinv.erosion import (
     ThickeningFamily,
     erosion_distance,
@@ -59,6 +62,44 @@ def test_distance_matches_exhaustive_scan(rng):
         m2, _ = random_interval_decomposable(rng, win, 3)
         coll = fam.members_within(union_bbox(m1, m2))
         assert erosion_distance(m1, m2, coll) == exhaustive_erosion_distance(m1, m2, coll)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_pass_distance_matches_the_upward_scan(data):
+    side = data.draw(st.sampled_from((2, 3)), label="side")
+    origins = [data.draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), label="origin")
+               for _ in range(2)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    win = grid_poset(side, side, origins[0])
+    if data.draw(st.booleans(), label="block"):
+        # the full-window block, whose deep members push distances to 2
+        m1 = grid_interval_module(win, GridInterval.rectangle(origins[0], (
+            origins[0][0] + side - 1, origins[0][1] + side - 1)))
+    else:
+        m1 = random_module(rng, win)
+    partner = data.draw(st.sampled_from(("random", "shift", "zero")), label="partner")
+    if partner == "random":
+        m2 = random_module(rng, grid_poset(side, side, origins[1]))
+    elif partner == "shift":
+        m2 = shift_module(m1, data.draw(st.integers(0, 2), label="delta"))
+    else:
+        m2 = zero_module(grid_poset(side, side, origins[1]))
+    budget = data.draw(st.sampled_from(((1, 1), (2, 1), (2, 2))), label="budget")
+    coll = ThickeningFamily(*budget).members_within(union_bbox(m1, m2))
+    d = erosion_distance(m1, m2, coll)
+    assert d == exhaustive_erosion_distance(m1, m2, coll)
+    assert verify_erosion(m1, m2, coll, d) is None
+    if d >= 1:
+        assert verify_erosion(m1, m2, coll, d - 1) is not None
+
+
+def test_one_member_can_raise_the_radius_by_several_steps():
+    win = grid_poset(5, 5, (0, 0))
+    block = grid_interval_module(win, GridInterval.rectangle((0, 0), (4, 4)))
+    z = zero_module(win)
+    center = [GridInterval.rectangle((2, 2), (2, 2))]
+    assert erosion_distance(block, z, center) == exhaustive_erosion_distance(block, z, center) == 3
 
 
 def test_nested_squares_distance(rng):

@@ -75,6 +75,8 @@ def test_antichain_is_disconnected(grid22):
     assert not grid22.is_connected_subset([1, 2])
     assert not grid22.is_interval_subset([1, 2])
     assert grid22.is_connected_subset([1, 0, 2])
+    # (0,1) reaches (1,0) only through (1,1): two rounds of the search
+    assert grid22.is_connected_subset([1, 3, 2])
 
 
 def test_interval_implies_connected_on_random_posets(rng):
@@ -226,6 +228,43 @@ def test_covers_match_the_dense_rule(n, data):
     closed = FinitePoset.from_covers(n, edges).leq
     poset = FinitePoset(closed[np.ix_(perm, perm)], validate=False)
     assert poset.covers == dense_covers(poset)
+
+
+def bfs_is_connected(poset, members):
+    """Oracle: breadth-first search reading comparabilities from ``leq``."""
+    ms = sorted(set(members))
+    if not ms:
+        return False
+    seen = {ms[0]}
+    stack = [ms[0]]
+    while stack:
+        a = stack.pop()
+        for b in ms:
+            if b not in seen and (poset.leq[a, b] or poset.leq[b, a]):
+                seen.add(b)
+                stack.append(b)
+    return len(seen) == len(ms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 70), st.data())
+def test_connected_subset_matches_the_bfs(n, data):
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    perm = data.draw(st.permutations(range(n)))
+    closed = FinitePoset.from_covers(n, edges).leq
+    poset = FinitePoset(closed[np.ix_(perm, perm)], validate=False)
+    for _ in range(8):
+        # near one element, to reach connected sets that are not singletons
+        a = data.draw(st.integers(0, n - 1))
+        pool = data.draw(st.sampled_from((
+            list(range(n)), np.nonzero(poset.leq[a] | poset.leq[:, a])[0].tolist())))
+        # lists, not sets: repeated members and the empty list are inputs too
+        members = data.draw(st.lists(st.sampled_from(pool), max_size=min(n + 3, 12)))
+        if data.draw(st.booleans()):
+            members = np.array(members, dtype=np.int64)
+        assert poset.is_connected_subset(members) == bfs_is_connected(poset, members)
+    assert poset.is_connected_subset(range(n)) == bfs_is_connected(poset, range(n))
 
 
 # -- grid intervals and thickening --------------------------------------------------
