@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
-from .erosion import ThickeningFamily, erosion_distance, union_bbox, verify_erosion
+from .erosion import ThickeningFamily, timed_distance, union_bbox, verify_erosion
 from .fixtures import FIXTURES, build_fixture
 from .gf import check_modulus
 from .invariants import (
@@ -318,10 +317,7 @@ def cmd_erosion(args) -> int:
     for mm, nn in budgets:
         family = ThickeningFamily(mm, nn)
         collection = family.members_within(union_bbox(m1, m2))
-        caches = (RankCache(m1), RankCache(m2))
-        t0 = time.perf_counter()
-        dist = erosion_distance(m1, m2, collection, caches=caches)
-        dt = time.perf_counter() - t0
+        dist, caches, dt = timed_distance(m1, m2, collection)
         row = (f"{mm}\t{nn}\t{len(collection)}\t{dist}\t"
                f"{caches[0].queries + caches[1].queries}")
         print(row + f"\t{dt:.4f}" if args.timing else row)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .gf import rational_solve_in_span
 from .modules import PModule, direct_sum, generalized_rank, generalized_rank_fast, grid_interval_module, interval_module, zero_module
-from .posets import ContainmentPoset, GridInterval, SubposetId, Supersets, bitset, iter_bits, superset_masks
+from .posets import ContainmentPoset, GridInterval, SubposetId, Supersets, bitset, canonical_order, iter_bits, superset_masks
 
 
 def _key(item) -> frozenset:
@@ -157,13 +157,12 @@ class SignedDiagram:
     def __add__(self, other: "SignedDiagram") -> "SignedDiagram":
         acc: dict = {}
         items: dict = {}
-        for it, v in list(self.support) + list(other.support):
+        for it, v in self.support + other.support:
             k = _key(it)
             acc[k] = acc.get(k, 0) + v
             items[k] = it
-        sup = [(items[k], v) for k, v in acc.items() if v != 0]
-        sup.sort(key=lambda iv: iv[0].sort_key)
-        return SignedDiagram(tuple(sup))
+        order = canonical_order(it for k, it in items.items() if acc[k])
+        return SignedDiagram(tuple((it, acc[_key(it)]) for it in order))
 
     def __eq__(self, other):
         if not isinstance(other, SignedDiagram):
@@ -215,7 +214,7 @@ def parse_table_tsv(text: str) -> tuple[tuple[frozenset, int], ...]:
 def gri(module: PModule, collection, module_ref: str = "",
         cache: RankCache | None = None) -> GriTable:
     """Rank table of a module over a collection, in canonical order."""
-    items = sorted(collection, key=lambda it: it.sort_key)
+    items = canonical_order(collection)
     cache = cache or RankCache(module)
     ranks = tuple(cache.rank(it) for it in items)
     return GriTable(tuple(items), ranks, module_ref)
@@ -259,7 +258,7 @@ def gpd(table: GriTable) -> SignedDiagram:
 
 def reconstruct_table(diagram: SignedDiagram, collection) -> GriTable:
     """Evaluate sum of diagram values over supersets: the zeta convolution."""
-    items = sorted(collection, key=lambda it: it.sort_key)
+    items = canonical_order(collection)
     sup = Supersets(_key(jt) for jt, _ in diagram.support)
     values = [v for _, v in diagram.support]
     ranks = tuple(sum(values[j] for j in iter_bits(sup.containing(_key(it)))) for it in items)

@@ -73,13 +73,17 @@ class PModule:
         self.ambient = bool(ambient)
         if self.ambient and poset.grid_coords is None:
             raise ValueError("extension-by-zero needs a grid window")
-        self._trans = {}
-        self._trans_rows = {}
         self._window_idx = poset.id_of_coord() if poset.grid_coords is not None else None
-        self._window_geom = None
-        self._fences = {}
+        self._clear_memos()
         if validate:
             self._validate()
+
+    def _clear_memos(self):
+        """Forget the memoised transitions, fence sweeps and window geometry."""
+        self._trans = {}
+        self._trans_rows = {}
+        self._window_geom = None
+        self._fences = {}
 
     # -- construction-time checks -----------------------------------------
 

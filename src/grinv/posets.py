@@ -10,9 +10,12 @@ Two representations coexist:
   for thickenings and fence constructions, which must not be clipped to
   any particular window.
 
-Canonical enumeration order everywhere: subsets sorted by
-(size, lexicographic sorted member list), which keeps every downstream
-table deterministic and diffable.
+Canonical order everywhere: subsets sorted by (size, lexicographic
+sorted member list), the ``sort_key`` of each member, which keeps every
+downstream table deterministic and diffable.  Every sort in the library
+goes through one helper, :func:`canonical_order`; for plane intervals
+it orders by one int per member, built from the staircase rows without
+listing points.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 
 import numpy as np
 
@@ -417,7 +421,101 @@ class GridInterval:
         return cls(lo[1], tuple((lo[0], hi[0]) for _ in range(lo[1], hi[1] + 1)))
 
 
+# -- canonical order ------------------------------------------------------------
+
+
+def canonical_order(items) -> list:
+    """The items sorted by their ``sort_key``: size, then sorted member list.
+
+    The one sort of the library.  A collection of plane intervals is
+    sorted by the int keys of :func:`_frame_keys`, which order it exactly
+    as ``sort_key`` does, and the sort is stable, so the result is
+    ``sorted(items, key=sort_key)`` either way.  ``SubposetId``
+    collections, and intervals too far apart for the int keys, sort by
+    ``sort_key`` itself.
+    """
+    items = list(items)
+    if items and all(isinstance(it, GridInterval) for it in items):
+        keys = _frame_keys(items)
+        if keys is not None:
+            return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]
+    return sorted(items, key=attrgetter("sort_key"))
+
+
+class _RowTerms(dict):
+    """Row y of a frame: (a, b) -> (b - a + 1) << N minus the row's point mask.
+
+    Over a frame of N points and height h, the point (x, y) gets bit
+    ``top - (x - x0) * h`` with ``top = N - 1 - (y - y0)``, so a row's
+    points are k = b - a + 1 bits spaced h apart.
+    """
+
+    __slots__ = ("n_bits", "h", "x0", "top")
+
+    def __init__(self, n_bits: int, h: int, x0: int, top: int):
+        super().__init__()
+        self.n_bits, self.h, self.x0, self.top = n_bits, h, x0, top
+
+    def __missing__(self, row):
+        a, b = row
+        k, h = b - a + 1, self.h
+        mask = ((1 << k * h) - 1) // ((1 << h) - 1) << (self.top - (b - self.x0) * h)
+        term = self[row] = (k << self.n_bits) - mask
+        return term
+
+
+def _frame_keys(intervals) -> list[int] | None:
+    """One int per interval that sorts as ``sort_key`` does, or None.
+
+    Over the union frame [x0, x1] x [y0, y1] of the collection, with N
+    points, the point of lexicographic rank r gets bit N - 1 - r of a
+    mask.  For sets A, B of equal size, A's sorted point list comes first
+    iff the lex-least point of A ^ B lies in A, iff mask(A) > mask(B).
+    So the key ``size << N | (2**N - 1 - mask)`` orders like ``sort_key``.
+    The rows of an interval are disjoint, so the key is 2**N - 1 plus one
+    memoised term per row (:class:`_RowTerms`): O(rows), no points.
+
+    Returns None (use ``sort_key``) unless sum of rows * N <= 64 * sum of
+    sizes: the keys, the row memo and the words added to build them then
+    stay within a few words per point of the collection, however far
+    apart the members lie.  A frame of at most 64 points always fits.
+    """
+    x0, y0, x1, y1 = intervals[0].bbox()
+    for gi in intervals:
+        rows, y = gi.rows, gi.y0
+        if rows[-1][0] < x0:
+            x0 = rows[-1][0]
+        if rows[0][1] > x1:
+            x1 = rows[0][1]
+        if y < y0:
+            y0 = y
+        if y + len(rows) - 1 > y1:
+            y1 = y + len(rows) - 1
+    h = y1 - y0 + 1
+    n_bits = (x1 - x0 + 1) * h
+    if n_bits > 64:
+        n_rows = sum(len(gi.rows) for gi in intervals)
+        if n_rows * n_bits > 64 * sum(len(gi) for gi in intervals):
+            return None
+    terms = [_RowTerms(n_bits, h, x0, n_bits - 1 - i) for i in range(h)]
+    full = (1 << n_bits) - 1
+    get = dict.__getitem__  # falls back to _RowTerms.__missing__ on a new row
+    out = []
+    for gi in intervals:
+        i = gi.y0 - y0
+        out.append(full + sum(map(get, terms[i:i + len(gi.rows)], gi.rows)))
+    return out
+
+
 # -- enumeration --------------------------------------------------------------
+
+
+def _staircase(y0: int, rows: tuple) -> GridInterval:
+    """A GridInterval from rows already known to be valid, skipping re-validation."""
+    gi = object.__new__(GridInterval)
+    object.__setattr__(gi, "y0", y0)
+    object.__setattr__(gi, "rows", rows)
+    return gi
 
 
 def _iter_row_ranges(x0: int, x1: int):
@@ -440,7 +538,7 @@ def iter_grid_intervals(bbox, max_min_pts=None, max_max_pts=None):
         raise ValueError("min/max point budgets must be >= 1")
 
     def extend(ybase, rows, mins_used, maxs_used):
-        yield GridInterval(ybase, tuple(rows))
+        yield _staircase(ybase, tuple(rows))
         if ybase + len(rows) > y1:
             return
         a, b = rows[-1]
@@ -512,9 +610,8 @@ def enumerate_grid_intervals(
         raise EnumerationCapError(
             f"{n} intervals exceed the cap of {cap}; raise the cap explicitly to proceed"
         )
-    out = list(iter_grid_intervals((min(xs), min(ys), max(xs), max(ys)), max_min_pts, max_max_pts))
-    out.sort(key=lambda gi: gi.sort_key)
-    return out
+    return canonical_order(
+        iter_grid_intervals((min(xs), min(ys), max(xs), max(ys)), max_min_pts, max_max_pts))
 
 
 def enumerate_intervals(
@@ -530,8 +627,9 @@ def enumerate_intervals(
     With budgets (1, 1) this is exactly the set of segments [p, q].
     """
     if poset.grid_coords is not None:
+        idx = poset.id_of_coord()
         return [
-            SubposetId("interval", tuple(sorted(poset.id_of_coord()[pt] for pt in gi.points())))
+            SubposetId("interval", tuple(sorted(idx[pt] for pt in gi.points())))
             for gi in enumerate_grid_intervals(poset, max_min_pts, max_max_pts, cap)
         ]
     if poset.n > 20:
@@ -575,8 +673,7 @@ def enumerate_segments(poset: FinitePoset) -> list[SubposetId]:
             out.append(SubposetId("segment", tuple(int(i) for i in poset.segment(a, int(b)))))
     # [p, q] has p as its unique minimum and q as its unique maximum, so no
     # two segments coincide as sets
-    out.sort(key=lambda s: s.sort_key)
-    return out
+    return canonical_order(out)
 
 
 # -- boundary fences -------------------------------------------------------------
@@ -685,7 +782,7 @@ def superset_masks(items) -> tuple[tuple, list[int]]:
 
     Raises ``ValueError`` when two members are equal as sets.
     """
-    items = tuple(sorted(items, key=lambda it: it.sort_key))
+    items = tuple(canonical_order(items))
     sets = [it.member_set for it in items]
     if len(set(sets)) != len(sets):
         raise ValueError("duplicate items in collection")

@@ -3,15 +3,18 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from grinv import erosion
 from grinv.erosion import (
     ThickeningFamily,
     erosion_distance,
     erosion_study,
     shift_module,
     study_table,
+    timed_distance,
     union_bbox,
     verify_erosion,
 )
+from grinv.invariants import RankCache
 from grinv.modules import generalized_rank_fast, grid_interval_module, zero_module
 from grinv.posets import GridInterval, grid_poset
 from grinv.sampling import random_interval_decomposable, random_module
@@ -171,6 +174,30 @@ def test_family_closed_under_thickenings(rng):
             fat = gi.thicken(eps)
             assert len(fat.minimal_points()) <= 2
             assert len(fat.maximal_points()) <= 2
+
+
+def test_timed_distance_repeats_from_cold_state(rng, monkeypatch):
+    win = grid_poset(4, 4, (0, 0))
+    m, _ = random_interval_decomposable(rng, win, 3)
+    shifted = shift_module(m, 1)
+    coll = ThickeningFamily(2, 2).members_within(union_bbox(m, shifted))
+    warm = (RankCache(m), RankCache(shifted))
+    want = erosion_distance(m, shifted, coll, caches=warm)
+    assert m._fences and shifted._fences
+    starts = []
+    real = erosion.erosion_distance
+
+    def spy(m1, m2, collection, caches):
+        # state each repeat starts from: memoised fences and cache misses
+        starts.append((len(m1._fences), len(m2._fences), caches[0].queries + caches[1].queries))
+        return real(m1, m2, collection, caches=caches)
+
+    monkeypatch.setattr(erosion, "erosion_distance", spy)
+    dist, caches, seconds = timed_distance(m, shifted, coll, repeats=3)
+    assert starts == [(0, 0, 0)] * 3
+    assert dist == want
+    assert [c.queries for c in caches] == [c.queries for c in warm]
+    assert 0 < seconds < math.inf
 
 
 def test_erosion_study_shape_and_monotonicity(rng):

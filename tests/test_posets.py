@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,8 @@ from grinv.posets import (
     EnumerationCapError,
     FinitePoset,
     GridInterval,
+    SubposetId,
+    canonical_order,
     containment_poset,
     count_grid_intervals,
     enumerate_connected,
@@ -406,3 +410,85 @@ def test_random_poset_enumeration_property(n, seed):
     p = random_poset(rng, n)
     fast = [s.members for s in enumerate_intervals(p)]
     assert fast == sorted(brute_force_intervals(p), key=lambda ms: (len(ms), ms))
+
+
+# -- canonical order ------------------------------------------------------------------
+
+
+def by_sort_key(items):
+    return sorted(items, key=lambda it: it.sort_key)
+
+
+def same_objects(a, b):
+    # identity, not equality: equal members must keep their input order
+    return [id(x) for x in a] == [id(x) for x in b]
+
+
+budgets = st.one_of(st.none(), st.integers(1, 3))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 4), st.integers(1, 4),
+       budgets, budgets, st.randoms(use_true_random=False))
+def test_canonical_order_matches_sort_key_on_boxes(x0, y0, w, h, mm, xx, rnd):
+    items = list(iter_grid_intervals((x0, y0, x0 + w - 1, y0 + h - 1), mm, xx))
+    rnd.shuffle(items)
+    assert same_objects(canonical_order(items), by_sort_key(items))
+
+
+@st.composite
+def staircases(draw, spread):
+    """A random plane interval: rows going up never move right and stay connected."""
+    a = draw(st.integers(-spread, spread))
+    b = a + draw(st.integers(0, 4))
+    rows = [(a, b)]
+    for _ in range(draw(st.integers(0, 4))):
+        a2 = a - draw(st.integers(0, 2))
+        b2 = draw(st.integers(max(a, a2), b))
+        rows.append((a2, b2))
+        a, b = a2, b2
+    return GridInterval(draw(st.integers(-spread, spread)), tuple(rows))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from((3, 40, 10 ** 6)))
+def test_canonical_order_matches_sort_key_across_frames(data, spread):
+    base = data.draw(st.lists(staircases(spread), min_size=1, max_size=12))
+    items = list(base)
+    for gi in base:
+        items.append(gi.thicken(data.draw(st.integers(0, 3))))
+        items.append(GridInterval.from_points(reversed(gi.points())))  # an equal, distinct object
+    data.draw(st.randoms(use_true_random=False)).shuffle(items)
+    assert same_objects(canonical_order(items), by_sort_key(items))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(0, 15), min_size=1), max_size=30))
+def test_canonical_order_matches_sort_key_on_subposet_ids(sets):
+    items = [SubposetId("connected", tuple(s)) for s in sets]
+    assert same_objects(canonical_order(items), by_sort_key(items))
+
+
+def test_canonical_order_far_apart_members_stay_small():
+    far = [GridInterval(10 ** 9, ((10 ** 9, 10 ** 9),)), GridInterval(0, ((0, 0),))]
+    column = [GridInterval(0, ((0, 0),) * 20_000), GridInterval(0, ((0, 0),))]
+    tracemalloc.start()
+    try:
+        assert canonical_order(far) == far[::-1]
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 16
+        tracemalloc.reset_peak()
+        # int keys over this 20,000-point frame would need one 20,000-bit
+        # mask per row, 50 MB in all; sort_key lists its points instead
+        assert canonical_order(column) == column[::-1]
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 23
+    finally:
+        tracemalloc.stop()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 4), st.integers(1, 4),
+       budgets, budgets)
+def test_generated_intervals_pass_validation(x0, y0, w, h, mm, xx):
+    # the generator builds its output without re-validating it
+    for gi in iter_grid_intervals((x0, y0, x0 + w - 1, y0 + h - 1), mm, xx):
+        assert GridInterval(gi.y0, gi.rows) == gi
