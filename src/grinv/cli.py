@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .erosion import ThickeningFamily, timed_distance, union_bbox, verify_erosion
 from .fixtures import FIXTURES, build_fixture
@@ -304,6 +305,8 @@ def cmd_bounds(args) -> int:
 def cmd_erosion(args) -> int:
     m1 = _load_module(args.module, args)
     m2 = _load_module(args.other, args)
+    if m1.p != m2.p:
+        raise CliError(f"modules are over different fields: {m1.p} and {m2.p}")
     budgets = []
     for spec in args.mn:
         try:
@@ -488,9 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.field_explicit = args.field is not None or ENV_FIELD in os.environ
     if args.field is None:
         try:

@@ -9,8 +9,9 @@ functoriality holds; the test suite checks this against an
 all-comparable-pairs oracle rather than assuming it.  They are the
 general rank route and the oracle of the grid fast path, which solves
 each interval's two boundary fences with the zigzag sweep step
-(`sweep_step`, shared with path barcodes).  Both routes run on rows of
-Python ints through the `gf` row routines.
+(`sweep_step`, shared with path barcodes), memoised per module by the
+interval's minimal and maximal antichains (see `generalized_rank_fast`).
+Both routes run on rows of Python ints through the `gf` row routines.
 
 Modules on grid windows can opt into the extension-by-zero convention:
 the module is regarded as a plane module that vanishes outside its
@@ -27,7 +28,7 @@ import numpy as np
 
 from .gf import (DEFAULT_P, MAX_DIM, FFMatrix, check_modulus, kernel_rows, mul_rows, pull_rows,
                  rref_rows)
-from .posets import FinitePoset, GridInterval, SubposetId, lower_fence, upper_fence
+from .posets import FinitePoset, GridInterval, SubposetId, check_fence_inside, fence_points
 
 FUNCTOR_CHECK_CAP = 512
 
@@ -472,19 +473,21 @@ def sweep_step(module: PModule, a: int, b: int, e, q):
     return e, q
 
 
-def _fence_solve(module: PModule, fence, lower: bool):
-    """(last fence id, E of a lower or Q of an upper fence there), once per fence.
+def _fence_solve(module: PModule, ext, lower: bool):
+    """(last fence id, basis of E or Q there, {b: pushed E basis} or None), memoised.
 
-    One sweep along the fence from the identity at its first point; a
-    lower fence keeps only E, an upper fence only Q.  The points of a
-    fence induce exactly the path's covers, so E spans the image of the
-    fence's limit and Q the coordinates of its colimit.
+    The key is the antichain ``ext`` that fixes the fence; its points are
+    listed only on a miss.  One sweep along the fence from the identity
+    at its first point; a lower fence keeps only E, an upper fence only
+    Q.  The points of a fence induce exactly the path's covers, so E
+    spans the image of the fence's limit and Q the coordinates of its
+    colimit.
     """
-    key = (lower, fence)
+    key = (lower, ext)
     hit = module._fences.get(key)
     if hit is None:
         idx = module._window_idx
-        ids = [idx[pt] for pt in fence]
+        ids = [idx[pt] for pt in fence_points(ext, lower)]
         d = module.dims[ids[0]]
         rows = [[int(r == c) for r in range(d)] for c in range(d)]
         for a, b in zip(ids, ids[1:]):
@@ -492,9 +495,15 @@ def _fence_solve(module: PModule, fence, lower: bool):
                 rows = sweep_step(module, a, b, rows, None)[0]
             else:
                 rows = sweep_step(module, a, b, None, rows)[1]
-        hit = (ids[-1], rows)
+        hit = (ids[-1], _basis(rows, module.dims[ids[-1]], module.p), {} if lower else None)
         module._fences[key] = hit
     return hit
+
+
+def _basis(rows, width: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """A basis of the span of the rows, as tuples: compact in the memos."""
+    rows, pivots = rref_rows(rows, width, p)
+    return tuple(map(tuple, rows[:len(pivots)]))
 
 
 def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
@@ -508,23 +517,35 @@ def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
     maximal point) onto the colimit, and a <= b, so the rank is
     rank(Q T(a, b) E), all on int rows.
 
-    Many intervals share a fence, so each fence's sweep is run once per
-    module and memoised on it.  The memo is exact: the sweep is a
-    deterministic function of the fence and the module alone, so a
-    reused entry is the very result a fresh sweep would return.  It
-    holds one entry per distinct fence queried.
+    Many intervals share a fence, so the module memoises one sweep per
+    distinct minimal or maximal antichain (the key) and the basis of E
+    pushed to b, T(a, b) E, once per (minimal antichain, b): the memos are
+    bounded by those counts, not by the number of intervals.  If that
+    basis spans V_b the rank is the number of Q rows, and if Q has dim V_b
+    rows it is the size of that basis; only otherwise is there an
+    elimination.  The memo is exact: an entry is a deterministic function
+    of its key and the module alone.  Each interval still checks that its
+    fences stay inside it, at the joins and meets of its antichains.
     """
     if module._window_idx is None:
         raise ValueError("fast path needs a grid module")
     if module._interval_rank_trivial(gi):
         return 0
-
-    a, e = _fence_solve(module, lower_fence(gi), lower=True)
+    mins, maxs = gi.minimal_points(), gi.maximal_points()
+    check_fence_inside(gi, mins, lower=True)
+    check_fence_inside(gi, maxs, lower=False)
+    a, e, pushed = _fence_solve(module, mins, lower=True)
     if not e:
         return 0
-    b, q = _fence_solve(module, upper_fence(gi), lower=False)
+    b, q, _ = _fence_solve(module, maxs, lower=False)
     if not q:
         return 0
     p = module.p
-    psi = mul_rows(mul_rows(e, module.transition_rows(a, b), p), q, p)
-    return len(rref_rows(psi, len(q), p)[1])
+    e_b = pushed.get(b)
+    if e_b is None:
+        e_b = pushed[b] = _basis(mul_rows(e, module.transition_rows(a, b), p), module.dims[b], p)
+    if len(e_b) == module.dims[b]:
+        return len(q)
+    if len(q) == module.dims[b]:
+        return len(e_b)
+    return len(rref_rows(mul_rows(e_b, q, p), len(q), p)[1])

@@ -367,20 +367,22 @@ class GridInterval:
         return (self.rows[-1][0], self.y0, self.rows[0][1], self.y1)
 
     def minimal_points(self) -> tuple[tuple[int, int], ...]:
-        """The minimal antichain, listed in ascending x (descending y)."""
+        """The minimal antichain in ascending x (descending y), in one walk up
+        the rows: the lowest row of each run of equal starts holds one."""
         pts = []
         for i, (a, _) in enumerate(self.rows):
-            if i == 0 or a < self.rows[i - 1][0]:
+            if not pts or a < pts[-1][0]:
                 pts.append((a, self.y0 + i))
-        return tuple(sorted(pts))
+        return tuple(reversed(pts))
 
     def maximal_points(self) -> tuple[tuple[int, int], ...]:
-        """The maximal antichain, listed in ascending x (descending y)."""
-        pts = []
-        for i, (_, b) in enumerate(self.rows):
-            if i == len(self.rows) - 1 or self.rows[i + 1][1] < b:
-                pts.append((b, self.y0 + i))
-        return tuple(sorted(pts))
+        """The maximal antichain in ascending x (descending y), in one walk down
+        the rows: the highest row of each run of equal ends holds one."""
+        pts, top = [], self.y1
+        for i, (_, b) in enumerate(reversed(self.rows)):
+            if not pts or b > pts[-1][0]:
+                pts.append((b, top - i))
+        return tuple(pts)
 
     # -- constructions --------------------------------------------------------
 
@@ -679,47 +681,53 @@ def enumerate_segments(poset: FinitePoset) -> list[SubposetId]:
 # -- boundary fences -------------------------------------------------------------
 
 
-def lower_fence(gi: GridInterval) -> tuple[tuple[int, int], ...]:
-    """The shortest faithful path threading the minimal points via their joins.
+def fence_points(ext, lower: bool) -> tuple[tuple[int, int], ...]:
+    """The shortest faithful path threading an antichain via its joins or meets.
 
-    With minimal points p0, p1, ... in ascending x, the join of consecutive
-    points shares its y with the earlier and its x with the later, so each
-    leg is a straight unit-step segment and the path is unique:
-    p0 -> (x1, y0) -> p1 -> (x2, y1) -> ...  A unique minimal point gives
-    the one-point path.  The fence stays inside the interval.
+    With the minimal (``lower``) points p0, p1, ... of an interval in
+    ascending x, the join of consecutive points shares its y with the
+    earlier and its x with the later, so each leg is a straight unit-step
+    segment and the path is unique: p0 -> (x1, y0) -> p1 -> ...  The upper
+    fence through the maximal points q0, q1, ... is its mirror image,
+    q0 -> (x0, y1) -> q1 -> ...  One point gives the one-point path.
     """
-    mins = gi.minimal_points()
-    pts: list[tuple[int, int]] = [mins[0]]
-    for (x0, y0), (x1, y1) in zip(mins, mins[1:]):
-        # horizontal leg to the join (x1, y0), then vertical leg down to (x1, y1)
-        for x in range(x0 + 1, x1 + 1):
-            pts.append((x, y0))
-        for y in range(y0 - 1, y1 - 1, -1):
-            pts.append((x1, y))
-    for pt in pts:
-        if pt not in gi:
-            raise AssertionError(f"fence point {pt} escaped the interval")
+    pts: list[tuple[int, int]] = [ext[0]]
+    for (x0, y0), (x1, y1) in zip(ext, ext[1:]):
+        if lower:
+            for x in range(x0 + 1, x1 + 1):
+                pts.append((x, y0))
+            for y in range(y0 - 1, y1 - 1, -1):
+                pts.append((x1, y))
+        else:
+            for y in range(y0 - 1, y1 - 1, -1):
+                pts.append((x0, y))
+            for x in range(x0 + 1, x1 + 1):
+                pts.append((x, y1))
     return tuple(pts)
+
+
+def check_fence_inside(gi: GridInterval, ext, lower: bool) -> None:
+    """Raise AssertionError if the fence through ``ext`` leaves ``gi``.  Each
+    fence point lies between a point of ``ext`` and the join (lower) or meet
+    (upper) of a consecutive pair, so by convexity these corners suffice."""
+    for (x0, y0), (x1, y1) in zip(ext, ext[1:]):
+        corner = (x1, y0) if lower else (x0, y1)
+        if corner not in gi:
+            raise AssertionError(f"fence point {corner} escaped the interval")
+
+
+def lower_fence(gi: GridInterval) -> tuple[tuple[int, int], ...]:
+    """The lower fence of ``gi``, through its minimal points; it stays inside ``gi``."""
+    mins = gi.minimal_points()
+    check_fence_inside(gi, mins, lower=True)
+    return fence_points(mins, lower=True)
 
 
 def upper_fence(gi: GridInterval) -> tuple[tuple[int, int], ...]:
-    """The shortest faithful path threading the maximal points via their meets.
-
-    Mirror image of :func:`lower_fence`: q0 -> (x0, y1) -> q1 -> ... with
-    vertical legs down to each meet followed by horizontal legs.
-    """
+    """The upper fence of ``gi``, through its maximal points; it stays inside ``gi``."""
     maxs = gi.maximal_points()
-    pts: list[tuple[int, int]] = [maxs[0]]
-    for (x0, y0), (x1, y1) in zip(maxs, maxs[1:]):
-        # vertical leg down to the meet (x0, y1), then horizontal leg to (x1, y1)
-        for y in range(y0 - 1, y1 - 1, -1):
-            pts.append((x0, y))
-        for x in range(x0 + 1, x1 + 1):
-            pts.append((x, y1))
-    for pt in pts:
-        if pt not in gi:
-            raise AssertionError(f"fence point {pt} escaped the interval")
-    return tuple(pts)
+    check_fence_inside(gi, maxs, lower=False)
+    return fence_points(maxs, lower=False)
 
 
 # -- the containment poset -----------------------------------------------------

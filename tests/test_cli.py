@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import grinv
+from grinv import cli
 from grinv.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
 from grinv.fixtures import build_fixture
 from grinv.modules import PModule
@@ -124,6 +131,48 @@ def test_erosion_cli(capsys, pair_files):
     assert out == out2
     _, timed, _ = run(capsys, "erosion", a, b, "--timing")
     assert timed.splitlines()[0].endswith("seconds")
+
+
+def test_erosion_over_different_fields_is_an_input_error(capsys, tmp_path, square_module_file, rng):
+    win = grid_poset(2, 2, (0, 0))
+    m3, _ = random_interval_decomposable(rng, win, 2, p=3)
+    f3 = tmp_path / "m3.txt"
+    f3.write_text(m3.to_text())
+    code, out, err = run(capsys, "erosion", square_module_file, str(f3))
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: modules are over different fields: 2 and 3\n"
+
+
+def test_one_parser_serves_a_sequence_of_commands(capsys, pair_files, monkeypatch):
+    """gri, gpd, erosion and an argparse error run in one process on one
+    parser, with the stdout and exit codes of fresh processes."""
+    a, b = pair_files
+    invocations = [
+        ("gri", a, "--collection", "segments"),
+        ("gpd", a, "--format", "structured"),
+        ("erosion", a, b, "--mn", "1,1", "2,2"),
+        ("gri", a, "--format", "nope"),
+        ("--field", "3", "gri", a),
+        ("gri", b),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(grinv.__file__).resolve().parents[1]))
+    env.pop("GRINV_FIELD", None)
+    monkeypatch.delenv("GRINV_FIELD", raising=False)
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in invocations:
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "grinv.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert len(builds) == 1
+    cli._parser.cache_clear()
 
 
 def test_erosion_self_is_zero(capsys, square_module_file):

@@ -423,6 +423,98 @@ def test_fence_memo_matches_oracle_in_any_order(p, side, origin, ambient, summan
                 generalized_rank_fast(m, gi)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    st.booleans(),
+    st.integers(1, 4),
+    st.integers(0, 10 ** 9),
+    st.data(),
+)
+def test_antichain_memos_match_oracle_cold_and_warm(p, origin, ambient, summands, seed, data):
+    """Each drawn interval gets the oracle's rank from a module whose memos
+    are cleared before every query (cold) and from one that has already
+    answered every interval of the window (warm), so every fence sweep
+    and pushed basis it reads was made for other intervals.  Few summands
+    leave points zero-dimensional; an ambient window also meets
+    intervals that leave it."""
+    rng = np.random.default_rng(seed)
+    win = grid_poset(4, 4, origin)
+    m = random_module(rng, win, p, max_summands=summands)
+    if not ambient:
+        m = PModule(m.poset, m.dims, m.maps, p, ambient=False, validate=False)
+    ints = enumerate_grid_intervals(win)
+    warm = PModule(m.poset, m.dims, m.maps, p, ambient=ambient, validate=False)
+    for gi in ints:
+        generalized_rank_fast(warm, gi)
+    drawn = data.draw(st.lists(st.sampled_from(ints), min_size=20, max_size=40))
+    if ambient:
+        ox, oy = origin
+        drawn += [random_grid_interval(rng, (ox - 1, oy - 1, ox + 4, oy + 4)) for _ in range(8)]
+    for gi in drawn:
+        want = generalized_rank(m, gi)
+        m._clear_memos()
+        assert generalized_rank_fast(m, gi) == want
+        assert generalized_rank_fast(warm, gi) == want
+
+
+def dense_5x5_module():
+    """A fixed dense 5x5 module: a full-window summand (so every limit and
+    colimit over an interval is nonzero) plus a random module, scrambled."""
+    rng = np.random.default_rng(5)
+    win = grid_poset(5, 5, (0, 0))
+    full = grid_interval_module(win, GridInterval.rectangle((0, 0), (4, 4)))
+    return win, direct_sum(full, random_module(rng, win, max_summands=4)).scramble(rng)
+
+
+def test_fast_path_work_counts_on_a_dense_5x5_module(monkeypatch):
+    """gri over int:2,2 sweeps each distinct minimal and maximal antichain
+    once, pushes one basis per distinct (minimal antichain, b) and never
+    lists fences per interval.  These counts do not depend on the machine."""
+    import grinv.modules as modules_mod
+    import grinv.posets as posets_mod
+    from grinv.invariants import gri
+
+    def forbidden(gi):
+        raise AssertionError("the fast path listed a fence per interval")
+
+    for ns in (posets_mod, modules_mod):
+        monkeypatch.setattr(ns, "lower_fence", forbidden, raising=False)
+        monkeypatch.setattr(ns, "upper_fence", forbidden, raising=False)
+    calls = {"fence_points": 0, "_basis": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(modules_mod, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(modules_mod, name, counted)
+    win, m = dense_5x5_module()
+    coll = enumerate_grid_intervals(win, 2, 2)
+    table = gri(m, coll)
+    # one fence listing per sweep; one basis per sweep and per push
+    assert calls == {"fence_points": 250, "_basis": 250 + 825}
+    assert min(table.ranks) >= 1 and len(set(table.ranks)) > 2
+    idx = win.id_of_coord()
+    mins = {gi.minimal_points() for gi in coll}
+    maxs = {gi.maximal_points() for gi in coll}
+    pushes = {(gi.minimal_points(), idx[gi.maximal_points()[-1]]) for gi in coll}
+    assert (len(coll), len(mins), len(maxs), len(pushes)) == (2300, 125, 125, 825)
+    lows = {ext: hit for (lower, ext), hit in m._fences.items() if lower}
+    ups = {ext for (lower, ext) in m._fences if not lower}
+    assert lows.keys() == mins and ups == maxs
+    assert {(ext, b) for ext, hit in lows.items() for b in hit[2]} == pushes
+
+
+def test_fast_path_alarm_fires_when_a_fence_leaves_the_interval(monkeypatch):
+    """The per-interval alarm: a minimal antichain whose join leaves the
+    interval raises before any sweep."""
+    win, m = dense_5x5_module()
+    monkeypatch.setattr(GridInterval, "minimal_points", lambda gi: ((0, 2), (1, 0)))
+    with pytest.raises(AssertionError, match="escaped the interval"):
+        generalized_rank_fast(m, GridInterval.rectangle((0, 0), (1, 1)))
+    assert not m._fences
+
+
 def test_lower_fence_ends_below_the_upper_fence_end():
     """The fast path maps the lower fence's last point a into the upper
     fence's last point b: a is the start of the bottom row, b the rightmost

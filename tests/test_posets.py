@@ -10,12 +10,14 @@ from grinv.posets import (
     GridInterval,
     SubposetId,
     canonical_order,
+    check_fence_inside,
     containment_poset,
     count_grid_intervals,
     enumerate_connected,
     enumerate_grid_intervals,
     enumerate_intervals,
     enumerate_segments,
+    fence_points,
     grid_poset,
     iter_grid_intervals,
     lower_fence,
@@ -375,6 +377,58 @@ def test_fences_stay_inside_and_are_faithful(rng):
                 assert abs(p[0] - q[0]) + abs(p[1] - q[1]) == 1
         assert set(gi.minimal_points()) <= set(lower_fence(gi))
         assert set(gi.maximal_points()) <= set(upper_fence(gi))
+
+
+def cover_antichains(gi):
+    """Oracle: the minimal and maximal points of gi, found from its covers.
+
+    In a convex set a point has another point of the set below it iff it
+    has a lower cover in the set, so a point is minimal iff neither
+    lower neighbour is in gi (maximal: neither upper neighbour).
+    """
+    pts = gi.member_set
+    mins = sorted((x, y) for x, y in pts if (x - 1, y) not in pts and (x, y - 1) not in pts)
+    maxs = sorted((x, y) for x, y in pts if (x + 1, y) not in pts and (x, y + 1) not in pts)
+    return tuple(mins), tuple(maxs)
+
+
+def staircase_fence(ext, lower):
+    """Oracle: the fence through an antichain built leg by leg."""
+    pts = [ext[0]]
+    for (x0, y0), (x1, y1) in zip(ext, ext[1:]):
+        if lower:
+            pts += [(x, y0) for x in range(x0 + 1, x1 + 1)]
+            pts += [(x1, y) for y in range(y0 - 1, y1 - 1, -1)]
+        else:
+            pts += [(x0, y) for y in range(y0 - 1, y1 - 1, -1)]
+            pts += [(x, y1) for x in range(x0 + 1, x1 + 1)]
+    return tuple(pts)
+
+
+def test_antichains_and_fences_match_oracles_on_a_6x6_window():
+    """On every interval of a 6x6 window the one-walk antichains equal the
+    cover oracle, and the fences are the same tuples as the leg-by-leg
+    construction and stay inside gi point by point."""
+    count = 0
+    for gi in iter_grid_intervals((0, 0, 5, 5)):
+        mins, maxs = cover_antichains(gi)
+        assert (gi.minimal_points(), gi.maximal_points()) == (mins, maxs), gi
+        low, up = staircase_fence(mins, True), staircase_fence(maxs, False)
+        assert lower_fence(gi) == fence_points(mins, True) == low
+        assert upper_fence(gi) == fence_points(maxs, False) == up
+        assert gi.member_set.issuperset(low + up)
+        count += 1
+    assert count == 68248
+
+
+def test_fence_alarm_fires_at_an_escaping_corner():
+    sq = GridInterval.rectangle((0, 0), (1, 1))
+    with pytest.raises(AssertionError, match=r"fence point \(1, 2\) escaped"):
+        check_fence_inside(sq, ((0, 2), (1, 0)), lower=True)
+    with pytest.raises(AssertionError, match=r"fence point \(0, -1\) escaped"):
+        check_fence_inside(sq, ((0, 1), (1, -1)), lower=False)
+    check_fence_inside(sq, ((0, 1), (1, 0)), lower=True)
+    check_fence_inside(sq, ((0, 1), (1, 0)), lower=False)
 
 
 # -- serialisation ------------------------------------------------------------------
