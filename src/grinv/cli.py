@@ -31,6 +31,7 @@ from .posets import (
     EnumerationCapError,
     FinitePoset,
     GridInterval,
+    check_interval_cap,
     containment_poset,
     enumerate_connected,
     enumerate_grid_intervals,
@@ -103,12 +104,19 @@ def _collection(module: PModule, spec: str, cap: int):
             m, n = (int(t) for t in spec[4:].split(","))
         except ValueError:
             raise CliError(f"bad collection selector {spec!r}; expected int:M,N")
+        _check_budgets(m, n, f"collection selector {spec!r}")
         if poset.grid_coords is None:
             return enumerate_intervals(poset, m, n, cap)
         return enumerate_grid_intervals(poset, m, n, cap)
     if spec.startswith("file:"):
         return _read_collection_file(module, spec[5:])
     raise CliError(f"unknown collection selector {spec!r}")
+
+
+def _check_budgets(mm, nn, given: str) -> None:
+    """Budgets count minimal and maximal points, so each given one must be >= 1."""
+    if (mm is not None and mm < 1) or (nn is not None and nn < 1):
+        raise CliError(f"{given}: min/max point budgets must be >= 1")
 
 
 def _parse_members(module: PModule, tokens: list[str], kind: str | None = None):
@@ -307,19 +315,25 @@ def cmd_erosion(args) -> int:
     m2 = _load_module(args.other, args)
     if m1.p != m2.p:
         raise CliError(f"modules are over different fields: {m1.p} and {m2.p}")
+    if m1.poset.grid_coords is None or m2.poset.grid_coords is None:
+        raise CliError("erosion needs modules on grid windows")
     budgets = []
     for spec in args.mn:
         try:
             mm, nn = (int(t) for t in spec.split(","))
         except ValueError:
             raise CliError(f"bad --mn value {spec!r}; expected M,N")
+        _check_budgets(mm, nn, f"--mn value {spec!r}")
         budgets.append((mm, nn))
+    bbox = union_bbox(m1, m2)
+    for mm, nn in budgets:
+        check_interval_cap(bbox[2] - bbox[0] + 1, bbox[3] - bbox[1] + 1, mm, nn, args.cap)
     # wall time is printed only on request, so default output is byte-reproducible
     head = "min_pts\tmax_pts\tcollection\tdistance\trank_queries"
     print(head + "\tseconds" if args.timing else head)
     for mm, nn in budgets:
         family = ThickeningFamily(mm, nn)
-        collection = family.members_within(union_bbox(m1, m2))
+        collection = family.members_within(bbox)
         dist, caches, dt = timed_distance(m1, m2, collection)
         row = (f"{mm}\t{nn}\t{len(collection)}\t{dist}\t"
                f"{caches[0].queries + caches[1].queries}")
@@ -349,6 +363,7 @@ def cmd_enumerate(args) -> int:
     nn = args.max_pts
     if args.what == "segments":
         mm = nn = 1
+    _check_budgets(mm, nn, "--min-pts/--max-pts")
     if poset.grid_coords is not None:
         for gi in enumerate_grid_intervals(poset, mm, nn, args.cap):
             print(format_members(gi))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .invariants import RankCache
 from .modules import PModule
-from .posets import GridInterval, canonical_order, iter_grid_intervals
+from .posets import GridInterval, canonical_grid_intervals
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class ThickeningFamily:
     max_max_pts: int | None = None
 
     def members_within(self, bbox) -> list[GridInterval]:
-        return canonical_order(iter_grid_intervals(bbox, self.max_min_pts, self.max_max_pts))
+        return canonical_grid_intervals(bbox, self.max_min_pts, self.max_max_pts)
 
 
 def union_bbox(m1: PModule, m2: PModule) -> tuple[int, int, int, int]:

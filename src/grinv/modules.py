@@ -193,12 +193,16 @@ class PModule:
     def _interval_rank_trivial(self, gi: GridInterval) -> bool:
         """True when the rank over gi is forced to 0: the interval leaves an
         extension-by-zero window or touches a zero-dimensional point."""
-        if not self.contains_interval(gi):
+        ox, oy, zeros = self._window_geometry()
+        rows, y = gi.rows, gi.y0 - oy
+        # contains_interval inlined: the top row starts leftmost and the
+        # bottom row ends rightmost (see GridInterval.bbox)
+        if (y < 0 or y + len(rows) > len(zeros)
+                or rows[-1][0] < ox or rows[0][1] >= ox + len(zeros[0]) - 1):
             if self.ambient:
                 return True
             raise ValueError("interval leaves the window")
-        ox, oy, zeros = self._window_geometry()
-        for y, (a, b) in enumerate(gi.rows, gi.y0 - oy):
+        for y, (a, b) in enumerate(rows, y):
             pre = zeros[y]
             if pre[b - ox + 1] != pre[a - ox]:
                 return True

@@ -12,10 +12,13 @@ Two representations coexist:
 
 Canonical order everywhere: subsets sorted by (size, lexicographic
 sorted member list), the ``sort_key`` of each member, which keeps every
-downstream table deterministic and diffable.  Every sort in the library
-goes through one helper, :func:`canonical_order`; for plane intervals
-it orders by one int per member, built from the staircase rows without
-listing points.
+downstream table deterministic and diffable.  A given collection is
+sorted by one helper, :func:`canonical_order`; for plane intervals it
+orders by one int per member, built from the staircase rows without
+listing points.  The intervals of a box are enumerated straight into
+that order by :func:`canonical_grid_intervals`, which sums each
+member's int key while it builds the member and ends with one int sort;
+the unsorted generator :func:`iter_grid_intervals` is its test oracle.
 """
 
 from __future__ import annotations
@@ -563,6 +566,55 @@ def iter_grid_intervals(bbox, max_min_pts=None, max_max_pts=None):
             yield from extend(ybase, [rng], 1, 1)
 
 
+def canonical_grid_intervals(bbox, max_min_pts=None, max_max_pts=None) -> list[GridInterval]:
+    """All GridIntervals inside bbox = (x0, y0, x1, y1), in canonical order.
+
+    The staircases of :func:`iter_grid_intervals` (its test oracle), with
+    the same budgets, found by a depth-first walk up the rows on an
+    explicit stack.  Each member is built once and carries its
+    :func:`_frame_keys` key over the box as a running sum of memoised row
+    terms, so one int sort puts the members in ``sort_key`` order without
+    listing any points.  The members are distinct sets, so no keys tie.
+    """
+    x0, y0, x1, y1 = bbox
+    mmin = max_min_pts if max_min_pts is not None else (x1 - x0 + y1 - y0 + 2)
+    mmax = max_max_pts if max_max_pts is not None else (x1 - x0 + y1 - y0 + 2)
+    if mmin < 1 or mmax < 1:
+        raise ValueError("min/max point budgets must be >= 1")
+    h = y1 - y0 + 1
+    n_bits = (x1 - x0 + 1) * h
+    terms = [_RowTerms(n_bits, h, x0, n_bits - 1 - i) for i in range(h)]
+    full = (1 << n_bits) - 1
+    # the rows that may go on top of row (a, b), by whether its start and
+    # its end may drop: going up, a drop of the row start adds a minimal
+    # point and a drop of the row end a maximal point
+    steps = {(a, b, drop_a, drop_b): [((a2, b2), a2 < a, b2 < b)
+                                      for a2 in (range(x0, a + 1) if drop_a else (a,))
+                                      for b2 in (range(a, b + 1) if drop_b else (b,))]
+             for a, b in _iter_row_ranges(x0, x1)
+             for drop_a in (False, True) for drop_b in (False, True)}
+    items: list[GridInterval] = []
+    keys: list[int] = []
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for base in range(h):
+        y = y0 + base
+        for row in _iter_row_ranges(x0, x1):
+            push(((row,), full + terms[base][row], 1, 1))
+            while stack:
+                rows, key, mins, maxs = pop()
+                items.append(_staircase(y, rows))
+                keys.append(key)
+                top = base + len(rows)
+                if top == h:
+                    continue
+                term = terms[top]
+                a, b = rows[-1]
+                for row2, new_min, new_max in steps[a, b, mins < mmin, maxs < mmax]:
+                    push((rows + (row2,), key + term[row2], mins + new_min, maxs + new_max))
+    return [items[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
 def count_grid_intervals(width: int, height: int, max_min_pts=None, max_max_pts=None) -> int:
     """Interval count of a width x height window without enumeration (row DP)."""
     mmin = max_min_pts if max_min_pts is not None else width + height
@@ -594,6 +646,16 @@ def count_grid_intervals(width: int, height: int, max_min_pts=None, max_max_pts=
     return total
 
 
+def check_interval_cap(width: int, height: int, max_min_pts, max_max_pts, cap: int) -> None:
+    """Raise EnumerationCapError when a width x height window has more than
+    ``cap`` intervals within the budgets, counted by the row DP."""
+    n = count_grid_intervals(width, height, max_min_pts, max_max_pts)
+    if n > cap:
+        raise EnumerationCapError(
+            f"{n} intervals exceed the cap of {cap}; raise the cap explicitly to proceed"
+        )
+
+
 def enumerate_grid_intervals(
     poset: FinitePoset,
     max_min_pts=None,
@@ -605,15 +667,9 @@ def enumerate_grid_intervals(
         raise ValueError("not a grid poset")
     xs = [x for x, _ in poset.grid_coords]
     ys = [y for _, y in poset.grid_coords]
-    w = max(xs) - min(xs) + 1
-    h = max(ys) - min(ys) + 1
-    n = count_grid_intervals(w, h, max_min_pts, max_max_pts)
-    if n > cap:
-        raise EnumerationCapError(
-            f"{n} intervals exceed the cap of {cap}; raise the cap explicitly to proceed"
-        )
-    return canonical_order(
-        iter_grid_intervals((min(xs), min(ys), max(xs), max(ys)), max_min_pts, max_max_pts))
+    check_interval_cap(max(xs) - min(xs) + 1, max(ys) - min(ys) + 1,
+                       max_min_pts, max_max_pts, cap)
+    return canonical_grid_intervals((min(xs), min(ys), max(xs), max(ys)), max_min_pts, max_max_pts)
 
 
 def enumerate_intervals(

@@ -27,11 +27,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import inf
 
 from .gf import mul_rows, rref_rows
 from .modules import PModule, sweep_step
-from .posets import FinitePoset, GridInterval, lower_fence, upper_fence
+from .posets import (
+    FinitePoset,
+    GridInterval,
+    _staircase,
+    canonical_grid_intervals,
+    count_grid_intervals,
+    lower_fence,
+    upper_fence,
+)
 
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -136,18 +145,26 @@ class ZigzagPath:
 
 
 def interval_hull(path: ZigzagPath) -> GridInterval:
-    """Smallest interval containing the path: points sandwiched between path points."""
+    """Smallest interval containing the path: points sandwiched between path points.
+
+    (x, y) lies above a path point iff x >= the least x of the points at
+    or below row y, and below one iff x <= the largest x of the points at
+    or above row y, so row y of the hull runs between those two envelopes.
+    Consecutive points are comparable, so the rows form a valid staircase.
+    """
     pts = path.points
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    hull = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            below = any(px <= x and py <= y for px, py in pts)
-            above = any(x <= px and y <= py for px, py in pts)
-            if below and above:
-                hull.append((x, y))
-    return GridInterval.from_points(hull)
+    y0 = min(y for _, y in pts)
+    h = max(y for _, y in pts) - y0 + 1
+    lo, hi = [inf] * h, [-inf] * h
+    for x, y in pts:
+        i = y - y0
+        if x < lo[i]:
+            lo[i] = x
+        if x > hi[i]:
+            hi[i] = x
+    starts = accumulate(lo, min)
+    ends = reversed(list(accumulate(reversed(hi), max)))
+    return _staircase(y0, tuple(zip(starts, ends)))
 
 
 def min_zz(gi: GridInterval) -> ZigzagPath:
@@ -630,12 +647,10 @@ def gri_bounds_from_zib(module: PModule, gi: GridInterval,
     if search_window is None:
         (ox, oy), (w, h) = module.window_origin_size()
         search_window = (ox, oy, ox + w - 1, oy + h - 1)
-    from .posets import count_grid_intervals, iter_grid_intervals
-
     x0, y0, x1, y1 = search_window
     lower = 0
     if count_grid_intervals(x1 - x0 + 1, y1 - y0 + 1) <= 20_000:
-        candidates = iter_grid_intervals(search_window)
+        candidates = canonical_grid_intervals(search_window)
     else:
         clipped = []
         diam = max(x1 - x0, y1 - y0)

@@ -239,6 +239,38 @@ def test_support_member_outside_the_collection_is_an_input_error(capsys, tmp_pat
     assert err.startswith("error: ") and "7,7" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gri", "{m}", "--collection", "int:0,1"),
+    ("erosion", "{m}", "{m}", "--mn", "2,2", "0,2"),
+    ("enumerate", "{m}", "--min-pts", "0"),
+    ("enumerate", "{m}", "--max-pts", "0"),
+])
+def test_budget_below_one_is_an_input_error(capsys, square_module_file, argv):
+    code, out, err = run(capsys, *(a.format(m=square_module_file) for a in argv))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and err.endswith("min/max point budgets must be >= 1\n")
+
+
+def test_erosion_checks_the_cap_before_printing(capsys, pair_files):
+    a, b = pair_files
+    code, out, err = run(capsys, "--cap", "10", "erosion", a, b, "--mn", "1,1", "2,2")
+    assert code == EXIT_CAP and out == ""
+    assert err == "error: 11 intervals exceed the cap of 10; raise the cap explicitly to proceed\n"
+    code, out, _ = run(capsys, "--cap", "11", "erosion", a, b, "--mn", "1,1", "2,2")
+    assert code == EXIT_OK and out.splitlines()[2].startswith("2\t2\t11\t")
+
+
+def test_erosion_on_an_abstract_poset_is_an_input_error(capsys, tmp_path):
+    module = tmp_path / "abs.txt"
+    module.write_text(
+        "poset 3\ncover 0 1\ncover 0 2\nfield 2\ndims 0 1\ndims 1 1\ndims 2 1\n"
+        "map 0 1\n1 1\n1\nmap 0 2\n1 1\n1\n"
+    )
+    code, out, err = run(capsys, "erosion", str(module), str(module))
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: erosion needs modules on grid windows\n"
+
+
 def test_coordinate_collection_on_an_abstract_poset_is_an_input_error(capsys, tmp_path):
     module = tmp_path / "abs.txt"
     module.write_text(

@@ -1,14 +1,17 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from grinv.posets import (
     EnumerationCapError,
     FinitePoset,
     GridInterval,
     SubposetId,
+    canonical_grid_intervals,
     canonical_order,
     check_fence_inside,
     containment_poset,
@@ -546,3 +549,49 @@ def test_generated_intervals_pass_validation(x0, y0, w, h, mm, xx):
     # the generator builds its output without re-validating it
     for gi in iter_grid_intervals((x0, y0, x0 + w - 1, y0 + h - 1), mm, xx):
         assert GridInterval(gi.y0, gi.rows) == gi
+
+
+# -- keyed enumeration ------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 9), st.integers(1, 8),
+       budgets, budgets)
+@example(-6, 6, 9, 8, 1, 2)  # a 72-point frame: keys wider than 64 bits
+@example(0, 0, 9, 8, 3, 1)
+def test_canonical_grid_intervals_match_the_sorted_oracle(x0, y0, w, h, mm, xx):
+    assume(count_grid_intervals(w, h, mm, xx) <= 12_000)
+    bbox = (x0, y0, x0 + w - 1, y0 + h - 1)
+    oracle = canonical_order(iter_grid_intervals(bbox, mm, xx))
+    assert canonical_grid_intervals(bbox, mm, xx) == oracle
+
+
+def test_canonical_grid_intervals_reject_budgets_below_one():
+    for mm, xx in ((0, 2), (2, 0), (-1, None)):
+        with pytest.raises(ValueError, match="budgets must be >= 1"):
+            canonical_grid_intervals((0, 0, 2, 2), mm, xx)
+
+
+def test_canonical_grid_intervals_free_their_members_without_gc():
+    # a reference cycle through the output would keep it alive until a GC pass
+    gc.disable()
+    try:
+        members = canonical_grid_intervals((0, 0, 3, 3), 2, 2)
+        ref = weakref.ref(members[len(members) // 2])
+        del members
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_canonical_grid_intervals_list_no_points_and_skip_validation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the keyed enumeration must not call this")
+
+    monkeypatch.setattr(GridInterval, "points", refuse)
+    monkeypatch.setattr(GridInterval, "sort_key", property(refuse))
+    monkeypatch.setattr(GridInterval, "__post_init__", refuse)
+    members = canonical_grid_intervals((-1, 2, 4, 6), 2, 3)
+    monkeypatch.undo()
+    assert len(members) == count_grid_intervals(6, 5, 2, 3)
+    assert all(GridInterval(gi.y0, gi.rows) == gi for gi in members)

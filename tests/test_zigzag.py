@@ -389,6 +389,52 @@ def test_span_ranks_match_the_limit_colimit_oracle(data):
     assert zigzag_rank(m, path) == table[0][-1]
 
 
+def interval_hull_reference(path):
+    """The hull by its definition: bounding-box points with path points below and above."""
+    pts = path.points
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    hull = []
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            below = any(px <= x and py <= y for px, py in pts)
+            above = any(x <= px and y <= py for px, py in pts)
+            if below and above:
+                hull.append((x, y))
+    return GridInterval.from_points(hull)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=8),
+       st.lists(st.booleans(), min_size=8, max_size=8), st.booleans())
+def test_interval_hull_matches_the_sandwich_rule(drawn, picks, unit_steps):
+    """Corner paths join incomparable drawn points through their join or
+    meet, so steps need not be unit steps (and paths may revisit points);
+    with ``unit_steps`` every step is then walked one unit at a time."""
+    pts = [drawn[0]]
+    for q, join in zip(drawn[1:], picks):
+        a = pts[-1]
+        if not ((a[0] <= q[0] and a[1] <= q[1]) or (q[0] <= a[0] and q[1] <= a[1])):
+            pick = max if join else min
+            pts.append((pick(a[0], q[0]), pick(a[1], q[1])))
+        if q != pts[-1]:
+            pts.append(q)
+    if unit_steps:
+        walk = [pts[0]]
+        for x, y in pts[1:]:
+            wx, wy = walk[-1]
+            sx, sy = (1 if x > wx else -1), (1 if y > wy else -1)
+            walk += [(u, wy) for u in range(wx + sx, x + sx, sx)]
+            walk += [(x, v) for v in range(wy + sy, y + sy, sy)]
+        pts = walk
+    path = ZigzagPath(tuple(pts))
+    assert path.faithful or not unit_steps
+    for i in range(len(pts)):
+        for j in range(i, len(pts)):
+            sub = path.subpath(i, j)
+            assert interval_hull(sub) == interval_hull_reference(sub), (i, j)
+
+
 def test_off_window_point_of_non_ambient_module_raises(rng, grid33):
     amb = random_module(rng, grid33)
     m = PModule(amb.poset, amb.dims, amb.maps, amb.p, ambient=False, validate=False)
