@@ -50,6 +50,18 @@ class SectionSpace:
         return len(self.vectors)
 
 
+def _window_holds(geom, gi: GridInterval) -> bool:
+    """Whether gi lies in the window of ``PModule._window_geometry()`` geom.
+
+    The top row of a staircase starts leftmost and its bottom row ends
+    rightmost (see ``GridInterval.bbox``), so two rows bound it in x.
+    """
+    ox, oy, zeros = geom
+    rows, y = gi.rows, gi.y0 - oy
+    return (y >= 0 and y + len(rows) <= len(zeros)
+            and rows[-1][0] >= ox and rows[0][1] < ox + len(zeros[0]) - 1)
+
+
 class PModule:
     """A functor from a finite poset to GF(p) vector spaces."""
 
@@ -166,9 +178,7 @@ class PModule:
         return (ox, oy), (len(zeros[0]) - 1, len(zeros))
 
     def contains_interval(self, gi: GridInterval) -> bool:
-        ox, oy, zeros = self._window_geometry()
-        x0, y0, x1, y1 = gi.bbox()
-        return ox <= x0 and oy <= y0 and x1 < ox + len(zeros[0]) - 1 and y1 < oy + len(zeros)
+        return _window_holds(self._window_geometry(), gi)
 
     def _window_geometry(self):
         """(x origin, y origin, zero prefix counts per window row), built once.
@@ -193,16 +203,13 @@ class PModule:
     def _interval_rank_trivial(self, gi: GridInterval) -> bool:
         """True when the rank over gi is forced to 0: the interval leaves an
         extension-by-zero window or touches a zero-dimensional point."""
-        ox, oy, zeros = self._window_geometry()
-        rows, y = gi.rows, gi.y0 - oy
-        # contains_interval inlined: the top row starts leftmost and the
-        # bottom row ends rightmost (see GridInterval.bbox)
-        if (y < 0 or y + len(rows) > len(zeros)
-                or rows[-1][0] < ox or rows[0][1] >= ox + len(zeros[0]) - 1):
+        geom = self._window_geometry()
+        if not _window_holds(geom, gi):
             if self.ambient:
                 return True
             raise ValueError("interval leaves the window")
-        for y, (a, b) in enumerate(rows, y):
+        ox, oy, zeros = geom
+        for y, (a, b) in enumerate(gi.rows, gi.y0 - oy):
             pre = zeros[y]
             if pre[b - ox + 1] != pre[a - ox]:
                 return True

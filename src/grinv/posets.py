@@ -17,8 +17,9 @@ sorted by one helper, :func:`canonical_order`; for plane intervals it
 orders by one int per member, built from the staircase rows without
 listing points.  The intervals of a box are enumerated straight into
 that order by :func:`canonical_grid_intervals`, which sums each
-member's int key while it builds the member and ends with one int sort;
-the unsorted generator :func:`iter_grid_intervals` is its test oracle.
+member's int key while it builds the member and ends with one int sort.
+The unsorted generator :func:`iter_grid_intervals` is its test oracle
+and still serves callers that do not need the order.
 """
 
 from __future__ import annotations
@@ -566,6 +567,29 @@ def iter_grid_intervals(bbox, max_min_pts=None, max_max_pts=None):
             yield from extend(ybase, [rng], 1, 1)
 
 
+class _Steps(dict):
+    """Row (a, b) -> the rows (a2, b2) that may go on top of it.
+
+    Going up, a drop of the row start adds a minimal point and a drop of
+    the row end a maximal point; ``drop_a``/``drop_b`` say whether the
+    budgets still allow each.  Entries are built on first use, so the
+    table never holds more rows than the walk pushes.
+    """
+
+    __slots__ = ("x0", "drop_a", "drop_b")
+
+    def __init__(self, x0: int, drop_a: bool, drop_b: bool):
+        super().__init__()
+        self.x0, self.drop_a, self.drop_b = x0, drop_a, drop_b
+
+    def __missing__(self, row):
+        a, b = row
+        out = self[row] = tuple(((a2, b2), a2 < a, b2 < b)
+                                for a2 in (range(self.x0, a + 1) if self.drop_a else (a,))
+                                for b2 in (range(a, b + 1) if self.drop_b else (b,)))
+        return out
+
+
 def canonical_grid_intervals(bbox, max_min_pts=None, max_max_pts=None) -> list[GridInterval]:
     """All GridIntervals inside bbox = (x0, y0, x1, y1), in canonical order.
 
@@ -576,6 +600,13 @@ def canonical_grid_intervals(bbox, max_min_pts=None, max_max_pts=None) -> list[G
     terms, so one int sort puts the members in ``sort_key`` order without
     listing any points.  The members are distinct sets, so no keys tie.
     """
+    items, keys = _keyed_walk(bbox, max_min_pts, max_max_pts)
+    return [items[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
+def _keyed_walk(bbox, max_min_pts, max_max_pts) -> tuple[list[GridInterval], list[int]]:
+    """The members of :func:`canonical_grid_intervals` and their keys, in
+    walk order.  The row memos go with this frame, before the sort."""
     x0, y0, x1, y1 = bbox
     mmin = max_min_pts if max_min_pts is not None else (x1 - x0 + y1 - y0 + 2)
     mmax = max_max_pts if max_max_pts is not None else (x1 - x0 + y1 - y0 + 2)
@@ -585,14 +616,9 @@ def canonical_grid_intervals(bbox, max_min_pts=None, max_max_pts=None) -> list[G
     n_bits = (x1 - x0 + 1) * h
     terms = [_RowTerms(n_bits, h, x0, n_bits - 1 - i) for i in range(h)]
     full = (1 << n_bits) - 1
-    # the rows that may go on top of row (a, b), by whether its start and
-    # its end may drop: going up, a drop of the row start adds a minimal
-    # point and a drop of the row end a maximal point
-    steps = {(a, b, drop_a, drop_b): [((a2, b2), a2 < a, b2 < b)
-                                      for a2 in (range(x0, a + 1) if drop_a else (a,))
-                                      for b2 in (range(a, b + 1) if drop_b else (b,))]
-             for a, b in _iter_row_ranges(x0, x1)
-             for drop_a in (False, True) for drop_b in (False, True)}
+    # steps[False][False] stays empty: a row whose start and end may not
+    # drop can only be repeated
+    steps = [[_Steps(x0, drop_a, drop_b) for drop_b in (False, True)] for drop_a in (False, True)]
     items: list[GridInterval] = []
     keys: list[int] = []
     stack: list = []
@@ -608,11 +634,14 @@ def canonical_grid_intervals(bbox, max_min_pts=None, max_max_pts=None) -> list[G
                 top = base + len(rows)
                 if top == h:
                     continue
-                term = terms[top]
-                a, b = rows[-1]
-                for row2, new_min, new_max in steps[a, b, mins < mmin, maxs < mmax]:
-                    push((rows + (row2,), key + term[row2], mins + new_min, maxs + new_max))
-    return [items[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+                term, row = terms[top], rows[-1]
+                drop_a, drop_b = mins < mmin, maxs < mmax
+                if drop_a or drop_b:
+                    for row2, new_min, new_max in steps[drop_a][drop_b][row]:
+                        push((rows + (row2,), key + term[row2], mins + new_min, maxs + new_max))
+                else:
+                    push((rows + (row,), key + term[row], mins, maxs))
+    return items, keys
 
 
 def count_grid_intervals(width: int, height: int, max_min_pts=None, max_max_pts=None) -> int:

@@ -36,8 +36,8 @@ from .posets import (
     FinitePoset,
     GridInterval,
     _staircase,
-    canonical_grid_intervals,
     count_grid_intervals,
+    iter_grid_intervals,
     lower_fence,
     upper_fence,
 )
@@ -650,7 +650,8 @@ def gri_bounds_from_zib(module: PModule, gi: GridInterval,
     x0, y0, x1, y1 = search_window
     lower = 0
     if count_grid_intervals(x1 - x0 + 1, y1 - y0 + 1) <= 20_000:
-        candidates = canonical_grid_intervals(search_window)
+        # only the max over the candidates is read, so their order is not
+        candidates = iter_grid_intervals(search_window)
     else:
         clipped = []
         diam = max(x1 - x0, y1 - y0)

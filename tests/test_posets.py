@@ -584,6 +584,24 @@ def test_canonical_grid_intervals_free_their_members_without_gc():
         gc.enable()
 
 
+@pytest.mark.parametrize("bbox, mm, xx", [
+    ((0, 0, 149, 0), None, None),  # one row: no row ever goes on top
+    ((-50, 3, 49, 4), 1, 1),  # rectangles: no start or end ever drops
+])
+def test_canonical_grid_intervals_memory_follows_the_member_count(bbox, mm, xx):
+    # a step table built for every row range up front would hold about
+    # width**4 / 24 rows here, whatever the walk reaches
+    tracemalloc.start()
+    try:
+        members = canonical_grid_intervals(bbox, mm, xx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    x0, y0, x1, y1 = bbox
+    assert len(members) == count_grid_intervals(x1 - x0 + 1, y1 - y0 + 1, mm, xx)
+    assert peak < 1024 * len(members)
+
+
 def test_canonical_grid_intervals_list_no_points_and_skip_validation(monkeypatch):
     def refuse(*args):
         raise AssertionError("the keyed enumeration must not call this")
