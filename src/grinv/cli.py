@@ -276,22 +276,17 @@ def _read_paths(path: str) -> list[ZigzagPath]:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     except OSError as e:
         raise CliError(f"cannot read path file: {e}")
-    out = []
-    i = 0
-    while i < len(lines):
-        head = lines[i].split()
-        if head[0] != "path":
-            raise CliError(f"expected 'path <n>', got {lines[i]!r}")
-        n = int(head[1])
-        chunk = "\n".join(lines[i : i + n + 1])
-        try:
-            out.append(ZigzagPath.from_text(chunk))
-        except ValueError as e:
-            raise CliError(f"bad path: {e}")
-        i += n + 1
-    if not out:
+    chunks = []  # each path's header line and the point lines after it
+    for ln in lines:
+        if ln.split()[0] == "path" or not chunks:
+            chunks.append([])
+        chunks[-1].append(ln)
+    if not chunks:
         raise CliError("path file is empty")
-    return out
+    try:
+        return [ZigzagPath.from_text("\n".join(chunk)) for chunk in chunks]
+    except ValueError as e:
+        raise CliError(f"bad path: {e}")
 
 
 def cmd_bounds(args) -> int:

@@ -88,9 +88,7 @@ def _module_from_pattern(window: FinitePoset, dims_by_coord: dict, maps_by_coord
     dims = [0] * window.n
     for xy, d in dims_by_coord.items():
         dims[idx[xy]] = d
-    maps = {}
-    for (src, dst), mat in maps_by_coord.items():
-        maps[(idx[src], idx[dst])] = np.asarray(mat, dtype=np.int64)
+    maps = {(idx[src], idx[dst]): mat for (src, dst), mat in maps_by_coord.items()}
     return PModule(window, dims, maps, p, ambient=True)
 
 
@@ -245,7 +243,7 @@ def anti_diagonal(p: int = DEFAULT_P, window: int = 4, **_) -> FixtureBundle:
     h = window // 2
     win = grid_poset(window, window, (-h, -h))
     chain3 = FinitePoset.chain(3)
-    n = PModule(chain3, [0, 2, 1], {(1, 2): np.array([[1, 0]])}, p)
+    n = PModule(chain3, [0, 2, 1], {(1, 2): [[1, 0]]}, p)
     pi = []
     for x, y in win.grid_coords:
         s = x + y
@@ -277,9 +275,7 @@ def _diag_quotient(p: int) -> tuple[FinitePoset, PModule]:
     ]
     q = FinitePoset.from_covers(6, covers)
     dims = [1, 2, 2, 1, 1, 0]
-    e1 = np.array([[1, 0]])
-    e2 = np.array([[0, 1]])
-    diag = np.array([[1], [1]])
+    e1, e2, diag = [[1, 0]], [[0, 1]], [[1], [1]]
     maps = {
         (ids["b"], ids["w_even"]): diag,
         (ids["b"], ids["w_odd"]): diag,

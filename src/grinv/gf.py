@@ -8,10 +8,10 @@ the one kernel routine; a cokernel is the kernel of the transpose) and
 the two moves of the zigzag sweep (`mul_rows`, `pull_rows`) use modular
 pivot inverses, exact for every p, and on the small matrices grinv
 eliminates (tens of cells) they skip numpy's per-call overhead, which
-would otherwise dominate.  `FFMatrix` wraps an int64 numpy array and
-serves module maps and files only (parsing, writing, the basis changes
-of `PModule.scramble`); the numpy products of module maps are exact for
-any prime modulus up to MAX_P.  Default p = 2.
+would otherwise dominate.  Module maps are int rows as well.  `FFMatrix`
+wraps an int64 numpy array and serves module files (parsing, writing)
+and the basis changes of `PModule.scramble` (`random_invertible`,
+`inverse`) only.  Default p = 2.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ import numpy as np
 
 DEFAULT_P = 2
 
-# Products of module maps are formed in int64 and reduced afterwards.
-# One entry of a matrix product sums `inner` terms, each at most
-# (p - 1)**2, and every numpy product grinv forms (composite transitions,
-# the functoriality check, basis changes) has the dimension of one
-# element's space as its inner dimension.  PModule caps those dimensions
-# at MAX_DIM, and MAX_P is the largest modulus with
-# MAX_DIM * (p - 1)**2 < 2**63.  The int-row routines are exact for
-# every p.
+# The int-row routines, and so every product of module maps, are exact
+# for every p.  The int64 products left are those of `random_invertible`:
+# one entry sums `inner` terms, each at most (p - 1)**2, with the
+# dimension of one element's space as the inner dimension.  PModule caps
+# those dimensions at MAX_DIM, and MAX_P is the largest modulus with
+# MAX_DIM * (p - 1)**2 < 2**63.  Inputs beyond either cap are rejected.
 MAX_DIM = 1 << 16
 MAX_P = isqrt((2**63 - 1) // MAX_DIM) + 1
 

@@ -1,8 +1,12 @@
 """Persistence modules over finite posets.
 
 A module assigns a GF(p) vector space dimension to every element and a
-matrix to every Hasse edge.  Functoriality (path independence of the
-composed matrices) is validated at construction.  Limits and colimits
+matrix to every Hasse edge, stored as rows of Python ints; composites
+along cover paths (`PModule.transition`) are int rows too, cached per
+module, so no numpy product touches a module map.  Functoriality (path
+independence of the composed matrices) is validated at construction:
+unit squares on full grid windows, all comparable pairs on other posets
+of at most FUNCTOR_CHECK_CAP elements.  Limits and colimits
 are the kernels of the stacked cover-edge constraints (on sections, and
 on the functionals that vanish on the relations), which suffices once
 functoriality holds; the test suite checks this against an
@@ -27,7 +31,7 @@ from itertools import accumulate
 import numpy as np
 
 from .gf import (DEFAULT_P, MAX_DIM, FFMatrix, check_modulus, kernel_rows, mul_rows, pull_rows,
-                 rref_rows)
+                 random_invertible, rref_rows)
 from .posets import FinitePoset, GridInterval, SubposetId, check_fence_inside, fence_points
 
 FUNCTOR_CHECK_CAP = 512
@@ -50,6 +54,11 @@ class SectionSpace:
         return len(self.vectors)
 
 
+def _columns(rows: list[list[int]], width: int) -> list[list[int]]:
+    """The columns of a matrix given by its rows; rows alone lose the width when empty."""
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(width)]
+
+
 def _window_holds(geom, gi: GridInterval) -> bool:
     """Whether gi lies in the window of ``PModule._window_geometry()`` geom.
 
@@ -63,9 +72,13 @@ def _window_holds(geom, gi: GridInterval) -> bool:
 
 
 class PModule:
-    """A functor from a finite poset to GF(p) vector spaces."""
+    """A functor from a finite poset to GF(p) vector spaces.
 
-    __slots__ = ("poset", "dims", "maps", "p", "ambient", "_trans", "_trans_rows",
+    ``maps[(a, b)]``, the map on a cover a -> b, is ``dims[b]`` int rows of
+    residues; the constructor also takes numpy arrays and `FFMatrix` values.
+    """
+
+    __slots__ = ("poset", "dims", "maps", "p", "ambient", "_trans",
                  "_window_idx", "_window_geom", "_fences")
 
     def __init__(self, poset: FinitePoset, dims, maps, p: int = DEFAULT_P,
@@ -77,11 +90,11 @@ class PModule:
         if any(d > MAX_DIM for d in self.dims):
             raise ValueError(f"dimensions above {MAX_DIM} are not supported")
         check_modulus(p)
-        norm = {}
-        for (a, b), m in maps.items():
-            arr = m.a if isinstance(m, FFMatrix) else np.asarray(m, dtype=np.int64)
-            norm[(int(a), int(b))] = arr % p
-        self.maps = norm
+        if validate:
+            self._check_shapes(maps)
+        self.maps = {(int(a), int(b)): [[int(v) % p for v in row]
+                                        for row in (m.a if isinstance(m, FFMatrix) else m)]
+                     for (a, b), m in maps.items()}
         self.p = p
         self.ambient = bool(ambient)
         if self.ambient and poset.grid_coords is None:
@@ -89,40 +102,53 @@ class PModule:
         self._window_idx = poset.id_of_coord() if poset.grid_coords is not None else None
         self._clear_memos()
         if validate:
-            self._validate()
+            self._check_functorial()
 
     def _clear_memos(self):
         """Forget the memoised transitions, fence sweeps and window geometry."""
         self._trans = {}
-        self._trans_rows = {}
         self._window_geom = None
         self._fences = {}
 
     # -- construction-time checks -----------------------------------------
 
-    def _validate(self):
+    def _check_shapes(self, maps):
         cover_set = set(self.poset.covers)
-        for (a, b) in self.maps:
+        for (a, b), m in maps.items():
+            a, b = int(a), int(b)
             if (a, b) not in cover_set:
                 raise ValueError(f"map on non-cover pair ({a}, {b})")
-        for (a, b) in cover_set:
-            m = self._edge(a, b)
-            if m.shape != (self.dims[b], self.dims[a]):
+            shape = np.shape(m.a if isinstance(m, FFMatrix) else m)
+            # a list without rows carries no width
+            if shape != (self.dims[b], self.dims[a]) and not (shape == (0,) and not self.dims[b]):
                 raise ValueError(
-                    f"map {a}->{b} has shape {m.shape}, expected {(self.dims[b], self.dims[a])}"
+                    f"map {a}->{b} has shape {shape}, expected {(self.dims[b], self.dims[a])}"
                 )
-        if self.poset.n <= FUNCTOR_CHECK_CAP:
-            self._check_functorial()
 
-    def _edge(self, a: int, b: int) -> np.ndarray:
+    def _edge(self, a: int, b: int) -> list[list[int]]:
         m = self.maps.get((a, b))
         if m is None:
-            return np.zeros((self.dims[b], self.dims[a]), dtype=np.int64)
+            return [[0] * self.dims[a] for _ in range(self.dims[b])]
         return m
 
     def _check_functorial(self):
-        """Path independence: T(a, d) must match map(c, d) @ T(a, c) for every
-        cover c -> d above a.  Inductively this pins every path composite."""
+        """Path independence.  On a full grid window every unit square must
+        commute, which is complete there.  Elsewhere T(a, d) must match
+        map(c, d) T(a, c) for every cover c -> d above a, which inductively
+        pins every path composite, up to FUNCTOR_CHECK_CAP elements."""
+        p = self.p
+        squares = self._unit_squares()
+        if squares is not None:
+            coords = self.poset.grid_coords
+            for o, r, u, t in squares:
+                d = self.dims[o]
+                if (mul_rows(self._edge(r, t), _columns(self._edge(o, r), d), p)
+                        != mul_rows(self._edge(u, t), _columns(self._edge(o, u), d), p)):
+                    raise ValueError(f"functoriality violated on the unit square from "
+                                     f"{coords[o]} to {coords[t]}")
+            return
+        if self.poset.n > FUNCTOR_CHECK_CAP:
+            return
         in_covers: dict[int, list[int]] = {i: [] for i in range(self.poset.n)}
         for a, b in self.poset.covers:
             in_covers[b].append(a)
@@ -132,45 +158,50 @@ class PModule:
                 t_ad = self.transition(a, d)
                 for c in in_covers[d]:
                     if a == c or self.poset.leq[a, c]:
-                        t_ac = self.transition(a, c) if a != c else np.eye(self.dims[a], dtype=np.int64)
-                        got = (self._edge(c, d) @ t_ac) % self.p
-                        if not np.array_equal(got, t_ad):
+                        t_ac = _columns(self.transition(a, c), self.dims[a])
+                        if mul_rows(self._edge(c, d), t_ac, p) != t_ad:
                             raise ValueError(
                                 f"functoriality violated between {a} and {d} (via cover {c}->{d})"
                             )
+
+    def _unit_squares(self):
+        """(o, o + (1, 0), o + (0, 1), o + (1, 1)) ids of every unit square, or
+        None unless the covers are exactly the unit steps of a full box."""
+        idx = self._window_idx
+        if idx is None:
+            return None
+        (ox, oy), (w, h) = self.window_origin_size()
+        steps = {(i, idx[(x + dx, y + dy)]) for (x, y), i in idx.items()
+                 for dx, dy in ((1, 0), (0, 1)) if (x + dx, y + dy) in idx}
+        if not len(idx) == w * h == self.poset.n or steps != set(self.poset.covers):
+            return None
+        return [(idx[x, y], idx[x + 1, y], idx[x, y + 1], idx[x + 1, y + 1])
+                for y in range(oy, oy + h - 1) for x in range(ox, ox + w - 1)]
 
     # -- basic queries -------------------------------------------------------
 
     def dim(self, a: int) -> int:
         return self.dims[a]
 
-    def transition(self, a: int, b: int) -> np.ndarray:
-        """Composite matrix along any cover path a -> b (a <= b)."""
-        if a == b:
-            return np.eye(self.dims[a], dtype=np.int64)
-        key = (a, b)
-        cached = self._trans.get(key)
-        if cached is not None:
-            return cached
-        if not self.poset.leq[a, b]:
-            raise ValueError(f"{a} <= {b} does not hold")
-        # first cover step below b on some path from a
-        for c, d in self.poset.covers:
-            if d == b and (c == a or self.poset.leq[a, c]):
-                prev = self.transition(a, c) if c != a else np.eye(self.dims[a], dtype=np.int64)
-                out = (self._edge(c, d) @ prev) % self.p
-                self._trans[key] = out
-                return out
-        raise AssertionError(f"no cover path from {a} to {b}")
-
-    def transition_rows(self, a: int, b: int, transpose: bool = False) -> list:
-        """T(a, b), or its transpose, as int rows; cached per module."""
+    def transition(self, a: int, b: int, transpose: bool = False) -> list[list[int]]:
+        """T(a, b), the composite along any cover path a -> b (a <= b), as int
+        rows, or the rows of its transpose; cached per module."""
         key = (a, b, transpose)
-        rows = self._trans_rows.get(key)
-        if rows is None:
-            t = self.transition(a, b)
-            rows = (t.T if transpose else t).tolist()
-            self._trans_rows[key] = rows
+        rows = self._trans.get(key)
+        if rows is not None:
+            return rows
+        if a == b:
+            d = self.dims[a]
+            rows = [[int(r == c) for c in range(d)] for r in range(d)]
+        elif transpose:
+            rows = _columns(self.transition(a, b), self.dims[a])
+        elif not self.poset.leq[a, b]:
+            raise ValueError(f"{a} <= {b} does not hold")
+        else:
+            # the last cover step c -> b of some path from a
+            c = next(c for c, d in self.poset.covers if d == b and (c == a or self.poset.leq[a, c]))
+            rows = mul_rows(self._edge(c, b), _columns(self.transition(a, c), self.dims[a]), self.p)
+        self._trans[key] = rows
         return rows
 
     def window_origin_size(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -239,11 +270,9 @@ class PModule:
         dims = [d1 + d2 for d1, d2 in zip(self.dims, other.dims)]
         maps = {}
         for a, b in self.poset.covers:
-            m1, m2 = self._edge(a, b), other._edge(a, b)
-            blk = np.zeros((dims[b], dims[a]), dtype=np.int64)
-            blk[: self.dims[b], : self.dims[a]] = m1
-            blk[self.dims[b]:, self.dims[a]:] = m2
-            maps[(a, b)] = blk
+            right, left = [0] * other.dims[a], [0] * self.dims[a]
+            maps[(a, b)] = ([row + right for row in self._edge(a, b)]
+                            + [left + row for row in other._edge(a, b)])
         return PModule(self.poset, dims, maps, self.p, ambient=self.ambient or other.ambient,
                        validate=False)
 
@@ -252,13 +281,13 @@ class PModule:
 
     def scramble(self, rng: np.random.Generator) -> "PModule":
         """An isomorphic copy via a random basis change at every element."""
-        from .gf import random_invertible
-
-        bas = [random_invertible(rng, d, self.p) for d in self.dims]
-        inv = [m.inverse().a for m in bas]
+        p = self.p
+        bas = [random_invertible(rng, d, p) for d in self.dims]
+        # mul_rows(x, y) is x y^T, so B M A^-1 = mul_rows(B, mul_rows(A^-T, M))
+        rows, inv_t = [m.a.tolist() for m in bas], [m.inverse().a.T.tolist() for m in bas]
         maps = {}
         for a, b in self.poset.covers:
-            maps[(a, b)] = ((bas[b].a @ self._edge(a, b)) % self.p @ inv[a]) % self.p
+            maps[(a, b)] = mul_rows(rows[b], mul_rows(inv_t[a], self._edge(a, b), p), p)
         return PModule(self.poset, self.dims, maps, self.p, ambient=self.ambient, validate=False)
 
     # -- serialisation -----------------------------------------------------------
@@ -312,11 +341,7 @@ def interval_module(poset: FinitePoset, members, p: int = DEFAULT_P,
     if not poset.is_interval_subset(ms):
         raise ValueError("support is not an interval")
     dims = [1 if i in ms else 0 for i in range(poset.n)]
-    maps = {}
-    one = np.ones((1, 1), dtype=np.int64)
-    for a, b in poset.covers:
-        if a in ms and b in ms:
-            maps[(a, b)] = one
+    maps = {(a, b): [[1]] for a, b in poset.covers if a in ms and b in ms}
     if ambient is None:
         ambient = poset.grid_coords is not None
     return PModule(poset, dims, maps, p, ambient=ambient, validate=False)
@@ -376,7 +401,7 @@ def _cover_constraints(module: PModule, what: str, transpose: bool):
     rows = []
     for a, b in module.poset.covers:
         own, other = (a, b) if transpose else (b, a)
-        for i, m_row in enumerate(module.transition_rows(a, b, transpose)):
+        for i, m_row in enumerate(module.transition(a, b, transpose)):
             row = [0] * offs[-1]
             row[offs[own] + i] = 1
             row[offs[other] : offs[other + 1]] = [-v % p for v in m_row]
@@ -476,10 +501,10 @@ def sweep_step(module: PModule, a: int, b: int, e, q):
     forward = bool(module.poset.leq[a, b])
     lo, hi = (a, b) if forward else (b, a)
     if e is not None:
-        rows = module.transition_rows(lo, hi)
+        rows = module.transition(lo, hi)
         e = mul_rows(e, rows, p) if forward else pull_rows(e, rows, width, p)
     if q is not None:
-        rows = module.transition_rows(lo, hi, transpose=True)
+        rows = module.transition(lo, hi, transpose=True)
         q = pull_rows(q, rows, width, p) if forward else mul_rows(q, rows, p)
     return e, q
 
@@ -554,7 +579,7 @@ def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
     p = module.p
     e_b = pushed.get(b)
     if e_b is None:
-        e_b = pushed[b] = _basis(mul_rows(e, module.transition_rows(a, b), p), module.dims[b], p)
+        e_b = pushed[b] = _basis(mul_rows(e, module.transition(a, b), p), module.dims[b], p)
     if len(e_b) == module.dims[b]:
         return len(q)
     if len(q) == module.dims[b]:

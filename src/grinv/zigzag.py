@@ -132,13 +132,16 @@ class ZigzagPath:
 
     @classmethod
     def from_text(cls, text: str) -> "ZigzagPath":
+        """Parse a `path <n>` line followed by exactly n `x y` point lines."""
         lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        head = lines[0].split()
-        if head[0] != "path":
-            raise ValueError("expected 'path <n>'")
+        head = lines[0].split() if lines else []
+        if len(head) != 2 or head[0] != "path" or not head[1].isdigit():
+            raise ValueError(f"expected 'path <n>', got {lines[0] if lines else ''!r}")
         n = int(head[1])
+        if len(lines) != n + 1:
+            raise ValueError(f"'path {n}' is followed by {len(lines) - 1} point lines")
         pts = []
-        for ln in lines[1 : 1 + n]:
+        for ln in lines[1:]:
             x, y = ln.split()
             pts.append((int(x), int(y)))
         return cls(tuple(pts))

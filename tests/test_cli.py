@@ -9,7 +9,7 @@ import grinv
 from grinv import cli
 from grinv.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
 from grinv.fixtures import build_fixture
-from grinv.modules import PModule
+from grinv.modules import FUNCTOR_CHECK_CAP, PModule
 from grinv.posets import grid_poset
 from grinv.sampling import random_interval_decomposable
 
@@ -317,6 +317,34 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "gri", str(f))
     assert code == EXIT_INPUT
     assert "error" in err
+
+
+def test_non_commuting_square_of_a_large_grid_module_is_an_input_error(capsys, tmp_path):
+    win = grid_poset(23, 23, (0, 0))
+    assert win.n > FUNCTOR_CHECK_CAP  # beyond the all-pairs check
+    idx = win.id_of_coord()
+    maps = {e: [[1]] for e in win.covers}
+    maps[(idx[(0, 0)], idx[(1, 0)])] = [[0]]
+    f = tmp_path / "m.txt"
+    f.write_text(PModule(win, [1] * win.n, maps, validate=False).to_text())
+    code, out, err = run(capsys, "gri", str(f))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and "unit square from (0, 0) to (1, 1)" in err
+
+
+@pytest.mark.parametrize("text", [
+    "path x\n0 0\n",  # no point count
+    "path\n0 0\n",  # bare header
+    "path 3\n0 0\n1 0\n",  # fewer points than declared
+])
+def test_malformed_path_file_is_an_input_error(capsys, tmp_path, square_module_file, text):
+    paths = tmp_path / "p.txt"
+    paths.write_text(text)
+    code, out, err = run(capsys, "zib", square_module_file, "--paths", str(paths))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_missing_file_exit_code(capsys):

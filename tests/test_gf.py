@@ -40,12 +40,12 @@ def test_moduli_beyond_int64_exactness_are_rejected():
 
 
 def test_largest_allowed_prime_multiplies_exactly():
-    # composite transitions are the int64 products left: a 3-chain whose two
-    # maps are all p - 1, so each entry of the composite sums 3 * (p - 1)**2
+    # a 3-chain whose two maps are all p - 1, so each entry of the composite
+    # transition sums 3 * (p - 1)**2
     p = next(q for q in range(MAX_P, 2, -1) if is_prime(q))
     m = [[p - 1] * 3] * 3
     chain = PModule(FinitePoset.chain(3), [3, 3, 3], {(0, 1): m, (1, 2): m}, p)
-    assert chain.transition(0, 2).tolist() == [[3] * 3] * 3
+    assert chain.transition(0, 2) == [[3] * 3] * 3
 
 
 def rank(rows, ncols, p=2):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grinv.gf import MAX_P, is_prime, kernel_rows, mul_rows, rref_rows
+from grinv.fixtures import FIXTURES, build_fixture
+from grinv.gf import MAX_P, FFMatrix, is_prime, kernel_rows, mul_rows, random_invertible, rref_rows
 from grinv.modules import (
     PModule,
     colimit,
@@ -25,6 +26,7 @@ from grinv.posets import (
     upper_fence,
 )
 from grinv.sampling import (
+    random_chain_module,
     random_grid_interval,
     random_interval_decomposable,
     random_module,
@@ -38,6 +40,12 @@ LARGEST_P = next(q for q in range(MAX_P, 2, -1) if is_prime(q))
 def rank(mat, p):
     """Rank of a numpy matrix over GF(p)."""
     return len(rref_rows((mat % p).tolist(), mat.shape[1], p)[1])
+
+
+def as_matrix(rows, nrows, ncols):
+    """Int rows as a numpy matrix; the shape is explicit because a matrix
+    without rows does not carry its width."""
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols)
 
 
 def all_pairs_systems(module, ms=None):
@@ -55,7 +63,7 @@ def all_pairs_systems(module, ms=None):
     for a, ma in enumerate(ms):
         for b, mb in enumerate(ms):
             if a != b and module.poset.leq[ma, mb]:
-                t = module.transition(ma, mb)
+                t = as_matrix(module.transition(ma, mb), dims[b], dims[a])
                 block = np.zeros((dims[b], offs[-1]), dtype=np.int64)
                 block[:, offs[b] : offs[b + 1]] = np.eye(dims[b], dtype=np.int64)
                 block[:, offs[a] : offs[a + 1]] = -t
@@ -100,7 +108,7 @@ def test_interval_module_simple_and_full(chain4):
     c3 = FinitePoset.chain(3)
     full = interval_module(c3, [0, 1, 2])
     assert full.dims == (1, 1, 1)
-    assert all(full._edge(a, b).tolist() == [[1]] for a, b in c3.covers)
+    assert all(full._edge(a, b) == [[1]] for a, b in c3.covers)
 
 
 def test_interval_module_on_chain4_prefix(chain4):
@@ -118,7 +126,7 @@ def test_direct_sum_dims_and_blocks(chain4):
     b = interval_module(chain4, [1, 2])
     s = direct_sum(a, b)
     assert s.dims == (1, 2, 2, 1)
-    assert s._edge(1, 2).tolist() == [[1, 0], [0, 1]]
+    assert s._edge(1, 2) == [[1, 0], [0, 1]]
     z = zero_module(chain4)
     same = direct_sum(a, z)
     assert same.dims == a.dims
@@ -147,6 +155,29 @@ def test_functoriality_check_rejects_corruption():
     bad[(2, 3)] = [[0]]
     with pytest.raises(ValueError, match="functoriality"):
         PModule(win, dims, bad)
+
+
+def test_functoriality_check_off_full_grid_windows():
+    """Windows that are not full boxes take the all-pairs check: a staircase
+    (its covers are unit steps) and a 3x3 window without its center, whose
+    two paths around the hole are not related by unit squares."""
+    for skip in ((2, 2), (1, 1)):
+        coords = tuple((x, y) for y in range(3) for x in range(3) if (x, y) != skip)
+        win = FinitePoset(np.array([[a[0] <= b[0] and a[1] <= b[1] for b in coords]
+                                    for a in coords]), grid_coords=coords)
+        idx = win.id_of_coord()
+        maps = {e: [[1]] for e in win.covers}
+        PModule(win, [1] * win.n, maps)  # fine
+        maps[(idx[(0, 0)], idx[(1, 0)])] = [[0]]
+        with pytest.raises(ValueError, match="functoriality"):
+            PModule(win, [1] * win.n, maps)
+
+
+def test_maps_are_stored_as_int_rows_of_residues():
+    for m in ([[-1], [7]], np.array([[-1], [7]]), FFMatrix([[-1], [7]], 5)):
+        mod = PModule(FinitePoset.chain(2), [1, 2], {(0, 1): m}, 5)
+        assert mod.maps == {(0, 1): [[4], [2]]}
+        assert all(type(v) is int for row in mod.maps[(0, 1)] for v in row)
 
 
 def test_shape_mismatch_rejected(chain4):
@@ -198,7 +229,7 @@ def test_restrict_of_interval_module_is_all_ones(chain4):
     m = interval_module(chain4, [0, 1, 2, 3])
     r = m.restrict([1, 2])
     assert r.dims == (1, 1)
-    assert r._edge(0, 1).tolist() == [[1]]
+    assert r._edge(0, 1) == [[1]]
 
 
 def test_limit_singleton_is_the_space():
@@ -226,7 +257,8 @@ def test_limit_sections_satisfy_cover_constraints(rng):
         for col in range(sec.dim):
             va = sec.vectors[col][offs[a] : offs[a + 1]]
             vb = sec.vectors[col][offs[b] : offs[b + 1]]
-            assert ((m._edge(a, b) @ va) % m.p).tolist() == vb
+            edge = as_matrix(m._edge(a, b), m.dims[b], m.dims[a])
+            assert ((edge @ va) % m.p).tolist() == vb
 
 
 def test_cover_only_limits_match_all_pairs_oracle(rng):
@@ -382,9 +414,6 @@ def test_fast_equals_slow_sampled_4x4(rng):
         for _ in range(40):
             gi = random_grid_interval(rng, (0, 0, 3, 3))
             assert generalized_rank_fast(m, gi) == generalized_rank(m, gi)
-
-
-LARGEST_P = next(q for q in range(MAX_P, 2, -1) if is_prime(q))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -574,7 +603,8 @@ def test_rectangle_rank_equals_corner_map_rank(rng):
             x0, y0 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
             x1, y1 = int(rng.integers(x0, 4)), int(rng.integers(y0, 4))
             rect = GridInterval.rectangle((x0, y0), (x1, y1))
-            t = m.transition(idx[(x0, y0)], idx[(x1, y1)])
+            lo, hi = idx[(x0, y0)], idx[(x1, y1)]
+            t = as_matrix(m.transition(lo, hi), m.dims[hi], m.dims[lo])
             assert generalized_rank_fast(m, rect) == rank(t, m.p)
 
 
@@ -599,3 +629,124 @@ def test_module_text_round_trip_abstract_poset(rng):
     m = interval_module(p, ivs[int(rng.integers(0, len(ivs)))])
     back = PModule.from_text(m.to_text())
     assert back.dims == m.dims
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_module_files_round_trip_byte_for_byte(name):
+    for module in build_fixture(name).modules.values():
+        text = module.to_text()
+        assert PModule.from_text(text).to_text() == text
+
+
+# -- int rows against numpy oracles -------------------------------------------------
+
+FIELDS = st.sampled_from([2, 3, 5, LARGEST_P])
+
+
+def draw_module(data, field, seed):
+    """A functorial module, usually with zero-dimensional points: a random
+    grid module, a scrambled sum of interval modules on an abstract poset,
+    or a chain module with arbitrary maps."""
+    rng = np.random.default_rng(seed)
+    kind = data.draw(st.sampled_from(["grid", "abstract", "chain"]))
+    if kind == "grid":
+        w, h = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 3))
+        origin = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        return random_module(rng, grid_poset(w, h, origin), p=field)
+    n = data.draw(st.integers(2, 6))
+    if kind == "chain":
+        return random_chain_module(rng, n, field)
+    from conftest import brute_force_intervals
+
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    poset = FinitePoset.from_covers(n, data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    supports = data.draw(st.lists(st.sampled_from(brute_force_intervals(poset)), min_size=1,
+                                  max_size=3))
+    return direct_sum(*(interval_module(poset, ms, field) for ms in supports)).scramble(rng)
+
+
+def edge_matrix(module, a, b):
+    return as_matrix(module._edge(a, b), module.dims[b], module.dims[a])
+
+
+def path_composites(module):
+    """Oracle: {(a, b): {bytes: matrix}}, the distinct numpy products of the
+    maps along every cover path from a to b (a single one iff functorial)."""
+    p = module.p
+    up = {}
+    for a, b in module.poset.covers:
+        up.setdefault(a, []).append(b)
+    out = {}
+
+    def walk(a, c, mat):
+        out.setdefault((a, c), {})[mat.tobytes()] = mat
+        for d in up.get(c, ()):
+            walk(a, d, (edge_matrix(module, c, d) @ mat) % p)
+
+    for a in range(module.poset.n):
+        walk(a, a, np.eye(module.dims[a], dtype=np.int64))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(FIELDS, st.integers(0, 2**32 - 1), st.data())
+def test_transition_rows_match_numpy_path_composites(field, seed, data):
+    m = draw_module(data, field, seed)
+    for (a, b), mats in path_composites(m).items():
+        (want,) = mats.values()
+        assert m.transition(a, b) == want.tolist()
+        assert m.transition(a, b, transpose=True) == want.T.tolist()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(FIELDS, st.integers(0, 2**32 - 1), st.data())
+def test_direct_sum_rows_are_numpy_blocks(field, seed, data):
+    m = draw_module(data, field, seed)
+    n = m.scramble(np.random.default_rng(seed + 1))
+    s = m.direct_sum(n)
+    for a, b in m.poset.covers:
+        want = np.zeros((s.dims[b], s.dims[a]), dtype=np.int64)
+        want[: m.dims[b], : m.dims[a]] = edge_matrix(m, a, b)
+        want[m.dims[b]:, m.dims[a]:] = edge_matrix(n, a, b)
+        assert s._edge(a, b) == want.tolist()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(FIELDS, st.integers(0, 2**32 - 1), st.data())
+def test_scramble_rows_are_numpy_basis_changes(field, seed, data):
+    """Each map of the scrambled copy is B M A^-1, with the basis changes A,
+    B drawn from a generator seeded alike."""
+    m = draw_module(data, field, seed)
+    s = m.scramble(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    bas = [random_invertible(rng, d, field) for d in m.dims]
+    for a, b in m.poset.covers:
+        want = ((bas[b].a @ edge_matrix(m, a, b)) % field @ bas[a].inverse().a) % field
+        assert s._edge(a, b) == want.tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(FIELDS, st.integers(0, 2**32 - 1), st.data())
+def test_functoriality_verdict_matches_path_composites(field, seed, data):
+    """Replace one nonzero map of a functorial module by a random one: the
+    module is accepted iff every pair's path composites still agree.  Full grid
+    windows take the unit-square check, other posets the all-pairs one."""
+    m = draw_module(data, field, seed)
+    live = [(a, b) for a, b in m.poset.covers if m.dims[a] and m.dims[b]]
+    assume(live)
+    a, b = data.draw(st.sampled_from(live))
+    maps = {e: m._edge(*e) for e in m.poset.covers}
+    maps[(a, b)] = np.random.default_rng(seed).integers(0, field, (m.dims[b], m.dims[a]))
+    bad = PModule(m.poset, m.dims, maps, field, validate=False)
+    if all(len(mats) == 1 for mats in path_composites(bad).values()):
+        PModule(m.poset, m.dims, maps, field)
+    else:
+        with pytest.raises(ValueError, match="functoriality"):
+            PModule(m.poset, m.dims, maps, field)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(FIELDS, st.integers(0, 2**32 - 1), st.data())
+def test_module_files_round_trip_byte_for_byte(field, seed, data):
+    text = draw_module(data, field, seed).to_text()
+    assert PModule.from_text(text).to_text() == text

@@ -47,7 +47,8 @@ def chain_barcode_oracle(module, points):
     def r(i, j):
         if i > j:
             return 0
-        t = module.transition(ids[i], ids[j])
+        a, b = ids[i], ids[j]
+        t = np.array(module.transition(a, b), dtype=np.int64).reshape(module.dims[b], module.dims[a])
         return len(rref_rows(t.tolist(), t.shape[1], module.p)[1])
 
     bars = {}
