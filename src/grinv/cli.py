@@ -181,9 +181,9 @@ def _read_collection_file(module: PModule, path: str):
         out = rehoused
     seen = set()
     for ln, it in zip(lines, out):
-        if it.member_set in seen:
+        if it in seen:
             raise CliError(f"duplicate collection line {ln!r}")
-        seen.add(it.member_set)
+        seen.add(it)
     return out
 
 
@@ -261,6 +261,8 @@ def cmd_invertible(args) -> int:
 
 def cmd_zib(args) -> int:
     module = _load_module(args.module, args)
+    if module.poset.grid_coords is None:
+        raise CliError("zib needs modules on grid windows")
     paths = _read_paths(args.paths)
     for path in paths:
         bc = zigzag_barcode(module, path)
@@ -291,6 +293,8 @@ def _read_paths(path: str) -> list[ZigzagPath]:
 
 def cmd_bounds(args) -> int:
     module = _load_module(args.module, args)
+    if module.poset.grid_coords is None:
+        raise CliError("bounds needs modules on grid windows")
     paths = _read_paths(args.paths)
     cache = RankCache(module)
     for path in paths:

@@ -7,11 +7,12 @@ explicit list).  Its Mobius inversion over the containment order is a
 and negative parts form the minimal rank decomposition whenever one
 exists.  Everything here is exact integer arithmetic.
 
-Containment is read from per-point member bitsets (``posets.Supersets``):
-the inversion is a sparse back-substitution from the largest members
-down, and the zeta sum and the monotonicity alarm are bitset ANDs.  The
-incidence algebra of :mod:`grinv.mobius` is the general API and the
-test oracle.
+Members are their own keys.  Containment is read from per-point member
+bitsets (``posets.Supersets``): the inversion is a sparse
+back-substitution from the largest members down that indexes only the
+support found so far, and the zeta sum and the monotonicity alarm are
+bitset ANDs.  The incidence algebra of :mod:`grinv.mobius` is the
+general API and the test oracle.
 """
 
 from __future__ import annotations
@@ -21,11 +22,7 @@ from functools import cached_property
 
 from .gf import rational_solve_in_span
 from .modules import PModule, direct_sum, generalized_rank, generalized_rank_fast, grid_interval_module, interval_module, zero_module
-from .posets import ContainmentPoset, GridInterval, SubposetId, Supersets, bitset, canonical_order, iter_bits, superset_masks
-
-
-def _key(item) -> frozenset:
-    return item.member_set
+from .posets import ContainmentPoset, GridInterval, SubposetId, Supersets, bitset, canonical_members, canonical_order, iter_bits
 
 
 def _cache_key(region):
@@ -36,7 +33,7 @@ def _cache_key(region):
 
 
 class RankCache:
-    """Memoised generalized ranks of one module, keyed by member set.
+    """Memoised generalized ranks of one module, keyed by member.
 
     Grid intervals use the fence fast path, whose fence sweeps are
     memoised on the module itself (exact: each is a deterministic
@@ -48,7 +45,7 @@ class RankCache:
     def __init__(self, module: PModule):
         self.module = module
         self.queries = 0
-        self._memo: dict[frozenset, int] = {}
+        self._memo: dict = {}
 
     def rank(self, region) -> int:
         key = _cache_key(region)
@@ -77,15 +74,13 @@ class GriTable:
             raise ValueError("one rank per collection member")
 
     @cached_property
-    def _rank_by_key(self) -> dict:
-        out: dict = {}
-        for it, r in zip(self.collection, self.ranks):
-            out.setdefault(_key(it), r)
-        return out
+    def _rank_by_item(self) -> dict:
+        # reversed, so a repeated member keeps its first rank
+        return dict(zip(reversed(self.collection), reversed(self.ranks)))
 
     def rank_of(self, item) -> int:
         try:
-            return self._rank_by_key[_key(item)]
+            return self._rank_by_item[item]
         except KeyError:
             raise KeyError("item not in collection") from None
 
@@ -93,8 +88,8 @@ class GriTable:
         return {it: r for it, r in zip(self.collection, self.ranks)}
 
     def restrict(self, subcollection) -> "GriTable":
-        keys = {_key(it) for it in subcollection}
-        pairs = [(it, r) for it, r in zip(self.collection, self.ranks) if _key(it) in keys]
+        keys = set(subcollection)
+        pairs = [(it, r) for it, r in zip(self.collection, self.ranks) if it in keys]
         if len(pairs) != len(keys):
             raise KeyError("subcollection is not contained in the table")
         return GriTable(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs), self.module_ref)
@@ -114,11 +109,11 @@ class GriTable:
         for r in sorted(by_rank, reverse=True):
             above[r] = greater
             greater |= bitset(by_rank[r], n)
-        sup = Supersets(_key(it) for it in self.collection)
+        sup = Supersets(self.collection)
         for it, r in zip(self.collection, self.ranks):
             hit = above[r]
             if hit:
-                hit &= sup.containing(_key(it))
+                hit &= sup.containing(it)
             if hit:
                 return (it, self.collection[(hit & -hit).bit_length() - 1])
         return None
@@ -139,14 +134,11 @@ class SignedDiagram:
         return self.support
 
     @cached_property
-    def _value_by_key(self) -> dict:
-        out: dict = {}
-        for it, v in self.support:
-            out.setdefault(_key(it), v)
-        return out
+    def _value_by_item(self) -> dict:
+        return dict(self.support)
 
     def value_of(self, item) -> int:
-        return self._value_by_key.get(_key(item), 0)
+        return self._value_by_item.get(item, 0)
 
     def positive_part(self) -> tuple:
         return tuple((it, v) for it, v in self.support if v > 0)
@@ -156,20 +148,15 @@ class SignedDiagram:
 
     def __add__(self, other: "SignedDiagram") -> "SignedDiagram":
         acc: dict = {}
-        items: dict = {}
         for it, v in self.support + other.support:
-            k = _key(it)
-            acc[k] = acc.get(k, 0) + v
-            items[k] = it
-        order = canonical_order(it for k, it in items.items() if acc[k])
-        return SignedDiagram(tuple((it, acc[_key(it)]) for it in order))
+            acc[it] = acc.get(it, 0) + v
+        order = canonical_order(it for it, v in acc.items() if v)
+        return SignedDiagram(tuple((it, acc[it]) for it in order))
 
     def __eq__(self, other):
         if not isinstance(other, SignedDiagram):
             return NotImplemented
-        a = {(_key(it)): v for it, v in self.support}
-        b = {(_key(it)): v for it, v in other.support}
-        return a == b
+        return self._value_by_item == other._value_by_item
 
     def to_tsv(self) -> str:
         return "\n".join(f"{format_members(it)}\t{v}" for it, v in self.support)
@@ -179,10 +166,7 @@ def format_members(item) -> str:
     """Stable member-list serialisation: coordinate pairs for grid subsets, ids otherwise."""
     if isinstance(item, GridInterval):
         return " ".join(f"{x},{y}" for x, y in sorted(item.points()))
-    members = sorted(item.member_set)
-    if members and isinstance(members[0], tuple):
-        return " ".join(f"{x},{y}" for x, y in members)
-    return " ".join(str(m) for m in members)
+    return " ".join(str(m) for m in item.members)
 
 
 def parse_members(token_line: str):
@@ -220,23 +204,25 @@ def gri(module: PModule, collection, module_ref: str = "",
     return GriTable(tuple(items), ranks, module_ref)
 
 
-def _invert(masks: list[int], values) -> list[int]:
+def _invert(items, values) -> list[int]:
     """f with values(I) = sum of f(J) over the members J containing I.
 
-    Members in canonical order (sizes non-decreasing), so solving
-    f(I) = values(I) - sum of f(J) over J strictly containing I from the
-    last member down finds every such f(J) already solved; only the set
-    bits of (members containing I) & (members with f != 0) are walked.
+    Distinct members in canonical order (sizes non-decreasing), so
+    solving f(I) = values(I) - sum of f(J) over J strictly containing I
+    from the last member down finds every such f(J) already solved.
+    Only the support found so far is indexed, and only the support
+    members containing I are walked.
     """
-    f = [0] * len(masks)
-    nonzero = 0
-    for k in range(len(masks) - 1, -1, -1):
+    f = [0] * len(items)
+    support, found = Supersets(), []
+    for k in range(len(items) - 1, -1, -1):
         v = values[k]
-        for j in iter_bits(masks[k] & nonzero):
-            v -= f[j]
+        for j in iter_bits(support.containing(items[k])):
+            v -= found[j]
         if v:
             f[k] = v
-            nonzero |= 1 << k
+            support.add(items[k])
+            found.append(v)
     return f
 
 
@@ -252,16 +238,16 @@ def gpd(table: GriTable) -> SignedDiagram:
     create mass where the rank vanishes).  Raises ``ValueError`` on a
     collection with two equal members.
     """
-    items, masks = superset_masks(table.collection)
-    return _diagram(items, _invert(masks, [table.rank_of(it) for it in items]))
+    items = canonical_members(table.collection)
+    return _diagram(items, _invert(items, [table.rank_of(it) for it in items]))
 
 
 def reconstruct_table(diagram: SignedDiagram, collection) -> GriTable:
     """Evaluate sum of diagram values over supersets: the zeta convolution."""
     items = canonical_order(collection)
-    sup = Supersets(_key(jt) for jt, _ in diagram.support)
+    sup = Supersets([jt for jt, _ in diagram.support])
     values = [v for _, v in diagram.support]
-    ranks = tuple(sum(values[j] for j in iter_bits(sup.containing(_key(it)))) for it in items)
+    ranks = tuple(sum(values[j] for j in iter_bits(sup.containing(it))) for it in items)
     return GriTable(tuple(items), ranks)
 
 
@@ -318,12 +304,11 @@ def realize(part, host, p: int = 2) -> PModule:
 
 def indicator_inversion(collection, item) -> SignedDiagram:
     """Mobius inversion over the collection of the indicator of one member."""
-    items, masks = superset_masks(collection)
-    k = _key(item)
-    indicator = [int(_key(it) == k) for it in items]
+    items = canonical_members(collection)
+    indicator = [int(it == item) for it in items]
     if not any(indicator):
         raise KeyError("item not in collection")
-    return _diagram(items, _invert(masks, indicator))
+    return _diagram(items, _invert(items, indicator))
 
 
 def minimal_nonisomorphic_pair(collection, item, host, p: int = 2) -> tuple[PModule, PModule, SignedDiagram]:
@@ -379,26 +364,15 @@ def gri_difference_kernel_check(m1: PModule, m2: PModule, small_collection, big_
     exact rational solve and any failure raises (it would be an internal
     inconsistency, not a property of the inputs).
     """
-    t1 = gri(m1, big_collection)
-    t2 = gri(m2, big_collection)
-    small_keys = {_key(it) for it in small_collection}
-    agree = all(
-        r1 == r2
-        for it, r1, r2 in zip(t1.collection, t1.ranks, t2.ranks)
-        if _key(it) in small_keys
-    )
-    if not agree:
+    items = canonical_members(big_collection)
+    r1, r2 = gri(m1, items).ranks, gri(m2, items).ranks  # in the order of items
+    small = set(small_collection)
+    if any(a != b for it, a, b in zip(items, r1, r2) if it in small):
         return False
-    items, masks = superset_masks(t1.collection)
-    d1 = _invert(masks, [t1.rank_of(it) for it in items])
-    d2 = _invert(masks, [t2.rank_of(it) for it in items])
-    target = [a - b for a, b in zip(d1, d2)]
+    target = [a - b for a, b in zip(_invert(items, r1), _invert(items, r2))]
     # the inverted indicator of member i (row i of mu)
-    columns = [
-        _invert(masks, [int(j == i) for j in range(len(items))])
-        for i, it in enumerate(items)
-        if _key(it) not in small_keys
-    ]
+    columns = [_invert(items, [int(j == i) for j in range(len(items))])
+               for i, it in enumerate(items) if it not in small]
     coeffs = rational_solve_in_span(columns, target) if columns else ([] if not any(target) else None)
     if coeffs is None:
         raise AssertionError("diagram difference escaped the indicator span")

@@ -149,14 +149,11 @@ class PModule:
             return
         if self.poset.n > FUNCTOR_CHECK_CAP:
             return
-        in_covers: dict[int, list[int]] = {i: [] for i in range(self.poset.n)}
-        for a, b in self.poset.covers:
-            in_covers[b].append(a)
         for d in range(self.poset.n):
             below = [int(a) for a in self.poset.down_ids(d) if a != d]
             for a in below:
                 t_ad = self.transition(a, d)
-                for c in in_covers[d]:
+                for c in self.poset.lower_covers[d]:
                     if a == c or self.poset.leq[a, c]:
                         t_ac = _columns(self.transition(a, c), self.dims[a])
                         if mul_rows(self._edge(c, d), t_ac, p) != t_ad:
@@ -199,7 +196,7 @@ class PModule:
             raise ValueError(f"{a} <= {b} does not hold")
         else:
             # the last cover step c -> b of some path from a
-            c = next(c for c, d in self.poset.covers if d == b and (c == a or self.poset.leq[a, c]))
+            c = next(c for c in self.poset.lower_covers[b] if c == a or self.poset.leq[a, c])
             rows = mul_rows(self._edge(c, b), _columns(self.transition(a, c), self.dims[a]), self.p)
         self._trans[key] = rows
         return rows

@@ -20,11 +20,15 @@ that order by :func:`canonical_grid_intervals`, which sums each
 member's int key while it builds the member and ends with one int sort.
 The unsorted generator :func:`iter_grid_intervals` is its test oracle
 and still serves callers that do not need the order.
+
+Members are their own keys, equal exactly when equal as sets.
+Containment has one index, :class:`Supersets`; only
+:func:`containment_poset` builds an n x n structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
@@ -47,7 +51,7 @@ class FinitePoset:
     reduction.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("n", "leq", "grid_coords", "_covers", "_topo", "_comparable_bits")
+    __slots__ = ("n", "leq", "grid_coords", "_covers", "_lower_covers", "_topo", "_comparable_bits")
 
     def __init__(self, leq: np.ndarray, grid_coords: tuple | None = None, validate: bool = True):
         leq = np.asarray(leq, dtype=bool)
@@ -68,6 +72,7 @@ class FinitePoset:
         self.leq = leq
         self.grid_coords = tuple(grid_coords) if grid_coords is not None else None
         self._covers = None
+        self._lower_covers = None
         self._topo = None
         self._comparable_bits = None
 
@@ -110,6 +115,16 @@ class FinitePoset:
                 above[a] |= up[c]
             self._covers = tuple((a, b) for a, b in zip(lows, highs) if not above[a] >> b & 1)
         return self._covers
+
+    @property
+    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        """Per element b, the elements covered by b, in the order of ``covers``."""
+        if self._lower_covers is None:
+            lower = [[] for _ in range(self.n)]
+            for a, b in self.covers:
+                lower[b].append(a)
+            self._lower_covers = tuple(map(tuple, lower))
+        return self._lower_covers
 
     def topological_order(self) -> tuple[int, ...]:
         """A linear extension of the order (ids sorted by down-set size, then id)."""
@@ -253,9 +268,9 @@ def grid_poset(width: int, height: int, origin: tuple[int, int] = (0, 0)) -> Fin
 
 @dataclass(frozen=True)
 class SubposetId:
-    """A named subset of a FinitePoset: kind + sorted member ids."""
+    """A named subset of a FinitePoset: kind + sorted member ids; equal by the ids alone."""
 
-    kind: str  # "interval" | "connected" | "segment" | "path"
+    kind: str = field(compare=False)  # "interval" | "connected" | "segment" | "path"
     members: tuple[int, ...]
 
     def __post_init__(self):
@@ -819,34 +834,52 @@ def upper_fence(gi: GridInterval) -> tuple[tuple[int, int], ...]:
 
 
 class Supersets:
-    """Which members of a collection of sets contain a given set of points.
+    """Which indexed members contain a given member: the one containment index.
 
-    Built once per collection: for every point x, the Python-int bitset
-    of the members that contain x (bit j for member j).  The members
-    containing a set I are then the AND of those bitsets over the points
-    of I: |I| big-int ANDs in C instead of a loop over the members.
+    For every point x (plane coordinates of a ``GridInterval``, ids of a
+    ``SubposetId``), the Python-int bitset of the members that contain x
+    (bit j for member j).  The members containing I are the AND of those
+    bitsets over I's points: |I| big-int ANDs in C.  Built in one packed
+    batch over a whole collection; ``add`` grows an index over a support.
     """
 
-    __slots__ = ("_full", "_by_point")
+    __slots__ = ("_size", "_by_point")
 
-    def __init__(self, sets):
-        sets = list(sets)
-        n = len(sets)
-        self._full = (1 << n) - 1
+    def __init__(self, members=()):
         rows: dict = {}
-        for j, s in enumerate(sets):
-            for x in s:
+        for j, it in enumerate(members):
+            for x in _points(it):
                 rows.setdefault(x, []).append(j)
-        self._by_point = {x: bitset(js, n) for x, js in rows.items()}
+        self._size = len(members)
+        self._by_point = {x: bitset(js, self._size) for x, js in rows.items()}
 
-    def containing(self, points) -> int:
-        """Bitset of the members that contain every one of the points."""
-        mask = self._full
-        for x in points:
+    def add(self, member) -> None:
+        """Index one more member, as the next bit."""
+        bit = 1 << self._size
+        self._size += 1
+        for x in _points(member):
+            self._by_point[x] = self._by_point.get(x, 0) | bit
+
+    def containing(self, member) -> int:
+        """Bitset of the indexed members that contain the member."""
+        mask = -1  # every bit, until the first point's bitset
+        for x in _points(member):
             mask &= self._by_point.get(x, 0)
             if not mask:
                 break
         return mask
+
+
+def _points(member):
+    return member.points() if isinstance(member, GridInterval) else member.members
+
+
+def canonical_members(items) -> tuple:
+    """The items in canonical order; ``ValueError`` when two are equal (as sets)."""
+    items = tuple(canonical_order(items))
+    if len(set(items)) != len(items):
+        raise ValueError("duplicate items in collection")
+    return items
 
 
 def bitset(indices, n: int) -> int:
@@ -870,19 +903,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def superset_masks(items) -> tuple[tuple, list[int]]:
-    """The items in canonical order and, per member, the bitset of the members containing it.
-
-    Raises ``ValueError`` when two members are equal as sets.
-    """
-    items = tuple(canonical_order(items))
-    sets = [it.member_set for it in items]
-    if len(set(sets)) != len(sets):
-        raise ValueError("duplicate items in collection")
-    sup = Supersets(sets)
-    return items, [sup.containing(s) for s in sets]
-
-
 @dataclass(frozen=True)
 class ContainmentPoset:
     """A collection of subsets ordered by reverse inclusion: I <= J iff I >= J.
@@ -896,11 +916,11 @@ class ContainmentPoset:
 
     @cached_property
     def _index(self) -> dict:
-        return {it.member_set: i for i, it in enumerate(self.items)}
+        return {it: i for i, it in enumerate(self.items)}
 
     def index_of(self, item) -> int:
         try:
-            return self._index[item.member_set]
+            return self._index[item]
         except KeyError:
             raise KeyError("item not in collection") from None
 
@@ -909,11 +929,13 @@ def containment_poset(items) -> ContainmentPoset:
     """The collection in canonical order, ordered by reverse inclusion.
 
     Column j of ``leq`` is the bitset of the members containing member j.
+    The library's one n x n structure: about 3.5 n**2 bytes at peak.
     """
-    items, masks = superset_masks(items)
+    items = canonical_members(items)
+    sup = Supersets(items)
     n = len(items)
     nbytes = (n + 7) // 8
-    packed = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = b"".join(sup.containing(it).to_bytes(nbytes, "little") for it in items)
     cols = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(n, nbytes),
                          axis=1, bitorder="little")[:, :n]
     return ContainmentPoset(items, FinitePoset(cols.T.astype(bool), validate=False))

@@ -271,6 +271,17 @@ def test_erosion_on_an_abstract_poset_is_an_input_error(capsys, tmp_path):
     assert err == "error: erosion needs modules on grid windows\n"
 
 
+@pytest.mark.parametrize("command", ["zib", "bounds"])
+def test_paths_over_an_abstract_poset_are_an_input_error(capsys, tmp_path, command):
+    module = tmp_path / "plus.txt"
+    module.write_text(build_fixture("chain4-pair").modules["plus"].to_text())
+    paths = tmp_path / "paths.txt"
+    paths.write_text("path 2\n0 0\n1 0\n")
+    code, out, err = run(capsys, command, str(module), "--paths", str(paths))
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: {command} needs modules on grid windows\n"
+
+
 def test_coordinate_collection_on_an_abstract_poset_is_an_input_error(capsys, tmp_path):
     module = tmp_path / "abs.txt"
     module.write_text(

@@ -1,5 +1,8 @@
+import tracemalloc
+
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grinv.fixtures import build_fixture
 from grinv.invariants import (
@@ -27,7 +30,7 @@ from grinv.posets import (
     enumerate_grid_intervals,
     grid_poset,
 )
-from grinv.sampling import random_grid_interval, random_interval_decomposable
+from grinv.sampling import random_grid_interval, random_interval_decomposable, random_module
 from grinv.zigzag import ZigzagPath, zigzag_barcode
 
 
@@ -290,11 +293,50 @@ def test_containment_poset_follows_the_frozenset_rule(table):
 
 
 def test_inversions_reject_duplicate_members():
-    a, b = SubposetId("connected", (0, 1)), SubposetId("connected", (1, 0))
-    with pytest.raises(ValueError, match="duplicate"):
-        gpd(GriTable((a, b), (1, 1)))
-    with pytest.raises(ValueError, match="duplicate"):
-        indicator_inversion([a, b], a)
+    a = SubposetId("connected", (0, 1))
+    # one set under the same kind, and under two kinds
+    for b in (SubposetId("connected", (1, 0)), SubposetId("segment", (1, 0))):
+        with pytest.raises(ValueError, match="duplicate"):
+            gpd(GriTable((a, b), (1, 1)))
+        with pytest.raises(ValueError, match="duplicate"):
+            indicator_inversion([a, b], a)
+        with pytest.raises(ValueError, match="duplicate"):
+            containment_poset([a, b])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn_tables(), st.data())
+def test_indicator_inversion_equals_the_dense_mobius_inversion(table, data):
+    items = table.collection
+    assume(items)
+    item = items[data.draw(st.integers(0, len(items) - 1))]
+    d = indicator_inversion(items, item)
+    want = dense_inversion(items, [int(it == item) for it in items])
+    assert {it.member_set: v for it, v in d.support} == want
+    assert [it.sort_key for it, _ in d.support] == sorted(it.sort_key for it, _ in d.support)
+
+
+def test_a_table_reads_a_member_under_any_kind():
+    items = tuple(SubposetId("interval", ms) for ms in ((0,), (0, 1), (0, 1, 2), (1, 2)))
+    table = GriTable(items, (3, 2, 1, 2))
+    for it, r in zip(items, table.ranks):
+        assert table.rank_of(SubposetId("segment", it.members)) == r
+
+
+def test_gpd_memory_follows_the_support_not_the_collection():
+    # no bitset per member: the inversion indexes only the diagram's support
+    window = grid_poset(5, 5)
+    ints = enumerate_grid_intervals(window)
+    assert len(ints) == 6431
+    ranked = gri(random_module(np.random.default_rng(5), window), ints)
+    table = GriTable(ranked.collection, ranked.ranks)
+    tracemalloc.start()
+    try:
+        diagram = gpd(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diagram.support and peak < 4 * 2 ** 20
 
 
 # -- invertibility -------------------------------------------------------------------
