@@ -4,9 +4,10 @@ A module assigns a GF(p) vector space dimension to every element and a
 matrix to every Hasse edge, stored as rows of Python ints; composites
 along cover paths (`PModule.transition`) are int rows too, cached per
 module, so no numpy product touches a module map.  Functoriality (path
-independence of the composed matrices) is validated at construction:
-unit squares on full grid windows, all comparable pairs on other posets
-of at most FUNCTOR_CHECK_CAP elements.  Limits and colimits
+independence of the composed matrices) is validated at construction by
+one rule on every poset and size: paths into an element through two of
+its lower covers agree at their maximal common lower bounds (unit squares
+on a full grid window; see `PModule._check_functorial`).  Limits and colimits
 are the kernels of the stacked cover-edge constraints (on sections, and
 on the functionals that vanish on the relations), which suffices once
 functoriality holds; the test suite checks this against an
@@ -26,15 +27,13 @@ materialising anything infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from .gf import (DEFAULT_P, MAX_DIM, FFMatrix, check_modulus, kernel_rows, mul_rows, pull_rows,
                  random_invertible, rref_rows)
 from .posets import FinitePoset, GridInterval, SubposetId, check_fence_inside, fence_points
-
-FUNCTOR_CHECK_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -132,53 +131,49 @@ class PModule:
         return m
 
     def _check_functorial(self):
-        """Path independence.  On a full grid window every unit square must
-        commute, which is complete there.  Elsewhere T(a, d) must match
-        map(c, d) T(a, c) for every cover c -> d above a, which inductively
-        pins every path composite, up to FUNCTOR_CHECK_CAP elements."""
-        p = self.p
-        squares = self._unit_squares()
-        if squares is not None:
-            coords = self.poset.grid_coords
-            for o, r, u, t in squares:
-                d = self.dims[o]
-                if (mul_rows(self._edge(r, t), _columns(self._edge(o, r), d), p)
-                        != mul_rows(self._edge(u, t), _columns(self._edge(o, u), d), p)):
-                    raise ValueError(f"functoriality violated on the unit square from "
-                                     f"{coords[o]} to {coords[t]}")
-            return
-        if self.poset.n > FUNCTOR_CHECK_CAP:
-            return
-        for d in range(self.poset.n):
-            below = [int(a) for a in self.poset.down_ids(d) if a != d]
-            for a in below:
-                t_ad = self.transition(a, d)
-                for c in self.poset.lower_covers[d]:
-                    if a == c or self.poset.leq[a, c]:
-                        t_ac = _columns(self.transition(a, c), self.dims[a])
-                        if mul_rows(self._edge(c, d), t_ac, p) != t_ad:
-                            raise ValueError(
-                                f"functoriality violated between {a} and {d} (via cover {c}->{d})"
-                            )
+        """Path independence, by one rule on every poset: for each element d
+        and pair of its lower covers ci, cj, map(ci, d) T(a, ci) must equal
+        map(cj, d) T(a, cj) at each maximal common lower bound a of ci and cj.
+        A failure exhibits two path composites a -> d.  Passing is complete,
+        by induction up a linear extension: a path a -> d ends in a cover
+        c -> d; for last covers ci != cj pick a maximal common bound m >= a,
+        and T(a, c) = T(m, c) T(a, m) below d carries agreement at m down to a.
+        On a full grid window the bounds are the unit squares' origins.
 
-    def _unit_squares(self):
-        """(o, o + (1, 0), o + (0, 1), o + (1, 1)) ids of every unit square, or
-        None unless the covers are exactly the unit steps of a full box."""
-        idx = self._window_idx
-        if idx is None:
-            return None
-        (ox, oy), (w, h) = self.window_origin_size()
-        steps = {(i, idx[(x + dx, y + dy)]) for (x, y), i in idx.items()
-                 for dx, dy in ((1, 0), (0, 1)) if (x + dx, y + dy) in idx}
-        if not len(idx) == w * h == self.poset.n or steps != set(self.poset.covers):
-            return None
-        return [(idx[x, y], idx[x + 1, y], idx[x, y + 1], idx[x + 1, y + 1])
-                for y in range(oy, oy + h - 1) for x in range(ox, ox + w - 1)]
+        One sweep up a linear extension (grid rows bottom-up, naming the
+        lowest, leftmost fault) builds down-set and upper-cover bitsets and
+        walks the bounds: from the top of what is left of down(ci) & down(cj),
+        climb upper covers to a maximal a, check it, drop down(a).  Chains
+        and trees have no pairs to check.
+        """
+        poset, p, dims, low = self.poset, self.p, self.dims, self.poset.lower_covers
+        coords = poset.grid_coords
+        order = (poset.topological_order() if coords is None
+                 else sorted(range(poset.n), key=lambda i: coords[i][::-1]))
+        down, up = [0] * poset.n, [0] * poset.n
+        for d in order:
+            down[d] = bit = 1 << d
+            for c in low[d]:
+                down[d] |= down[c]
+                up[c] |= bit
+            for ci, cj in combinations(low[d], 2):
+                rest = down[ci] & down[cj]
+                while rest:
+                    a = rest.bit_length() - 1
+                    while above := up[a] & rest:
+                        a = above.bit_length() - 1
+                    rest &= ~down[a]
+                    # read a cover's map directly: transition() is the slow route
+                    t_i = self._edge(a, ci) if a in low[ci] else self.transition(a, ci)
+                    t_j = self._edge(a, cj) if a in low[cj] else self.transition(a, cj)
+                    if (mul_rows(self._edge(ci, d), _columns(t_i, dims[a]), p)
+                            != mul_rows(self._edge(cj, d), _columns(t_j, dims[a]), p)):
+                        unit = coords is not None and coords[d] == tuple(v + 1 for v in coords[a])
+                        where = (f"on the unit square from {coords[a]} to {coords[d]}" if unit
+                                 else f"between {a} and {d} (via covers {ci}->{d} and {cj}->{d})")
+                        raise ValueError(f"functoriality violated {where}")
 
     # -- basic queries -------------------------------------------------------
-
-    def dim(self, a: int) -> int:
-        return self.dims[a]
 
     def transition(self, a: int, b: int, transpose: bool = False) -> list[list[int]]:
         """T(a, b), the composite along any cover path a -> b (a <= b), as int
@@ -306,23 +301,25 @@ class PModule:
         lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
         poset, i = FinitePoset._from_lines(lines, 0)
         p = DEFAULT_P
-        dims = [0] * poset.n
-        maps = {}
+        dims, maps = {}, {}
         while i < len(lines):
-            toks = lines[i].split()
+            line, toks = lines[i], lines[i].split()
+            i += 1
             if toks[0] == "field":
                 p = int(toks[1])
-                i += 1
             elif toks[0] == "dims":
-                dims[int(toks[1])] = int(toks[2])
-                i += 1
+                a = int(toks[1])
+                if a in dims or not 0 <= a < poset.n:
+                    raise ValueError(f"repeated or out-of-range dims line: {line!r}")
+                dims[a] = int(toks[2])
             elif toks[0] == "map":
                 a, b = int(toks[1]), int(toks[2])
-                mat, i2 = FFMatrix.from_lines(lines, i + 1, p)
-                maps[(a, b)] = mat
-                i = i2
+                if (a, b) in maps:
+                    raise ValueError(f"repeated map line: {line!r}")
+                maps[(a, b)], i = FFMatrix.from_lines(lines, i, p)
             else:
-                raise ValueError(f"unrecognised module line: {lines[i]!r}")
+                raise ValueError(f"unrecognised module line: {line!r}")
+        dims = [dims.get(a, 0) for a in range(poset.n)]
         if ambient is None:
             ambient = poset.grid_coords is not None
         return cls(poset, dims, maps, p, ambient=ambient)
@@ -364,14 +361,14 @@ def direct_sum(*mods: PModule) -> PModule:
 def pullback(n_module: PModule, pi, target_poset: FinitePoset, ambient: bool | None = None) -> PModule:
     """The pullback along an order-preserving map pi: target -> source poset.
 
-    ``pi`` maps each target id to a source id; monotonicity is validated.
+    ``pi`` maps each target id to a source id; monotonicity is validated on
+    the target's covers.
     """
     pi = [int(pi[i]) for i in range(target_poset.n)]
     src = n_module.poset
-    for a in range(target_poset.n):
-        for b in range(target_poset.n):
-            if target_poset.leq[a, b] and not src.leq[pi[a], pi[b]]:
-                raise ValueError(f"map is not order-preserving at ({a}, {b})")
+    for a, b in target_poset.covers:  # complete by transitivity
+        if not src.leq[pi[a], pi[b]]:
+            raise ValueError(f"map is not order-preserving at ({a}, {b})")
     dims = [n_module.dims[pi[a]] for a in range(target_poset.n)]
     maps = {}
     for a, b in target_poset.covers:

@@ -82,6 +82,8 @@ class FinitePoset:
     def from_covers(cls, n: int, cover_pairs, grid_coords=None) -> "FinitePoset":
         adj = np.eye(n, dtype=bool)
         for a, b in cover_pairs:
+            if a == b or not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"cover {a} {b} is not a pair of distinct ids in 0..{n - 1}")
             adj[a, b] = True
         # Kleene closure by repeated squaring.
         closure = adj
@@ -129,8 +131,7 @@ class FinitePoset:
     def topological_order(self) -> tuple[int, ...]:
         """A linear extension of the order (ids sorted by down-set size, then id)."""
         if self._topo is None:
-            depth = self.leq.sum(axis=0)
-            self._topo = tuple(int(i) for i in np.lexsort((np.arange(self.n), depth)))
+            self._topo = tuple(np.argsort(self.leq.sum(axis=0), kind="stable").tolist())
         return self._topo
 
     def up_ids(self, a: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import grinv
 from grinv import cli
 from grinv.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
 from grinv.fixtures import build_fixture
-from grinv.modules import FUNCTOR_CHECK_CAP, PModule
+from grinv.modules import PModule
 from grinv.posets import grid_poset
 from grinv.sampling import random_interval_decomposable
 
@@ -332,7 +332,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
 
 def test_non_commuting_square_of_a_large_grid_module_is_an_input_error(capsys, tmp_path):
     win = grid_poset(23, 23, (0, 0))
-    assert win.n > FUNCTOR_CHECK_CAP  # beyond the all-pairs check
+    assert win.n == 529
     idx = win.id_of_coord()
     maps = {e: [[1]] for e in win.covers}
     maps[(idx[(0, 0)], idx[(1, 0)])] = [[0]]
@@ -342,6 +342,43 @@ def test_non_commuting_square_of_a_large_grid_module_is_an_input_error(capsys, t
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error: ") and "unit square from (0, 0) to (1, 1)" in err
+
+
+def test_non_functorial_module_over_a_large_abstract_poset_is_an_input_error(capsys, tmp_path):
+    """A non-commuting diamond 0 < 1, 2 < 3 under a chain of 600 points."""
+    n = 604
+    covers = [(0, 1), (0, 2), (1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n - 1)]
+    lines = [f"poset {n}", *(f"cover {a} {b}" for a, b in covers), "field 2",
+             *(f"dims {i} 1" for i in range(n))]
+    for a, b in covers:
+        lines += [f"map {a} {b}", "1 1", "0" if (a, b) == (1, 3) else "1"]
+    f = tmp_path / "m.txt"
+    f.write_text("\n".join(lines) + "\n")
+    coll = tmp_path / "c.txt"
+    coll.write_text("0 1 2 3\n")
+    code, out, err = run(capsys, "gri", str(f), "--collection", f"file:{coll}")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and "functoriality violated between 0 and 3" in err
+
+
+@pytest.mark.parametrize("text, named", [
+    ("grid 2 1 0 0\ndims -1 1\n", "'dims -1 1'"),  # id below 0
+    ("grid 2 1 0 0\ndims 2 1\n", "'dims 2 1'"),  # id above n - 1
+    ("grid 2 1 0 0\ndims 0 1\ndims 1 1\ndims 1 2\n", "'dims 1 2'"),  # repeated dims
+    ("grid 2 1 0 0\nfield 2\ndims 0 1\ndims 1 1\nmap 0 1\n1 1\n1\nmap 0 1\n1 1\n0\n",
+     "'map 0 1'"),  # repeated map
+    ("poset 3\ncover 1 -1\n", "cover 1 -1"),  # id below 0
+    ("poset 3\ncover 1 3\n", "cover 1 3"),  # id above n - 1
+    ("poset 3\ncover 1 1\n", "cover 1 1"),  # self-cover
+])
+def test_malformed_module_file_is_an_input_error(capsys, tmp_path, text, named):
+    f = tmp_path / "m.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "gri", str(f), "--collection", "segments")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and named in err
 
 
 @pytest.mark.parametrize("text", [

@@ -157,20 +157,45 @@ def test_functoriality_check_rejects_corruption():
         PModule(win, dims, bad)
 
 
+def test_functoriality_check_names_the_lowest_then_leftmost_square():
+    """Two bad unit squares of a 4x4 window: the one in the lower row is
+    named, although its corner ids are the larger ones."""
+    win = grid_poset(4, 4, (0, 0))
+    idx = win.id_of_coord()
+    maps = {e: [[1]] for e in win.covers}
+    for left, right in (((0, 2), (1, 2)), ((2, 0), (3, 0))):
+        maps[(idx[left], idx[right])] = [[0]]
+    with pytest.raises(ValueError, match=r"unit square from \(2, 0\) to \(3, 1\)$"):
+        PModule(win, [1] * win.n, maps)
+
+
+def holed_window(w, h, hole, origin=(0, 0)):
+    """The w x h window at origin without the point hole (box coordinates)."""
+    coords = tuple((origin[0] + x, origin[1] + y) for y in range(h) for x in range(w)
+                   if (x, y) != hole)
+    return FinitePoset(np.array([[a[0] <= b[0] and a[1] <= b[1] for b in coords]
+                                 for a in coords]), grid_coords=coords)
+
+
 def test_functoriality_check_off_full_grid_windows():
-    """Windows that are not full boxes take the all-pairs check: a staircase
-    (its covers are unit steps) and a 3x3 window without its center, whose
-    two paths around the hole are not related by unit squares."""
-    for skip in ((2, 2), (1, 1)):
-        coords = tuple((x, y) for y in range(3) for x in range(3) if (x, y) != skip)
-        win = FinitePoset(np.array([[a[0] <= b[0] and a[1] <= b[1] for b in coords]
-                                    for a in coords]), grid_coords=coords)
+    """Posets that are not full grid windows: a staircase (its covers are
+    unit steps), a 3x3 window without its center, whose two paths around
+    the hole are not related by unit squares, and a bowtie a1, a2 < c1, c2
+    < d, whose paths into d agree through one of the two maximal common
+    lower bounds of c1 and c2 but not through the other."""
+    cases = []
+    for hole in ((2, 2), (1, 1)):
+        win = holed_window(3, 3, hole)
         idx = win.id_of_coord()
-        maps = {e: [[1]] for e in win.covers}
-        PModule(win, [1] * win.n, maps)  # fine
-        maps[(idx[(0, 0)], idx[(1, 0)])] = [[0]]
+        cases.append((win, (idx[(0, 0)], idx[(1, 0)])))
+    bowtie = FinitePoset.from_covers(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
+    cases += [(bowtie, (0, 2)), (bowtie, (1, 2))]
+    for poset, edge in cases:
+        maps = {e: [[1]] for e in poset.covers}
+        PModule(poset, [1] * poset.n, maps)  # fine
+        maps[edge] = [[0]]
         with pytest.raises(ValueError, match="functoriality"):
-            PModule(win, [1] * win.n, maps)
+            PModule(poset, [1] * poset.n, maps)
 
 
 def test_maps_are_stored_as_int_rows_of_residues():
@@ -534,6 +559,34 @@ def test_fast_path_work_counts_on_a_dense_5x5_module(monkeypatch):
     assert {(ext, b) for ext, hit in lows.items() for b in hit[2]} == pushes
 
 
+def test_functoriality_check_work_counts(monkeypatch):
+    """Two products per unit square on a full grid window, none on a chain,
+    which has no two paths between any pair of elements, and two for the
+    one maximal common lower bound of a poset whose ids do not extend its
+    order."""
+    import grinv.modules as modules_mod
+
+    calls = []
+
+    def counted(x, y, p, _f=modules_mod.mul_rows):
+        calls.append(1)
+        return _f(x, y, p)
+
+    win, m = dense_5x5_module()
+    chain = random_chain_module(np.random.default_rng(3), 12, 5)
+    assert min(m.dims) >= 1
+    monkeypatch.setattr(modules_mod, "mul_rows", counted)
+    PModule(win, m.dims, m.maps, m.p)
+    assert len(calls) == 2 * 4 * 4
+    calls.clear()
+    PModule(chain.poset, chain.dims, chain.maps, chain.p)
+    assert calls == []
+    # 4 < 3 < 1, 2 < 0: the largest id below both 1 and 2 is 4, not their bound 3
+    tall = FinitePoset.from_covers(5, [(4, 3), (3, 1), (3, 2), (1, 0), (2, 0)])
+    PModule(tall, [1] * 5, {e: [[1]] for e in tall.covers})
+    assert len(calls) == 2
+
+
 def test_fast_path_alarm_fires_when_a_fence_leaves_the_interval(monkeypatch):
     """The per-interval alarm: a minimal antichain whose join leaves the
     interval raises before any sweep."""
@@ -645,21 +698,30 @@ FIELDS = st.sampled_from([2, 3, 5, LARGEST_P])
 
 def draw_module(data, field, seed):
     """A functorial module, usually with zero-dimensional points: a random
-    grid module, a scrambled sum of interval modules on an abstract poset,
-    or a chain module with arbitrary maps."""
+    grid module, a scrambled sum of interval modules on a grid window
+    without one point or on an abstract poset, or a chain module with
+    arbitrary maps."""
     rng = np.random.default_rng(seed)
-    kind = data.draw(st.sampled_from(["grid", "abstract", "chain"]))
-    if kind == "grid":
+    kind = data.draw(st.sampled_from(["grid", "holed grid", "abstract", "chain"]))
+    if kind in ("grid", "holed grid"):
         w, h = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 3))
         origin = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
-        return random_module(rng, grid_poset(w, h, origin), p=field)
-    n = data.draw(st.integers(2, 6))
-    if kind == "chain":
-        return random_chain_module(rng, n, field)
+        if kind == "grid":
+            return random_module(rng, grid_poset(w, h, origin), p=field)
+        hole = data.draw(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)))
+        poset = holed_window(w, h, hole, origin)
+    else:
+        n = data.draw(st.integers(2, 6))
+        if kind == "chain":
+            return random_chain_module(rng, n, field)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        leq = FinitePoset.from_covers(n, data.draw(st.lists(st.sampled_from(pairs),
+                                                            max_size=2 * n))).leq
+        # relabel, so that ids are not always a linear extension of the order
+        perm = data.draw(st.permutations(range(n)))
+        poset = FinitePoset(leq[np.ix_(perm, perm)])
     from conftest import brute_force_intervals
 
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    poset = FinitePoset.from_covers(n, data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
     supports = data.draw(st.lists(st.sampled_from(brute_force_intervals(poset)), min_size=1,
                                   max_size=3))
     return direct_sum(*(interval_module(poset, ms, field) for ms in supports)).scramble(rng)
@@ -729,8 +791,9 @@ def test_scramble_rows_are_numpy_basis_changes(field, seed, data):
 @given(FIELDS, st.integers(0, 2**32 - 1), st.data())
 def test_functoriality_verdict_matches_path_composites(field, seed, data):
     """Replace one nonzero map of a functorial module by a random one: the
-    module is accepted iff every pair's path composites still agree.  Full grid
-    windows take the unit-square check, other posets the all-pairs one."""
+    module is accepted iff every pair's path composites still agree.  One
+    rule serves every poset: paths into an element through two of its lower
+    covers must agree at the maximal common lower bounds of the two."""
     m = draw_module(data, field, seed)
     live = [(a, b) for a, b in m.poset.covers if m.dims[a] and m.dims[b]]
     assume(live)
