@@ -118,10 +118,8 @@ def shift_module(module: PModule, delta: int) -> PModule:
         raise ValueError("delta must be >= 0")
     if module.poset.grid_coords is None:
         raise ValueError("shift needs a grid module")
-    from .posets import FinitePoset
-
     coords = tuple((x - delta, y - delta) for x, y in module.poset.grid_coords)
-    shifted = FinitePoset(module.poset.leq, grid_coords=coords, validate=False)
+    shifted = module.poset.with_coords(coords)
     return PModule(shifted, module.dims, module.maps, module.p, ambient=module.ambient,
                    validate=False)
 

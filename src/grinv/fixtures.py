@@ -10,13 +10,15 @@ fixture level.  ``FIXTURES`` maps names to builders; builders return a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gf import DEFAULT_P
 from .modules import PModule, direct_sum, grid_interval_module, interval_module, pullback
 from .posets import FinitePoset, GridInterval, SubposetId, grid_poset
 from .zigzag import ZigzagPath
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ the one kernel routine; a cokernel is the kernel of the transpose) and
 the two moves of the zigzag sweep (`mul_rows`, `pull_rows`) use modular
 pivot inverses, exact for every p, and on the small matrices grinv
 eliminates (tens of cells) they skip numpy's per-call overhead, which
-would otherwise dominate.  Module maps are int rows as well.  `FFMatrix`
-wraps an int64 numpy array and serves module files (parsing, writing)
-and the basis changes of `PModule.scramble` (`random_invertible`,
-`inverse`) only.  Default p = 2.
+would otherwise dominate.  Module maps are int rows as well, and module
+files read and write them as rows (`rows_from_lines`, `rows_to_text`).
+`FFMatrix` wraps an int64 numpy array and serves only the basis changes
+of `PModule.scramble` (`random_invertible`, `inverse`); numpy is imported
+inside it and `random_invertible`, so importing this module loads none.
+Default p = 2.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt
 from operator import mul
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_P = 2
 
@@ -125,12 +129,38 @@ def pull_rows(vecs: list[list[int]], mt_rows: list[list[int]], width: int,
     return [z[k:] for z in kernel_rows(m, k + width, p)]
 
 
+def rows_to_text(rows: list[list[int]], ncols: int) -> str:
+    """The `rows cols` line and one line of residues per row."""
+    return "\n".join([f"{len(rows)} {ncols}", *(" ".join(map(str, row)) for row in rows)])
+
+
+def rows_from_lines(lines: list[str], start: int) -> tuple[list[list[int]], int, int]:
+    """Parse the `rows cols` + row-major block starting at lines[start].
+
+    Returns (rows, cols, index of the next line).  Entries are read as
+    Python ints, so any size is exact; reducing them mod p is the
+    caller's.
+    """
+    nrows, ncols = (int(t) for t in lines[start].split())
+    if nrows < 0 or ncols < 0:
+        raise ValueError("negative dimensions are not allowed")
+    rows = []
+    for i in range(nrows):
+        toks = lines[start + 1 + i].split()
+        if len(toks) != ncols:
+            raise ValueError(f"matrix row {i}: expected {ncols} entries")
+        rows.append([int(t) for t in toks])
+    return rows, ncols, start + 1 + nrows
+
+
 class FFMatrix:
     """A dense matrix over GF(p), wrapping a numpy int64 array."""
 
     __slots__ = ("a", "p")
 
     def __init__(self, data, p: int = DEFAULT_P, copy: bool = True):
+        import numpy as np
+
         check_modulus(p)
         a = np.array(data, dtype=np.int64, copy=copy)
         if a.ndim != 2:
@@ -153,7 +183,7 @@ class FFMatrix:
             isinstance(other, FFMatrix)
             and other.p == self.p
             and other.a.shape == self.a.shape
-            and bool(np.array_equal(other.a, self.a))
+            and other.a.tolist() == self.a.tolist()
         )
 
     def __repr__(self):
@@ -167,11 +197,15 @@ class FFMatrix:
         Returns (R, pivot_cols).  Pivoting takes the first nonzero entry in
         each column, so the result is deterministic.
         """
+        import numpy as np
+
         m, n = self.a.shape
         rows, pivots = rref_rows(self.a.tolist(), n, self.p)
         return FFMatrix(np.array(rows, dtype=np.int64).reshape(m, n), self.p, copy=False), pivots
 
     def inverse(self) -> "FFMatrix":
+        import numpy as np
+
         n = self.rows
         if n != self.cols:
             raise ValueError("inverse of a non-square matrix")
@@ -181,29 +215,11 @@ class FFMatrix:
             raise ValueError("matrix is singular")
         return FFMatrix(r.a[:, n:], self.p, copy=False)
 
-    # -- serialisation ---------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols}"]
-        for row in self.a:
-            lines.append(" ".join(str(int(v)) for v in row))
-        return "\n".join(lines)
-
-    @classmethod
-    def from_lines(cls, lines: list[str], start: int, p: int) -> tuple["FFMatrix", int]:
-        """Parse the `rows cols` + row-major block format starting at lines[start]."""
-        rows, cols = (int(t) for t in lines[start].split())
-        data = np.zeros((rows, cols), dtype=np.int64)
-        for i in range(rows):
-            toks = lines[start + 1 + i].split()
-            if len(toks) != cols:
-                raise ValueError(f"matrix row {i}: expected {cols} entries")
-            data[i] = [int(t) for t in toks]
-        return cls(data, p), start + 1 + rows
-
 
 def random_invertible(rng: np.random.Generator, n: int, p: int) -> FFMatrix:
     """Random invertible matrix: unit lower-triangular @ unit upper-triangular @ permutation."""
+    import numpy as np
+
     lo = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
     up = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
     perm = np.eye(n, dtype=np.int64)[rng.permutation(n)]

@@ -44,21 +44,30 @@ class RankCache:
 
     def __init__(self, module: PModule):
         self.module = module
-        self.queries = 0
-        self._memo: dict = {}
+        self._index: dict = {}  # member -> its position in _ranks
+        self._ranks: list[int] = []
+
+    @property
+    def queries(self) -> int:
+        return len(self._ranks)
 
     def rank(self, region) -> int:
+        """The rank over the region, with one dict operation (one hash) per
+        call: a miss files the next free position before it is filled."""
         key = _cache_key(region)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self.queries += 1
-        if isinstance(region, GridInterval):
-            val = generalized_rank_fast(self.module, region)
-        else:
-            val = generalized_rank(self.module, region)
-        self._memo[key] = val
-        return val
+        ranks = self._ranks
+        i = self._index.setdefault(key, len(ranks))
+        if i < len(ranks):
+            return ranks[i]
+        try:
+            if isinstance(region, GridInterval):
+                ranks.append(generalized_rank_fast(self.module, region))
+            else:
+                ranks.append(generalized_rank(self.module, region))
+        except BaseException:
+            del self._index[key]
+            raise
+        return ranks[i]
 
 
 @dataclass(frozen=True)
@@ -239,7 +248,9 @@ def gpd(table: GriTable) -> SignedDiagram:
     collection with two equal members.
     """
     items = canonical_members(table.collection)
-    return _diagram(items, _invert(items, [table.rank_of(it) for it in items]))
+    # a table from gri is in canonical order already, so its ranks need no lookup
+    ranks = table.ranks if items == table.collection else [table.rank_of(it) for it in items]
+    return _diagram(items, _invert(items, ranks))
 
 
 def reconstruct_table(diagram: SignedDiagram, collection) -> GriTable:

@@ -21,7 +21,7 @@ class IncidenceElement:
     values: dict = field(default_factory=dict)
 
     def __call__(self, p: int, q: int) -> int:
-        if not self.poset.leq[p, q]:
+        if not self.poset.le(p, q):
             raise KeyError(f"({p}, {q}) is not a comparable pair")
         return self.values.get((p, q), 0)
 
@@ -62,7 +62,7 @@ def zeta(poset: FinitePoset) -> IncidenceElement:
     vals = {}
     for p in range(poset.n):
         for q in poset.up_ids(p):
-            vals[(p, int(q))] = 1
+            vals[(p, q)] = 1
     return IncidenceElement(poset, vals)
 
 
@@ -76,14 +76,14 @@ def mobius_function(poset: FinitePoset) -> IncidenceElement:
     vals: dict[tuple[int, int], int] = {}
     topo_pos = {v: i for i, v in enumerate(poset.topological_order())}
     for p in range(poset.n):
-        ups = sorted((int(q) for q in poset.up_ids(p)), key=lambda q: topo_pos[q])
+        ups = sorted(poset.up_ids(p), key=topo_pos.__getitem__)
         for q in ups:
             if q == p:
                 vals[(p, p)] = 1
                 continue
             s = 0
             for r in ups:
-                if r != q and poset.leq[r, q]:
+                if r != q and poset.le(r, q):
                     s += vals[(p, r)]
             vals[(p, q)] = -s
     return IncidenceElement(poset, {k: v for k, v in vals.items() if v != 0})
@@ -97,10 +97,8 @@ def multiply(alpha: IncidenceElement, beta: IncidenceElement) -> IncidenceElemen
     vals: dict[tuple[int, int], int] = {}
     for p in range(poset.n):
         for r in poset.up_ids(p):
-            r = int(r)
             s = 0
             for q in poset.segment(p, r):
-                q = int(q)
                 s += alpha.values.get((p, q), 0) * beta.values.get((q, r), 0)
             if s:
                 vals[(p, r)] = s
@@ -153,7 +151,6 @@ def convolve(f: PosetFunction, alpha: IncidenceElement) -> PosetFunction:
     for q in range(poset.n):
         s = 0
         for p in poset.down_ids(q):
-            p = int(p)
             fp = f.values[p]
             if fp:
                 s += fp * alpha.values.get((p, q), 0)

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gf import (DEFAULT_P, MAX_DIM, FFMatrix, check_modulus, kernel_rows, mul_rows, pull_rows,
-                 random_invertible, rref_rows)
+                 random_invertible, rows_from_lines, rows_to_text, rref_rows)
 from .posets import FinitePoset, GridInterval, SubposetId, check_fence_inside, fence_points
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,19 @@ class SectionSpace:
 def _columns(rows: list[list[int]], width: int) -> list[list[int]]:
     """The columns of a matrix given by its rows; rows alone lose the width when empty."""
     return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(width)]
+
+
+def _shape(m) -> tuple[int, ...]:
+    """The shape of a map given as int rows, a numpy array or an `FFMatrix`;
+    rows alone lose the width when there are none."""
+    if isinstance(m, FFMatrix):
+        m = m.a
+    if hasattr(m, "shape"):
+        return tuple(m.shape)
+    widths = {len(row) for row in m}
+    if len(widths) > 1:
+        raise ValueError("map rows of different lengths")
+    return (len(m), *widths)
 
 
 def _window_holds(geom, gi: GridInterval) -> bool:
@@ -117,7 +132,7 @@ class PModule:
             a, b = int(a), int(b)
             if (a, b) not in cover_set:
                 raise ValueError(f"map on non-cover pair ({a}, {b})")
-            shape = np.shape(m.a if isinstance(m, FFMatrix) else m)
+            shape = _shape(m)
             # a list without rows carries no width
             if shape != (self.dims[b], self.dims[a]) and not (shape == (0,) and not self.dims[b]):
                 raise ValueError(
@@ -187,11 +202,11 @@ class PModule:
             rows = [[int(r == c) for c in range(d)] for r in range(d)]
         elif transpose:
             rows = _columns(self.transition(a, b), self.dims[a])
-        elif not self.poset.leq[a, b]:
+        elif not self.poset.le(a, b):
             raise ValueError(f"{a} <= {b} does not hold")
         else:
             # the last cover step c -> b of some path from a
-            c = next(c for c in self.poset.lower_covers[b] if c == a or self.poset.leq[a, c])
+            c = next(c for c in self.poset.lower_covers[b] if self.poset.le(a, c))
             rows = mul_rows(self._edge(c, b), _columns(self.transition(a, c), self.dims[a]), self.p)
         self._trans[key] = rows
         return rows
@@ -243,11 +258,7 @@ class PModule:
     def restrict(self, members) -> "PModule":
         """Induced submodule on a subset of elements (a new, smaller poset)."""
         ms = sorted(set(int(m) for m in members))
-        sub_leq = self.poset.leq[np.ix_(ms, ms)]
-        coords = None
-        if self.poset.grid_coords is not None:
-            coords = tuple(self.poset.grid_coords[m] for m in ms)
-        sub = FinitePoset(sub_leq, grid_coords=coords, validate=False)
+        sub = self.poset.induced(ms)
         dims = [self.dims[m] for m in ms]
         maps = {}
         for a, b in sub.covers:
@@ -255,7 +266,7 @@ class PModule:
         return PModule(sub, dims, maps, self.p, validate=False)
 
     def direct_sum(self, other: "PModule") -> "PModule":
-        if other.poset.n != self.poset.n or not np.array_equal(other.poset.leq, self.poset.leq):
+        if other.poset.up != self.poset.up:
             raise ValueError("direct sum needs the same poset")
         if other.p != self.p:
             raise ValueError("field mismatch")
@@ -292,7 +303,7 @@ class PModule:
         for a, b in self.poset.covers:
             if self.dims[a] and self.dims[b]:
                 lines.append(f"map {a} {b}")
-                lines.append(FFMatrix(self._edge(a, b), self.p).to_text())
+                lines.append(rows_to_text(self._edge(a, b), self.dims[a]))
         return "\n".join(lines)
 
     @classmethod
@@ -301,7 +312,7 @@ class PModule:
         lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
         poset, i = FinitePoset._from_lines(lines, 0)
         p = DEFAULT_P
-        dims, maps = {}, {}
+        dims, maps, widths = {}, {}, {}
         while i < len(lines):
             line, toks = lines[i], lines[i].split()
             i += 1
@@ -316,10 +327,15 @@ class PModule:
                 a, b = int(toks[1]), int(toks[2])
                 if (a, b) in maps:
                     raise ValueError(f"repeated map line: {line!r}")
-                maps[(a, b)], i = FFMatrix.from_lines(lines, i, p)
+                maps[(a, b)], widths[(a, b)], i = rows_from_lines(lines, i)
             else:
                 raise ValueError(f"unrecognised module line: {line!r}")
         dims = [dims.get(a, 0) for a in range(poset.n)]
+        for (a, b), rows in maps.items():
+            # a block without rows declares its width only in its header
+            if not rows and widths[(a, b)] != dims[a] and (a, b) in poset.covers:
+                raise ValueError(f"map {a}->{b} has shape {(0, widths[(a, b)])}, "
+                                 f"expected {(dims[b], dims[a])}")
         if ambient is None:
             ambient = poset.grid_coords is not None
         return cls(poset, dims, maps, p, ambient=ambient)
@@ -367,7 +383,7 @@ def pullback(n_module: PModule, pi, target_poset: FinitePoset, ambient: bool | N
     pi = [int(pi[i]) for i in range(target_poset.n)]
     src = n_module.poset
     for a, b in target_poset.covers:  # complete by transitivity
-        if not src.leq[pi[a], pi[b]]:
+        if not src.le(pi[a], pi[b]):
             raise ValueError(f"map is not order-preserving at ({a}, {b})")
     dims = [n_module.dims[pi[a]] for a in range(target_poset.n)]
     maps = {}
@@ -492,7 +508,7 @@ def sweep_step(module: PModule, a: int, b: int, e, q):
     composed with M.  Only the spans matter: the vectors may be dependent.
     """
     p, width = module.p, module.dims[b]
-    forward = bool(module.poset.leq[a, b])
+    forward = module.poset.le(a, b)
     lo, hi = (a, b) if forward else (b, a)
     if e is not None:
         rows = module.transition(lo, hi)

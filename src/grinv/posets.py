@@ -2,9 +2,11 @@
 
 Two representations coexist:
 
-* ``FinitePoset`` — an abstract finite poset on ids 0..n-1 (boolean leq
-  matrix + Hasse cover list), optionally carrying grid coordinates when
-  the poset is a product-order window of the integer plane.
+* ``FinitePoset`` — an abstract finite poset on ids 0..n-1 (up-set and
+  down-set int bitsets + Hasse cover list), optionally carrying grid
+  coordinates when the poset is a product-order window of the integer
+  plane.  Its boolean ``leq`` matrix is built with numpy on first use,
+  for oracles and tests; nothing else here imports numpy.
 * ``GridInterval`` — an interval of the ambient integer plane, stored as
   a staircase of per-row x-ranges.  This is the working representation
   for thickenings and fence constructions, which must not be clipped to
@@ -21,9 +23,10 @@ member's int key while it builds the member and ends with one int sort.
 The unsorted generator :func:`iter_grid_intervals` is its test oracle
 and still serves callers that do not need the order.
 
-Members are their own keys, equal exactly when equal as sets.
-Containment has one index, :class:`Supersets`; only
-:func:`containment_poset` builds an n x n structure.
+Members are their own keys, equal exactly when equal as sets, and a
+plane interval hashes once.  Containment has one index,
+:class:`Supersets`; only :func:`containment_poset` builds an n x n
+structure (n bitsets of n bits each way).
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
-
-import numpy as np
 
 DEFAULT_INTERVAL_CAP = 5_000_000
 DEFAULT_CONNECTED_CAP = 16
@@ -44,17 +45,22 @@ class EnumerationCapError(Exception):
 
 
 class FinitePoset:
-    """A finite poset on elements 0..n-1.
+    """A finite poset on elements 0..n-1, as up-set and down-set int bitsets.
 
-    ``leq`` is a read-only boolean matrix (reflexive, antisymmetric,
-    transitive — validated on construction); ``covers`` is its transitive
-    reduction.  Instances are immutable and safe to share.
+    Bit b of ``up[a]`` is set iff a <= b, and bit a of ``down[b]`` iff
+    a <= b.  ``covers`` is the transitive reduction; ``leq``, the boolean
+    matrix, is built on first use for oracles and tests.  Instances are
+    immutable and safe to share.
     """
 
-    __slots__ = ("n", "leq", "grid_coords", "_covers", "_lower_covers", "_topo", "_comparable_bits")
+    __slots__ = ("n", "up", "down", "grid_coords", "_covers", "_lower_covers", "_topo", "_leq")
 
-    def __init__(self, leq: np.ndarray, grid_coords: tuple | None = None, validate: bool = True):
-        leq = np.asarray(leq, dtype=bool)
+    def __init__(self, leq, grid_coords: tuple | None = None, validate: bool = True):
+        """From a square boolean matrix (nested lists or a numpy array),
+        validated as reflexive, antisymmetric and transitive."""
+        import numpy as np
+
+        leq = np.array(leq, dtype=bool)
         n = leq.shape[0]
         if leq.shape != (n, n):
             raise ValueError("leq must be square")
@@ -66,56 +72,130 @@ class FinitePoset:
             closure = leq @ leq
             if not np.array_equal(closure | leq, leq):
                 raise ValueError("leq is not transitive")
-        leq = leq.copy()
+        up, down = ([int.from_bytes(row.tobytes(), "little")
+                     for row in np.packbits(m, axis=1, bitorder="little")] for m in (leq, leq.T))
+        self._set(up, down, grid_coords)
         leq.setflags(write=False)
-        self.n = n
-        self.leq = leq
+        self._leq = leq
+
+    def _set(self, up, down, grid_coords, covers=None) -> None:
+        self.n = len(up)
+        self.up = tuple(up)
+        self.down = tuple(down)
         self.grid_coords = tuple(grid_coords) if grid_coords is not None else None
-        self._covers = None
+        self._covers = covers
         self._lower_covers = None
         self._topo = None
-        self._comparable_bits = None
+        self._leq = None
+
+    @classmethod
+    def _of(cls, up, down, grid_coords=None, covers=None) -> "FinitePoset":
+        """The poset with these up-set and down-set bitsets (and covers, when known)."""
+        poset = object.__new__(cls)
+        poset._set(up, down, grid_coords, covers)
+        return poset
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_covers(cls, n: int, cover_pairs, grid_coords=None) -> "FinitePoset":
-        adj = np.eye(n, dtype=bool)
+        """The order generated by the pairs (redundant pairs allowed).
+
+        One topological sort of the pairs, then one pass each way closes
+        them: down-sets flow along the pairs in topological order, up-sets
+        against them in reverse.  A cycle leaves elements unsorted: the
+        relation is not antisymmetric.
+        """
+        succ: list[list[int]] = [[] for _ in range(n)]
+        indegree = [0] * n
         for a, b in cover_pairs:
+            a, b = int(a), int(b)
             if a == b or not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"cover {a} {b} is not a pair of distinct ids in 0..{n - 1}")
-            adj[a, b] = True
-        # Kleene closure by repeated squaring.
-        closure = adj
-        while True:
-            nxt = closure | (closure @ closure)
-            if np.array_equal(nxt, closure):
-                break
-            closure = nxt
-        return cls(closure, grid_coords=grid_coords)
+            succ[a].append(b)
+            indegree[b] += 1
+        order = [a for a in range(n) if not indegree[a]]
+        for a in order:  # grows while it is walked
+            for b in succ[a]:
+                indegree[b] -= 1
+                if not indegree[b]:
+                    order.append(b)
+        if len(order) < n:
+            raise ValueError("leq is not antisymmetric")
+        up = [1 << a for a in range(n)]
+        down = up.copy()
+        for a in order:
+            for b in succ[a]:
+                down[b] |= down[a]
+        for a in reversed(order):
+            for b in succ[a]:
+                up[a] |= up[b]
+        return cls._of(up, down, grid_coords)
 
     @classmethod
     def chain(cls, n: int) -> "FinitePoset":
-        return cls(np.triu(np.ones((n, n), dtype=bool)), validate=False)
+        full = (1 << n) - 1
+        return cls._of([full >> a << a for a in range(n)], [(2 << a) - 1 for a in range(n)],
+                       covers=tuple((a, a + 1) for a in range(n - 1)))
+
+    def with_coords(self, grid_coords) -> "FinitePoset":
+        """The same order with other grid coordinates."""
+        return self._of(self.up, self.down, grid_coords, self._covers)
+
+    def induced(self, members) -> "FinitePoset":
+        """The subposet on the given ids, relabelled 0..k-1 in ascending id
+        order; grid coordinates go with their elements."""
+        ms = sorted(set(int(m) for m in members))
+
+        def pack(mask):
+            return bitset([k for k, b in enumerate(ms) if mask >> b & 1], len(ms))
+
+        coords = None if self.grid_coords is None else [self.grid_coords[m] for m in ms]
+        return self._of([pack(self.up[m]) for m in ms], [pack(self.down[m]) for m in ms], coords)
 
     # -- structure -------------------------------------------------------
+
+    @property
+    def leq(self):
+        """The read-only boolean matrix of the order (numpy), built on first use."""
+        if self._leq is None:
+            import numpy as np
+
+            n, nbytes = self.n, (self.n + 7) // 8
+            packed = b"".join(bits.to_bytes(nbytes, "little") for bits in self.up)
+            leq = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(n, nbytes),
+                                axis=1, bitorder="little")[:, :n].astype(bool)
+            leq.setflags(write=False)
+            self._leq = leq
+        return self._leq
+
+    def le(self, a: int, b: int) -> bool:
+        return bool(self.up[a] >> b & 1)
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges (a, b) with a covered by b, sorted.
 
-        From the strict up-set bitsets: b covers a unless b lies in up(c)
-        for some c in up(a), so the cost follows the number of comparable
-        pairs instead of n**3.
+        The upper covers of a are the minimal elements of its strict
+        up-set: from any element still left, step down inside what is left
+        to a minimal one, keep it and drop its up-set.  The cost follows
+        the number of covers times the chain length, not the comparable
+        pairs.
         """
         if self._covers is None:
-            lt = self.leq & ~np.eye(self.n, dtype=bool)
-            up = row_bitsets(lt)
-            lows, highs = (ix.tolist() for ix in np.nonzero(lt))
-            above = [0] * self.n
-            for a, c in zip(lows, highs):
-                above[a] |= up[c]
-            self._covers = tuple((a, b) for a, b in zip(lows, highs) if not above[a] >> b & 1)
+            up, down = self.up, self.down
+            out = []
+            for a in range(self.n):
+                rest = up[a] ^ 1 << a
+                tops = []
+                while rest:
+                    c = rest.bit_length() - 1
+                    while below := (down[c] & rest) ^ 1 << c:
+                        c = below.bit_length() - 1
+                    tops.append(c)
+                    rest &= ~up[c]
+                out += [(a, c) for c in sorted(tops)]
+            self._covers = tuple(out)
         return self._covers
 
     @property
@@ -131,69 +211,69 @@ class FinitePoset:
     def topological_order(self) -> tuple[int, ...]:
         """A linear extension of the order (ids sorted by down-set size, then id)."""
         if self._topo is None:
-            self._topo = tuple(np.argsort(self.leq.sum(axis=0), kind="stable").tolist())
+            sizes = [bits.bit_count() for bits in self.down]
+            self._topo = tuple(sorted(range(self.n), key=sizes.__getitem__))
         return self._topo
 
-    def up_ids(self, a: int) -> np.ndarray:
-        return np.nonzero(self.leq[a])[0]
+    def up_ids(self, a: int) -> tuple[int, ...]:
+        return tuple(iter_bits(self.up[a]))
 
-    def down_ids(self, a: int) -> np.ndarray:
-        return np.nonzero(self.leq[:, a])[0]
+    def down_ids(self, a: int) -> tuple[int, ...]:
+        return tuple(iter_bits(self.down[a]))
 
-    def segment(self, a: int, b: int) -> np.ndarray:
+    def segment(self, a: int, b: int) -> tuple[int, ...]:
         """Ids x with a <= x <= b."""
-        return np.nonzero(self.leq[a] & self.leq[:, b])[0]
+        return tuple(iter_bits(self.up[a] & self.down[b]))
 
     def comparable(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b] or self.leq[b, a])
+        return bool((self.up[a] | self.down[a]) >> b & 1)
 
     def minimal_of(self, members) -> tuple[int, ...]:
-        ms = sorted(members)
-        return tuple(a for a in ms if not any(self.leq[b, a] and b != a for b in ms))
+        ms = sorted(int(m) for m in members)
+        mask = _mask(ms)
+        return tuple(a for a in ms if self.down[a] & mask == 1 << a)
 
     def maximal_of(self, members) -> tuple[int, ...]:
-        ms = sorted(members)
-        return tuple(a for a in ms if not any(self.leq[a, b] and b != a for b in ms))
+        ms = sorted(int(m) for m in members)
+        mask = _mask(ms)
+        return tuple(a for a in ms if self.up[a] & mask == 1 << a)
 
     # -- subset predicates -------------------------------------------------
 
     def is_connected_subset(self, members) -> bool:
         """Whether the members span a connected subgraph of the comparability graph.
 
-        Breadth-first over int bitsets: bit b of ``_comparable_bits[a]`` is
-        set when a <= b or b <= a, and each round adds every member
+        Breadth-first over int bitsets: b is comparable to a when bit b of
+        ``up[a] | down[a]`` is set, and each round adds every member
         comparable to the frontier.  The empty set is not connected.
         """
-        mask = 0
-        for a in members:
-            mask |= 1 << int(a)
+        mask = _mask(members)
         if not mask:
             return False
-        if self._comparable_bits is None:
-            self._comparable_bits = row_bitsets(self.leq | self.leq.T)
-        comp = self._comparable_bits
+        up, down = self.up, self.down
         seen = frontier = mask & -mask
         while frontier and seen != mask:
             reach = 0
             # iter_bits inlined: its generator doubles the cost of small calls
             while frontier:
                 low = frontier & -frontier
-                reach |= comp[low.bit_length() - 1]
+                a = low.bit_length() - 1
+                reach |= up[a] | down[a]
                 frontier ^= low
             frontier = reach & mask & ~seen
             seen |= frontier
         return seen == mask
 
     def is_convex_subset(self, members) -> bool:
-        ms = sorted(set(members))
-        inside = np.zeros(self.n, dtype=bool)
-        inside[ms] = True
-        for a in ms:
-            for b in ms:
-                if a != b and self.leq[a, b]:
-                    if not inside[self.segment(a, b)].all():
-                        return False
-        return True
+        """Whether every x with a <= x <= b for members a, b is a member:
+        the up-set and the down-set of the members meet inside them."""
+        mask = above = below = 0
+        for a in members:
+            a = int(a)
+            mask |= 1 << a
+            above |= self.up[a]
+            below |= self.down[a]
+        return above & below & ~mask == 0
 
     def is_interval_subset(self, members) -> bool:
         ms = set(members)
@@ -252,16 +332,38 @@ def grid_poset(width: int, height: int, origin: tuple[int, int] = (0, 0)) -> Fin
     """Product-order poset on a width x height window of the plane.
 
     Element ids run in lexicographic (x, y) order, which is a linear
-    extension of the product order; covers are the unit steps.
+    extension of the product order; covers are the unit steps.  Id
+    i * height + j is the point (ox + i, oy + j), so its up-set is the
+    column mask of rows >= j repeated in every column >= i, and its
+    down-set that of rows <= j in every column <= i.
     """
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be >= 1")
     ox, oy = origin
-    coords = tuple((ox + i, oy + j) for i in range(width) for j in range(height))
-    xs = np.array([c[0] for c in coords])
-    ys = np.array([c[1] for c in coords])
-    leq = (xs[:, None] <= xs[None, :]) & (ys[:, None] <= ys[None, :])
-    return FinitePoset(leq, grid_coords=coords, validate=False)
+    h, n = height, width * height
+    coords = tuple((ox + i, oy + j) for i in range(width) for j in range(h))
+    repeat = ((1 << n) - 1) // ((1 << h) - 1)  # bit i * h for every column i
+    rows_up = [((1 << h) - (1 << j)) * repeat for j in range(h)]
+    rows_down = [((2 << j) - 1) * repeat for j in range(h)]
+    up, down, covers = [], [], []
+    for i in range(width):
+        right, left = (1 << n) - (1 << i * h), (1 << (i + 1) * h) - 1
+        for j in range(h):
+            a = i * h + j
+            up.append(rows_up[j] & right)
+            down.append(rows_down[j] & left)
+            if j + 1 < h:
+                covers.append((a, a + 1))
+            if i + 1 < width:
+                covers.append((a, a + h))
+    return FinitePoset._of(up, down, coords, tuple(covers))
+
+
+def _mask(ids) -> int:
+    mask = 0
+    for a in ids:
+        mask |= 1 << int(a)
+    return mask
 
 
 # -- subposet identifiers ---------------------------------------------------
@@ -325,11 +427,13 @@ class GridInterval:
     (checked on construction): every row nonempty, and for consecutive
     rows (a, b) below (a', b'): a' <= a, b' <= b and a <= b'.  These are
     exactly convexity + connectivity for subsets of the plane with
-    contiguous rows.
+    contiguous rows.  The hash of (y0, rows) is taken once, on
+    construction, and takes no part in equality.
     """
 
     y0: int
     rows: tuple[tuple[int, int], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rows:
@@ -340,6 +444,10 @@ class GridInterval:
         for (a, b), (a2, b2) in zip(self.rows, self.rows[1:]):
             if not (a2 <= a and b2 <= b and a <= b2):
                 raise ValueError(f"rows {(a, b)} -> {(a2, b2)} do not form an interval")
+        object.__setattr__(self, "_hash", hash((self.y0, self.rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- queries ------------------------------------------------------------
 
@@ -537,6 +645,7 @@ def _staircase(y0: int, rows: tuple) -> GridInterval:
     gi = object.__new__(GridInterval)
     object.__setattr__(gi, "y0", y0)
     object.__setattr__(gi, "rows", rows)
+    object.__setattr__(gi, "_hash", hash((y0, rows)))
     return gi
 
 
@@ -773,7 +882,7 @@ def enumerate_segments(poset: FinitePoset) -> list[SubposetId]:
     out = []
     for a in range(poset.n):
         for b in poset.up_ids(a):
-            out.append(SubposetId("segment", tuple(int(i) for i in poset.segment(a, int(b)))))
+            out.append(SubposetId("segment", poset.segment(a, b)))
     # [p, q] has p as its unique minimum and q as its unique maximum, so no
     # two segments coincide as sets
     return canonical_order(out)
@@ -837,42 +946,78 @@ def upper_fence(gi: GridInterval) -> tuple[tuple[int, int], ...]:
 class Supersets:
     """Which indexed members contain a given member: the one containment index.
 
-    For every point x (plane coordinates of a ``GridInterval``, ids of a
-    ``SubposetId``), the Python-int bitset of the members that contain x
+    For every point (plane coordinates of a ``GridInterval``, ids of a
+    ``SubposetId``), the Python-int bitset of the members that contain it
     (bit j for member j).  The members containing I are the AND of those
-    bitsets over I's points: |I| big-int ANDs in C.  Built in one packed
-    batch over a whole collection; ``add`` grows an index over a support.
+    bitsets over I's points: |I| big-int ANDs in C.  Points are filed by
+    row, ``_rows[y][x]`` for the point (x, y) and ``_rows[None][i]`` for
+    id i, so a plane interval is read row range by row range without
+    listing its points.  Built in one batch over a whole collection, one
+    bytearray per point set bit by bit; ``add`` grows an index over a
+    support.
     """
 
-    __slots__ = ("_size", "_by_point")
+    __slots__ = ("_size", "_rows")
 
     def __init__(self, members=()):
+        self._size = n = len(members)
+        nbytes = -(-n // 8)
         rows: dict = {}
         for j, it in enumerate(members):
-            for x in _points(it):
-                rows.setdefault(x, []).append(j)
-        self._size = len(members)
-        self._by_point = {x: bitset(js, self._size) for x, js in rows.items()}
+            byte, bit = j >> 3, 1 << (j & 7)
+            for y, xs in _lines(it):
+                line = rows.get(y)
+                if line is None:
+                    line = rows[y] = {}
+                for x in xs:
+                    packed = line.get(x)
+                    if packed is None:
+                        packed = line[x] = bytearray(nbytes)
+                    packed[byte] |= bit
+        self._rows = {y: {x: int.from_bytes(packed, "little") for x, packed in line.items()}
+                      for y, line in rows.items()}
 
     def add(self, member) -> None:
         """Index one more member, as the next bit."""
         bit = 1 << self._size
         self._size += 1
-        for x in _points(member):
-            self._by_point[x] = self._by_point.get(x, 0) | bit
+        for y, xs in _lines(member):
+            line = self._rows.setdefault(y, {})
+            for x in xs:
+                line[x] = line.get(x, 0) | bit
 
     def containing(self, member) -> int:
         """Bitset of the indexed members that contain the member."""
         mask = -1  # every bit, until the first point's bitset
-        for x in _points(member):
-            mask &= self._by_point.get(x, 0)
-            if not mask:
-                break
+        for y, xs in _lines(member):
+            line = self._rows.get(y)
+            if line is None:
+                return 0
+            for x in xs:
+                mask &= line.get(x, 0)
+                if not mask:
+                    return 0
         return mask
 
+    def within(self, member) -> int:
+        """Bitset of the indexed members that the member contains: those
+        with no point outside it."""
+        outside = 0
+        inside = {y: set(xs) for y, xs in _lines(member)}
+        for y, line in self._rows.items():
+            xs = inside.get(y, ())
+            for x, bits in line.items():
+                if x not in xs:
+                    outside |= bits
+        return (1 << self._size) - 1 & ~outside
 
-def _points(member):
-    return member.points() if isinstance(member, GridInterval) else member.members
+
+def _lines(member):
+    """The member's points by row: (y, x range) per row of a plane interval,
+    one (None, ids) for a ``SubposetId``."""
+    if isinstance(member, GridInterval):
+        return [(y, range(a, b + 1)) for y, (a, b) in enumerate(member.rows, member.y0)]
+    return [(None, member.members)]
 
 
 def canonical_members(items) -> tuple:
@@ -884,16 +1029,11 @@ def canonical_members(items) -> tuple:
 
 
 def bitset(indices, n: int) -> int:
-    """The int with exactly the given bits set, all below n (packed by numpy)."""
-    row = np.zeros(-(-n // 8) * 8, dtype=bool)
-    row[list(indices)] = True
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-
-
-def row_bitsets(matrix: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int, bit j standing for column j."""
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(matrix, axis=1, bitorder="little")]
+    """The int with exactly the given bits set, all below n."""
+    packed = bytearray(-(-n // 8))
+    for j in indices:
+        packed[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(packed, "little")
 
 
 def iter_bits(mask: int):
@@ -929,14 +1069,11 @@ class ContainmentPoset:
 def containment_poset(items) -> ContainmentPoset:
     """The collection in canonical order, ordered by reverse inclusion.
 
-    Column j of ``leq`` is the bitset of the members containing member j.
-    The library's one n x n structure: about 3.5 n**2 bytes at peak.
+    The down-set of member j is the bitset of the members containing it,
+    and its up-set that of the members it contains, both read from one
+    :class:`Supersets` index.
     """
     items = canonical_members(items)
     sup = Supersets(items)
-    n = len(items)
-    nbytes = (n + 7) // 8
-    packed = b"".join(sup.containing(it).to_bytes(nbytes, "little") for it in items)
-    cols = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(n, nbytes),
-                         axis=1, bitorder="little")[:, :n]
-    return ContainmentPoset(items, FinitePoset(cols.T.astype(bool), validate=False))
+    return ContainmentPoset(items, FinitePoset._of([sup.within(it) for it in items],
+                                                   [sup.containing(it) for it in items]))

@@ -10,11 +10,14 @@ commutativity constraints, so their maps are genuinely arbitrary.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .fixtures import grid3_zib_pair
 from .modules import PModule, direct_sum, grid_interval_module
 from .posets import FinitePoset, GridInterval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def random_poset(rng: np.random.Generator, n: int, density: float = 0.35) -> FinitePoset:

@@ -115,12 +115,12 @@ class ZigzagPath:
     def _span_table(self) -> dict[tuple[int, int], tuple[GridInterval, bool]]:
         """(interval hull, tameness) of the subpath over indices a..b, for every span."""
         n = len(self.points)
+        where = _positions(self.points)
         table = {}
         for a in range(n):
             for b in range(a, n):
-                sub = self.subpath(a, b)
-                hull = interval_hull(sub)
-                table[a, b] = (hull, _tame_in_hull(sub, hull))
+                hull = interval_hull(self.subpath(a, b))
+                table[a, b] = (hull, _tame_in_hull(self.points, where, a, b, hull))
         return table
 
     # -- serialisation -------------------------------------------------------
@@ -215,23 +215,36 @@ def boundary_cap(gi: GridInterval) -> ZigzagPath:
     return ZigzagPath(tuple(pts))
 
 
-def _is_contiguous(small: tuple, big: tuple) -> bool:
-    n, m = len(small), len(big)
-    if n > m:
-        return False
-    return any(big[i : i + n] == small for i in range(m - n + 1))
-
-
 def is_tame(path: ZigzagPath) -> bool:
     """Both fences of the hull appear (forwards or backwards) as contiguous subpaths."""
-    return _tame_in_hull(path, interval_hull(path))
+    pts = path.points
+    return _tame_in_hull(pts, _positions(pts), 0, len(pts) - 1, interval_hull(path))
 
 
-def _tame_in_hull(path: ZigzagPath, hull: GridInterval) -> bool:
-    """:func:`is_tame` given the path's interval hull."""
+def _positions(points) -> dict:
+    """Each point of a path -> the indices at which the path visits it, ascending."""
+    where: dict = {}
+    for i, pt in enumerate(points):
+        where.setdefault(pt, []).append(i)
+    return where
+
+
+def _tame_in_hull(points, where, lo: int, hi: int, hull: GridInterval) -> bool:
+    """:func:`is_tame` of the span points[lo..hi], given its interval hull
+    and the :func:`_positions` of ``points``.
+
+    A fence runs forwards through the span from a visit of its first
+    point, or backwards into one, so only those visits are compared, not
+    every offset (a simple path visits each point once).
+    """
     for fence in (lower_fence(hull), upper_fence(hull)):
-        rev = tuple(reversed(fence))
-        if not (_is_contiguous(fence, path.points) or _is_contiguous(rev, path.points)):
+        n = len(fence)
+        rev = fence[::-1]
+        for i in where.get(fence[0], ()):
+            if ((lo <= i <= hi - n + 1 and points[i:i + n] == fence)
+                    or (lo + n - 1 <= i <= hi and points[i - n + 1:i + 1] == rev)):
+                break
+        else:
             return False
     return True
 

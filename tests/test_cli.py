@@ -371,6 +371,9 @@ def test_non_functorial_module_over_a_large_abstract_poset_is_an_input_error(cap
     ("poset 3\ncover 1 -1\n", "cover 1 -1"),  # id below 0
     ("poset 3\ncover 1 3\n", "cover 1 3"),  # id above n - 1
     ("poset 3\ncover 1 1\n", "cover 1 1"),  # self-cover
+    ("poset 3\ncover 0 1\ncover 1 2\ncover 2 0\n", "leq is not antisymmetric"),  # cycle
+    # a block without rows still declares its width, which must be dims 0
+    ("grid 2 1 0 0\nfield 2\ndims 0 1\nmap 0 1\n0 2\n", "map 0->1 has shape (0, 2)"),
 ])
 def test_malformed_module_file_is_an_input_error(capsys, tmp_path, text, named):
     f = tmp_path / "m.txt"
@@ -379,6 +382,43 @@ def test_malformed_module_file_is_an_input_error(capsys, tmp_path, text, named):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error: ") and named in err
+
+
+def test_huge_map_entries_read_as_their_residues(capsys, tmp_path):
+    # 2**70 does not fit an int64; it is 1 mod 3
+    text = "grid 2 2 0 0\nfield 3\n" + "".join(f"dims {i} 1\n" for i in range(4)) + (
+        "map 0 1\n1 1\n{0}\nmap 0 2\n1 1\n{0}\nmap 1 3\n1 1\n1\nmap 2 3\n1 1\n1\n")
+    huge, reduced = tmp_path / "huge.txt", tmp_path / "reduced.txt"
+    huge.write_text(text.format(1180591620717411303424))
+    reduced.write_text(text.format(1))
+    code, out, err = run(capsys, "gri", str(huge), "--collection", "intervals")
+    assert (code, err) == (EXIT_OK, "")
+    assert (code, out, err) == run(capsys, "gri", str(reduced), "--collection", "intervals")
+    assert out.splitlines()[-1] == "0,0 0,1 1,0 1,1\t1"
+    assert PModule.from_text(huge.read_text()).to_text() == reduced.read_text().rstrip("\n")
+
+
+def test_numpy_stays_off_the_import_and_cli_paths(capsys, tmp_path):
+    """`import grinv` and CLI runs on module files, each in a fresh
+    interpreter, leave numpy unloaded."""
+    emit = tmp_path / "emit"
+    assert main(["fixtures", "run", "ex-2x2-indicator", "--emit", str(emit)]) == EXIT_OK
+    capsys.readouterr()
+    m, n = (str(emit / f"ex-2x2-indicator-{name}.txt") for name in "mn")
+    paths = tmp_path / "p.txt"
+    paths.write_text("path 3\n0 0\n1 0\n1 1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(grinv.__file__).resolve().parents[1]))
+    env.pop("GRINV_FIELD", None)
+    for argv in (None, ["gri", m, "--collection", "intervals"], ["gpd", m],
+                 ["erosion", m, n], ["zib", m, "--paths", str(paths)],
+                 ["bounds", m, "--paths", str(paths)]):
+        code = "import sys\nimport grinv, grinv.cli\n"
+        if argv:
+            code += f"assert grinv.cli.main({argv!r}) == 0\n"
+        code += "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 @pytest.mark.parametrize("text", [

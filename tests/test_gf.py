@@ -12,6 +12,8 @@ from grinv.gf import (
     pull_rows,
     random_invertible,
     rational_solve_in_span,
+    rows_from_lines,
+    rows_to_text,
     rref_rows,
 )
 from grinv.modules import PModule
@@ -113,11 +115,21 @@ def test_inverse_round_trip(rng):
 
 
 def test_text_round_trip():
-    a = FFMatrix([[1, 2, 0], [0, 1, 2]], 3)
-    text = a.to_text()
-    back, nxt = FFMatrix.from_lines(text.splitlines(), 0, 3)
-    assert back == a
-    assert nxt == 3
+    rows = [[1, 2, 0], [0, 1, 2]]
+    text = rows_to_text(rows, 3)
+    assert text == "2 3\n1 2 0\n0 1 2"
+    back, ncols, nxt = rows_from_lines(text.splitlines(), 0)
+    assert (back, ncols, nxt) == (rows, 3, 3)
+    # a block without rows keeps its width in the header alone
+    assert rows_from_lines(rows_to_text([], 4).splitlines(), 0) == ([], 4, 1)
+
+
+def test_rows_from_lines_reads_huge_entries_exactly():
+    back, _, _ = rows_from_lines(["1 2", f"{2 ** 70} -{3 ** 50}"], 0)
+    assert back == [[2 ** 70, -3 ** 50]]
+    for bad in (["1 2", "1"], ["-1 2"], ["1 x"], ["1 2", "1 y"]):
+        with pytest.raises(ValueError):
+            rows_from_lines(bad, 0)
 
 
 LARGEST_P = next(q for q in range(MAX_P, 2, -1) if is_prime(q))

@@ -8,6 +8,7 @@ from grinv.fixtures import build_fixture
 from grinv.invariants import (
     GriTable,
     IntervalDecomposableError,
+    RankCache,
     containment_dot,
     format_members,
     gpd,
@@ -22,7 +23,7 @@ from grinv.invariants import (
     verify_invertibility,
 )
 from grinv.mobius import PosetFunction, convolve, mobius_function
-from grinv.modules import direct_sum, grid_interval_module, zero_module
+from grinv.modules import direct_sum, generalized_rank, grid_interval_module, interval_module, zero_module
 from grinv.posets import (
     GridInterval,
     SubposetId,
@@ -52,6 +53,39 @@ def test_gri_of_zero_module(grid33):
     table = gri(zero_module(grid33), ints)
     assert set(table.ranks) == {0}
     assert table.check_monotone() is None
+
+
+def test_rank_cache_hashes_each_member_once_per_call(monkeypatch, grid33, rng):
+    module = random_module(rng, grid33)
+    members = enumerate_grid_intervals(grid33)
+    calls = []
+    plain = GridInterval.__hash__
+    monkeypatch.setattr(GridInterval, "__hash__", lambda gi: calls.append(1) or plain(gi))
+    cache = RankCache(module)
+    cold = [cache.rank(gi) for gi in members]
+    assert len(calls) == cache.queries == len(members)
+    assert [cache.rank(gi) for gi in members] == cold
+    assert len(calls) == 2 * len(members) and cache.queries == len(members)
+    assert cold == [generalized_rank(module, gi) for gi in members]
+
+
+def test_rank_cache_files_no_rank_for_a_failed_miss(grid22):
+    module = interval_module(grid22, range(4), ambient=False)
+    cache = RankCache(module)
+    outside = GridInterval.rectangle((0, 0), (2, 0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="leaves the window"):
+            cache.rank(outside)
+        assert cache.rank(GridInterval.rectangle((0, 0), (1, 1))) == 1
+    assert cache.queries == 1
+
+
+def test_gpd_of_a_table_out_of_canonical_order(rng, grid33):
+    table = gri(random_module(rng, grid33), enumerate_grid_intervals(grid33))
+    shuffled = rng.permutation(len(table.ranks)).tolist()
+    other = GriTable(tuple(table.collection[i] for i in shuffled),
+                     tuple(table.ranks[i] for i in shuffled))
+    assert gpd(other).support == gpd(table).support
 
 
 def test_check_monotone_finds_a_violation_beyond_one_point_extensions():

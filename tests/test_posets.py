@@ -239,6 +239,84 @@ def test_covers_match_the_dense_rule(n, data):
     assert poset.covers == dense_covers(poset)
 
 
+def matrix_closure(n, pairs):
+    """Oracle: the order generated by the pairs, by squaring a boolean matrix."""
+    leq = np.eye(n, dtype=bool)
+    for a, b in pairs:
+        leq[a, b] = True
+    while True:
+        nxt = leq | (leq.astype(np.int64) @ leq.astype(np.int64) > 0)
+        if np.array_equal(nxt, leq):
+            return leq
+        leq = nxt
+
+
+def matrix_grid(w, h, origin):
+    """Oracle: the product order on a window, by comparing coordinates."""
+    xs = np.repeat(np.arange(w) + origin[0], h)
+    ys = np.tile(np.arange(h) + origin[1], w)
+    return (xs[:, None] <= xs[None, :]) & (ys[:, None] <= ys[None, :])
+
+
+def assert_matches_matrix(poset, leq, data):
+    """Every bitset query of the poset against the same query on ``leq``."""
+    n = len(leq)
+    assert poset.n == n and np.array_equal(poset.leq, leq)
+    assert poset.up == tuple(sum(1 << int(b) for b in np.nonzero(row)[0]) for row in leq)
+    assert poset.down == tuple(sum(1 << int(a) for a in np.nonzero(col)[0]) for col in leq.T)
+    lt = leq & ~np.eye(n, dtype=bool)
+    covers = tuple(sorted((int(a), int(b)) for a, b in zip(*np.nonzero(lt & ~(lt @ lt)))))
+    assert poset.covers == covers
+    assert poset.lower_covers == tuple(tuple(a for a, b in covers if b == c) for c in range(n))
+    assert poset.topological_order() == tuple(np.argsort(leq.sum(axis=0), kind="stable").tolist())
+    for _ in range(6):
+        members = data.draw(st.lists(st.integers(0, n - 1), max_size=min(n + 2, 10)))
+        ms = sorted(members)
+        assert poset.minimal_of(members) == tuple(
+            a for a in ms if not any(leq[b, a] and b != a for b in ms))
+        assert poset.maximal_of(members) == tuple(
+            a for a in ms if not any(leq[a, b] and b != a for b in ms))
+        assert poset.is_convex_subset(members) == all(
+            x in ms for a in ms for b in ms for x in range(n) if leq[a, x] and leq[x, b])
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        assert poset.segment(a, b) == tuple(np.nonzero(leq[a] & leq[:, b])[0].tolist())
+        assert poset.comparable(a, b) == bool(leq[a, b] or leq[b, a])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.6), st.data())
+def test_bitset_poset_matches_matrix_oracles_on_random_posets(n, seed, density, data):
+    poset = random_poset(np.random.default_rng(seed), n, density)
+    # random_poset closes these pairs, drawn from the same stream
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    leq = matrix_closure(n, pairs)
+    assert_matches_matrix(poset, leq, data)
+    # relabelled, so that ids need not extend the order
+    perm = data.draw(st.permutations(range(n)))
+    relabelled = FinitePoset.from_covers(n, [(perm[a], perm[b]) for a, b in pairs])
+    inv = np.argsort(perm)
+    assert_matches_matrix(relabelled, leq[np.ix_(inv, inv)], data)
+    assert_matches_matrix(FinitePoset(leq), leq, data)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(-5, 5), st.integers(-5, 5), st.data())
+def test_bitset_poset_matches_matrix_oracles_on_grid_windows(w, h, ox, oy, data):
+    leq = matrix_grid(w, h, (ox, oy))
+    window = grid_poset(w, h, (ox, oy))
+    assert_matches_matrix(window, leq, data)
+    assert window.grid_coords == tuple((ox + i, oy + j) for i in range(w) for j in range(h))
+    assert_matches_matrix(FinitePoset.from_covers(w * h, window.covers), leq, data)
+    assert_matches_matrix(FinitePoset.chain(w), matrix_closure(w, [(a, a + 1) for a in range(w - 1)]), data)
+
+
+def test_cover_cycles_are_not_antisymmetric():
+    for pairs in ([(0, 1), (1, 0)], [(0, 1), (1, 2), (2, 0)], [(3, 4), (0, 1), (1, 2), (2, 1)]):
+        with pytest.raises(ValueError, match="leq is not antisymmetric"):
+            FinitePoset.from_covers(5, pairs)
+
+
 def bfs_is_connected(poset, members):
     """Oracle: breadth-first search reading comparabilities from ``leq``."""
     ms = sorted(set(members))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grinv.fixtures import build_fixture
 from grinv.gf import rref_rows
 from grinv.invariants import RankCache
 from grinv.modules import PModule, generalized_rank, generalized_rank_fast, grid_interval_module
-from grinv.posets import GridInterval, grid_poset
+from grinv.posets import GridInterval, grid_poset, lower_fence, upper_fence
 from grinv.sampling import (
     random_faithful_path,
     random_grid_interval,
@@ -151,6 +151,40 @@ def test_tame_detection_on_handmade_paths():
     assert not is_tame(around)
     single = ZigzagPath(((1, 1),))
     assert is_tame(single)
+
+
+def slice_tame(points) -> bool:
+    """Oracle: both fences of the hull, forwards or backwards, at some offset of the path."""
+    hull = interval_hull(ZigzagPath(points))
+    for fence in (lower_fence(hull), upper_fence(hull)):
+        k = len(fence)
+        if not any(points[i:i + k] in (fence, fence[::-1]) for i in range(len(points) - k + 1)):
+            return False
+    return True
+
+
+_UNIT = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(-3, 3), st.integers(-3, 3), st.lists(st.integers(0, 3), max_size=14),
+       st.integers(0, 2 ** 32 - 1))
+# spans that a fence run crossing either end of the span would wrongly pass
+@example(1, -3, [2, 1, 0, 0, 3, 1, 2, 0, 0], 0)
+@example(1, 0, [1, 1, 2, 0, 3, 0, 2, 3, 3], 0)
+def test_tameness_matches_the_slice_oracle(x, y, steps, seed):
+    # unit walks that may revisit points, and boundary caps, which often do
+    walk = [(x, y)]
+    for s in steps:
+        dx, dy = _UNIT[s]
+        walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
+    cap = boundary_cap(random_grid_interval(np.random.default_rng(seed), (x, y, x + 3, y + 3)))
+    for path in (ZigzagPath(tuple(walk)), cap):
+        pts = path.points
+        assert is_tame(path) == slice_tame(pts)
+        for (a, b), (hull, tame) in path._span_table.items():
+            assert hull == interval_hull(ZigzagPath(pts[a:b + 1]))
+            assert tame == slice_tame(pts[a:b + 1]), (pts, a, b)
 
 
 def test_monotone_and_negative_paths_are_tame(rng, grid33):
