@@ -116,17 +116,19 @@ def mul_rows(vecs: list[list[int]], rows: list[list[int]], p: int) -> list[list[
 
 def pull_rows(vecs: list[list[int]], mt_rows: list[list[int]], width: int,
               p: int) -> list[list[int]]:
-    """Vectors b spanning the pullback of span(vecs) along M^T.
+    """A basis of the pullback of span(vecs) along M^T.
 
     ``mt_rows`` are the rows of M^T (one per entry of the vectors, each
-    ``width`` long).  The result is the b-part of a basis of
+    ``width`` long).  The result is the nonzero b-parts of a basis of
     ker [vecs | M^T], with vecs as columns: every b has M^T b in the span
-    of vecs, and together they span all such b.  Dependent vecs can make
-    the returned vectors dependent; only their span is meaningful.
+    of vecs, and together they span all such b.  A kernel vector whose
+    free column lies among the vecs only records a dependency among them:
+    its b-part is zero, and it is dropped.  Each vector left has a 1 at
+    its own free column and 0 at the others, so they are independent.
     """
     k = len(vecs)
     m = [[v[r] for v in vecs] + row for r, row in enumerate(mt_rows)]
-    return [z[k:] for z in kernel_rows(m, k + width, p)]
+    return [b for z in kernel_rows(m, k + width, p) if any(b := z[k:])]
 
 
 def rows_to_text(rows: list[list[int]], ncols: int) -> str:

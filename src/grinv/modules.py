@@ -14,8 +14,9 @@ functoriality holds; the test suite checks this against an
 all-comparable-pairs oracle rather than assuming it.  They are the
 general rank route and the oracle of the grid fast path, which solves
 each interval's two boundary fences with the zigzag sweep step
-(`sweep_step`, shared with path barcodes), memoised per module by the
-interval's minimal and maximal antichains (see `generalized_rank_fast`).
+(`sweep_step`, shared with path barcodes), one step per fence leg
+between its turning points, memoised per module by the interval's
+minimal and maximal antichains (see `generalized_rank_fast`).
 Both routes run on rows of Python ints through the `gf` row routines.
 
 Modules on grid windows can opt into the extension-by-zero convention:
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from .gf import (DEFAULT_P, MAX_DIM, FFMatrix, check_modulus, kernel_rows, mul_rows, pull_rows,
                  random_invertible, rows_from_lines, rows_to_text, rref_rows)
-from .posets import FinitePoset, GridInterval, SubposetId, check_fence_inside, fence_points
+from .posets import FinitePoset, GridInterval, SubposetId, fence_turns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -522,18 +523,22 @@ def sweep_step(module: PModule, a: int, b: int, e, q):
 def _fence_solve(module: PModule, ext, lower: bool):
     """(last fence id, basis of E or Q there, {b: pushed E basis} or None), memoised.
 
-    The key is the antichain ``ext`` that fixes the fence; its points are
-    listed only on a miss.  One sweep along the fence from the identity
-    at its first point; a lower fence keeps only E, an upper fence only
-    Q.  The points of a fence induce exactly the path's covers, so E
-    spans the image of the fence's limit and Q the coordinates of its
-    colimit.
+    The key is the antichain ``ext`` that fixes the fence; its turning
+    points are listed only on a miss.  One sweep from the identity at the
+    first point, one step per leg, with each leg's composite
+    ``PModule.transition``: 2k steps for an antichain of k + 1 points.  A
+    lower fence keeps only E, an upper fence only Q.  The points of a
+    fence induce exactly the path's covers, so E spans the image of the
+    fence's limit and Q the coordinates of its colimit.  A leg is a chain,
+    over which the limit and colimit restrict isomorphically to its ends,
+    and pushforwards and pullbacks compose, so the spans (and their
+    reduced bases) are those of a sweep through every fence point.
     """
     key = (lower, ext)
     hit = module._fences.get(key)
     if hit is None:
         idx = module._window_idx
-        ids = [idx[pt] for pt in fence_points(ext, lower)]
+        ids = [idx[pt] for pt in fence_turns(ext, lower)]
         d = module.dims[ids[0]]
         rows = [[int(r == c) for r in range(d)] for c in range(d)]
         for a, b in zip(ids, ids[1:]):
@@ -570,16 +575,15 @@ def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
     basis spans V_b the rank is the number of Q rows, and if Q has dim V_b
     rows it is the size of that basis; only otherwise is there an
     elimination.  The memo is exact: an entry is a deterministic function
-    of its key and the module alone.  Each interval still checks that its
-    fences stay inside it, at the joins and meets of its antichains.
+    of its key and the module alone.  After the trivial-zero filter, one
+    walk up the rows (`GridInterval.antichains`) finds both antichains and
+    checks that the fences stay inside the interval, at their corners.
     """
     if module._window_idx is None:
         raise ValueError("fast path needs a grid module")
     if module._interval_rank_trivial(gi):
         return 0
-    mins, maxs = gi.minimal_points(), gi.maximal_points()
-    check_fence_inside(gi, mins, lower=True)
-    check_fence_inside(gi, maxs, lower=False)
+    mins, maxs = gi.antichains()
     a, e, pushed = _fence_solve(module, mins, lower=True)
     if not e:
         return 0

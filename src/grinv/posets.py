@@ -494,23 +494,42 @@ class GridInterval:
         # leftmost and the bottom row ends rightmost
         return (self.rows[-1][0], self.y0, self.rows[0][1], self.y1)
 
+    def antichains(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """(minimal points, maximal points), each in ascending x (descending
+        y), in one walk up the rows: the lowest row of each run of equal
+        starts holds a minimal point, the highest row of each run of equal
+        ends a maximal one.
+
+        Every point of a fence lies between a point of its antichain and a
+        corner, the join of consecutive minimal points (lower fence) or the
+        meet of consecutive maximal points (upper fence), so by convexity
+        the fences stay inside once the corners do.  The walk checks each
+        corner as it meets it and raises AssertionError if one is outside.
+        """
+        (a, b), y = self.rows[0], self.y0
+        mins, maxs = [(a, y)], []
+        for a2, b2 in self.rows[1:]:
+            y += 1
+            x = mins[-1][0]
+            if a2 < x:  # (a2, y) is minimal, and (x, y) its join with the last one
+                if x > b2:
+                    raise AssertionError(f"fence point {(x, y)} escaped the interval")
+                mins.append((a2, y))
+            if b2 < b:  # (b, y - 1) is maximal, and (b2, y - 1) its meet with the next
+                if b2 < a:
+                    raise AssertionError(f"fence point {(b2, y - 1)} escaped the interval")
+                maxs.append((b, y - 1))
+            a, b = a2, b2
+        maxs.append((b, y))
+        return tuple(reversed(mins)), tuple(reversed(maxs))
+
     def minimal_points(self) -> tuple[tuple[int, int], ...]:
-        """The minimal antichain in ascending x (descending y), in one walk up
-        the rows: the lowest row of each run of equal starts holds one."""
-        pts = []
-        for i, (a, _) in enumerate(self.rows):
-            if not pts or a < pts[-1][0]:
-                pts.append((a, self.y0 + i))
-        return tuple(reversed(pts))
+        """The minimal antichain in ascending x (descending y)."""
+        return self.antichains()[0]
 
     def maximal_points(self) -> tuple[tuple[int, int], ...]:
-        """The maximal antichain in ascending x (descending y), in one walk down
-        the rows: the highest row of each run of equal ends holds one."""
-        pts, top = [], self.y1
-        for i, (_, b) in enumerate(reversed(self.rows)):
-            if not pts or b > pts[-1][0]:
-                pts.append((b, top - i))
-        return tuple(pts)
+        """The maximal antichain in ascending x (descending y)."""
+        return self.antichains()[1]
 
     # -- constructions --------------------------------------------------------
 
@@ -891,53 +910,43 @@ def enumerate_segments(poset: FinitePoset) -> list[SubposetId]:
 # -- boundary fences -------------------------------------------------------------
 
 
-def fence_points(ext, lower: bool) -> tuple[tuple[int, int], ...]:
-    """The shortest faithful path threading an antichain via its joins or meets.
+def fence_turns(ext, lower: bool) -> tuple[tuple[int, int], ...]:
+    """The turning points of the fence threading an antichain in ascending x.
 
-    With the minimal (``lower``) points p0, p1, ... of an interval in
-    ascending x, the join of consecutive points shares its y with the
-    earlier and its x with the later, so each leg is a straight unit-step
-    segment and the path is unique: p0 -> (x1, y0) -> p1 -> ...  The upper
-    fence through the maximal points q0, q1, ... is its mirror image,
-    q0 -> (x0, y1) -> q1 -> ...  One point gives the one-point path.
+    The lower fence through minimal points p0, p1, ... turns at the joins:
+    p0 -> (x1, y0) <- p1 -> (x2, y1) <- ...  The upper fence through
+    maximal points q0, q1, ... turns at the meets: q0 <- (x0, y1) -> q1 ...
+    Between two turns the fence is a straight leg of unit steps, a chain.
     """
-    pts: list[tuple[int, int]] = [ext[0]]
+    pts = [ext[0]]
     for (x0, y0), (x1, y1) in zip(ext, ext[1:]):
-        if lower:
-            for x in range(x0 + 1, x1 + 1):
-                pts.append((x, y0))
-            for y in range(y0 - 1, y1 - 1, -1):
-                pts.append((x1, y))
-        else:
-            for y in range(y0 - 1, y1 - 1, -1):
-                pts.append((x0, y))
-            for x in range(x0 + 1, x1 + 1):
-                pts.append((x, y1))
+        pts += ((x1, y0) if lower else (x0, y1), (x1, y1))
     return tuple(pts)
 
 
-def check_fence_inside(gi: GridInterval, ext, lower: bool) -> None:
-    """Raise AssertionError if the fence through ``ext`` leaves ``gi``.  Each
-    fence point lies between a point of ``ext`` and the join (lower) or meet
-    (upper) of a consecutive pair, so by convexity these corners suffice."""
-    for (x0, y0), (x1, y1) in zip(ext, ext[1:]):
-        corner = (x1, y0) if lower else (x0, y1)
-        if corner not in gi:
-            raise AssertionError(f"fence point {corner} escaped the interval")
+def fence_points(ext, lower: bool) -> tuple[tuple[int, int], ...]:
+    """The shortest faithful path threading an antichain via its joins or
+    meets: the unit-step legs between its :func:`fence_turns`.  A lower
+    leg runs right to a join and then down; an upper leg runs down to a
+    meet and then right.  One point gives the one-point path."""
+    turns = fence_turns(ext, lower)
+    pts = [turns[0]]
+    for (x0, y0), (x1, y1) in zip(turns, turns[1:]):
+        if y0 == y1:
+            pts += [(x, y0) for x in range(x0 + 1, x1 + 1)]
+        else:
+            pts += [(x0, y) for y in range(y0 - 1, y1 - 1, -1)]
+    return tuple(pts)
 
 
 def lower_fence(gi: GridInterval) -> tuple[tuple[int, int], ...]:
     """The lower fence of ``gi``, through its minimal points; it stays inside ``gi``."""
-    mins = gi.minimal_points()
-    check_fence_inside(gi, mins, lower=True)
-    return fence_points(mins, lower=True)
+    return fence_points(gi.antichains()[0], lower=True)
 
 
 def upper_fence(gi: GridInterval) -> tuple[tuple[int, int], ...]:
     """The upper fence of ``gi``, through its maximal points; it stays inside ``gi``."""
-    maxs = gi.maximal_points()
-    check_fence_inside(gi, maxs, lower=False)
-    return fence_points(maxs, lower=False)
+    return fence_points(gi.antichains()[1], lower=False)
 
 
 # -- the containment poset -----------------------------------------------------

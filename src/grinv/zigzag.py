@@ -119,7 +119,7 @@ class ZigzagPath:
         table = {}
         for a in range(n):
             for b in range(a, n):
-                hull = interval_hull(self.subpath(a, b))
+                hull = _hull(self.points[a:b + 1])
                 table[a, b] = (hull, _tame_in_hull(self.points, where, a, b, hull))
         return table
 
@@ -155,7 +155,11 @@ def interval_hull(path: ZigzagPath) -> GridInterval:
     or above row y, so row y of the hull runs between those two envelopes.
     Consecutive points are comparable, so the rows form a valid staircase.
     """
-    pts = path.points
+    return _hull(path.points)
+
+
+def _hull(pts) -> GridInterval:
+    """:func:`interval_hull` of a path given by its points."""
     y0 = min(y for _, y in pts)
     h = max(y for _, y in pts) - y0 + 1
     lo, hi = [inf] * h, [-inf] * h

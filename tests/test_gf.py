@@ -192,8 +192,9 @@ def test_rref_reproduces_row_space(p, m, n, data):
 @given(st.sampled_from([2, 3, 5, LARGEST_P]), st.integers(0, 4), st.integers(0, 4),
        st.integers(0, 4), st.data())
 def test_pull_rows_spans_the_pullback(p, k, n, w, data):
-    """k vectors of length n and M^T of shape n x w: pull_rows returns vectors
-    b with M^T b in the span of the vectors, spanning all such b."""
+    """k vectors of length n and M^T of shape n x w: pull_rows returns
+    independent vectors b with M^T b in the span of the vectors, spanning
+    all such b, even when the vectors are dependent."""
     entry = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
     vecs = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
     if k >= 2 and data.draw(st.booleans()):
@@ -213,7 +214,7 @@ def test_pull_rows_spans_the_pullback(p, k, n, w, data):
     for img in images:
         col = np.array(img, dtype=np.int64).reshape(n, 1)
         assert np_rank(np.hstack([span, col])) == np_rank(span)
-    assert np_rank(b_cols) == w - np_rank(np.hstack([span, mt_a])) + np_rank(span)
+    assert len(bs) == np_rank(b_cols) == w - np_rank(np.hstack([span, mt_a])) + np_rank(span)
 
 
 def test_rational_solve_in_span():

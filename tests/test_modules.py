@@ -6,6 +6,7 @@ from grinv.fixtures import FIXTURES, build_fixture
 from grinv.gf import MAX_P, FFMatrix, is_prime, kernel_rows, mul_rows, random_invertible, rref_rows
 from grinv.modules import (
     PModule,
+    _basis,
     colimit,
     direct_sum,
     generalized_rank,
@@ -14,12 +15,15 @@ from grinv.modules import (
     interval_module,
     limit,
     pullback,
+    sweep_step,
     zero_module,
 )
 from grinv.posets import (
     FinitePoset,
     GridInterval,
+    _staircase,
     enumerate_grid_intervals,
+    fence_points,
     grid_poset,
     iter_grid_intervals,
     lower_fence,
@@ -513,6 +517,51 @@ def test_antichain_memos_match_oracle_cold_and_warm(p, origin, ambient, summands
         assert generalized_rank_fast(warm, gi) == want
 
 
+def unit_step_fence(module, ext, lower):
+    """Oracle: (last id, basis) of a fence swept one unit step at a time
+    through every fence point."""
+    ids = [module._window_idx[pt] for pt in fence_points(ext, lower)]
+    d = module.dims[ids[0]]
+    rows = [[int(r == c) for r in range(d)] for c in range(d)]
+    for a, b in zip(ids, ids[1:]):
+        e, q = sweep_step(module, a, b, rows if lower else None, None if lower else rows)
+        rows = e if lower else q
+    return ids[-1], _basis(rows, module.dims[ids[-1]], module.p)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    st.booleans(),
+    st.integers(1, 4),
+    st.integers(0, 10 ** 9),
+)
+def test_turning_point_sweep_matches_a_unit_step_sweep(p, origin, ambient, summands, seed):
+    """After the fast path has answered every interval of a window (and, on
+    an ambient window, intervals leaving it), every fence memo entry is the
+    tuple a sweep through every fence point gives: the same last id, the
+    same reduced basis and the same pushed bases.  A full-window summand
+    keeps every interval nontrivial, so every antichain gets swept."""
+    rng = np.random.default_rng(seed)
+    ox, oy = origin
+    win = grid_poset(4, 4, origin)
+    full = grid_interval_module(win, GridInterval.rectangle(origin, (ox + 3, oy + 3)), p)
+    m = direct_sum(full, random_module(rng, win, p, max_summands=summands)).scramble(rng)
+    m = PModule(m.poset, m.dims, m.maps, p, ambient=ambient, validate=False)
+    ints = enumerate_grid_intervals(win)
+    if ambient:
+        ints += [random_grid_interval(rng, (ox - 1, oy - 1, ox + 4, oy + 4)) for _ in range(8)]
+    for gi in ints:
+        generalized_rank_fast(m, gi)
+    mins = {gi.minimal_points() for gi in ints if m.contains_interval(gi)}
+    assert {ext for lower, ext in m._fences if lower} == mins
+    for (lower, ext), (last, basis, pushed) in m._fences.items():
+        assert (last, basis) == unit_step_fence(m, ext, lower)
+        for b, e_b in (pushed or {}).items():
+            assert e_b == _basis(mul_rows(basis, m.transition(last, b), p), m.dims[b], p)
+
+
 def dense_5x5_module():
     """A fixed dense 5x5 module: a full-window summand (so every limit and
     colimit over an interval is nonzero) plus a random module, scrambled."""
@@ -524,8 +573,9 @@ def dense_5x5_module():
 
 def test_fast_path_work_counts_on_a_dense_5x5_module(monkeypatch):
     """gri over int:2,2 sweeps each distinct minimal and maximal antichain
-    once, pushes one basis per distinct (minimal antichain, b) and never
-    lists fences per interval.  These counts do not depend on the machine."""
+    once, one step per fence leg, pushes one basis per distinct (minimal
+    antichain, b) and never lists fences per interval.  These counts do
+    not depend on the machine."""
     import grinv.modules as modules_mod
     import grinv.posets as posets_mod
     from grinv.invariants import gri
@@ -536,7 +586,7 @@ def test_fast_path_work_counts_on_a_dense_5x5_module(monkeypatch):
     for ns in (posets_mod, modules_mod):
         monkeypatch.setattr(ns, "lower_fence", forbidden, raising=False)
         monkeypatch.setattr(ns, "upper_fence", forbidden, raising=False)
-    calls = {"fence_points": 0, "_basis": 0}
+    calls = {"fence_turns": 0, "_basis": 0, "sweep_step": 0, "pull_rows": 0}
     for name in calls:
         def counted(*args, _f=getattr(modules_mod, name), _name=name):
             calls[_name] += 1
@@ -545,8 +595,10 @@ def test_fast_path_work_counts_on_a_dense_5x5_module(monkeypatch):
     win, m = dense_5x5_module()
     coll = enumerate_grid_intervals(win, 2, 2)
     table = gri(m, coll)
-    # one fence listing per sweep; one basis per sweep and per push
-    assert calls == {"fence_points": 250, "_basis": 250 + 825}
+    # one fence listing per sweep; one basis per sweep and per push; two
+    # steps, one of them a pullback, per pair of consecutive antichain
+    # points (a unit-step sweep made 800 steps and 400 pullbacks)
+    assert calls == {"fence_turns": 250, "_basis": 250 + 825, "sweep_step": 400, "pull_rows": 200}
     assert min(table.ranks) >= 1 and len(set(table.ranks)) > 2
     idx = win.id_of_coord()
     mins = {gi.minimal_points() for gi in coll}
@@ -587,13 +639,12 @@ def test_functoriality_check_work_counts(monkeypatch):
     assert len(calls) == 2
 
 
-def test_fast_path_alarm_fires_when_a_fence_leaves_the_interval(monkeypatch):
-    """The per-interval alarm: a minimal antichain whose join leaves the
-    interval raises before any sweep."""
+def test_fast_path_alarm_fires_when_a_fence_leaves_the_interval():
+    """The per-interval alarm: a staircase whose minimal points (0, 1) and
+    (1, 0) have their join (1, 1) outside it raises before any sweep."""
     win, m = dense_5x5_module()
-    monkeypatch.setattr(GridInterval, "minimal_points", lambda gi: ((0, 2), (1, 0)))
-    with pytest.raises(AssertionError, match="escaped the interval"):
-        generalized_rank_fast(m, GridInterval.rectangle((0, 0), (1, 1)))
+    with pytest.raises(AssertionError, match=r"fence point \(1, 1\) escaped the interval"):
+        generalized_rank_fast(m, _staircase(0, ((1, 1), (0, 0))))
     assert not m._fences
 
 

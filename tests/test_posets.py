@@ -11,9 +11,9 @@ from grinv.posets import (
     FinitePoset,
     GridInterval,
     SubposetId,
+    _staircase,
     canonical_grid_intervals,
     canonical_order,
-    check_fence_inside,
     containment_poset,
     count_grid_intervals,
     enumerate_connected,
@@ -21,6 +21,7 @@ from grinv.posets import (
     enumerate_intervals,
     enumerate_segments,
     fence_points,
+    fence_turns,
     grid_poset,
     iter_grid_intervals,
     lower_fence,
@@ -489,27 +490,41 @@ def staircase_fence(ext, lower):
 def test_antichains_and_fences_match_oracles_on_a_6x6_window():
     """On every interval of a 6x6 window the one-walk antichains equal the
     cover oracle, and the fences are the same tuples as the leg-by-leg
-    construction and stay inside gi point by point."""
+    construction, turn at the joins and meets, and stay inside gi point by
+    point."""
     count = 0
     for gi in iter_grid_intervals((0, 0, 5, 5)):
         mins, maxs = cover_antichains(gi)
-        assert (gi.minimal_points(), gi.maximal_points()) == (mins, maxs), gi
+        assert gi.antichains() == (gi.minimal_points(), gi.maximal_points()) == (mins, maxs), gi
         low, up = staircase_fence(mins, True), staircase_fence(maxs, False)
         assert lower_fence(gi) == fence_points(mins, True) == low
         assert upper_fence(gi) == fence_points(maxs, False) == up
+        for ext, fence, lower in ((mins, low, True), (maxs, up, False)):
+            turns = fence_turns(ext, lower)
+            assert turns[::2] == ext and len(turns) == 2 * len(ext) - 1
+            assert [pt for pt in fence if pt in turns] == list(turns)
         assert gi.member_set.issuperset(low + up)
         count += 1
     assert count == 68248
 
 
 def test_fence_alarm_fires_at_an_escaping_corner():
+    """The walk checks the join of each pair of consecutive minimal points
+    and the meet of each pair of maximal ones; staircases built without
+    validation can put either outside."""
+    # minimal (0, 1), (2, 0): join (2, 1) lies past the end of row 1
+    with pytest.raises(AssertionError, match=r"fence point \(2, 1\) escaped"):
+        _staircase(0, ((2, 2), (0, 1))).antichains()
+    # maximal (1, 2), (3, 1): meet (1, 1) lies before the start of row 1
+    with pytest.raises(AssertionError, match=r"fence point \(1, 1\) escaped"):
+        _staircase(0, ((0, 0), (2, 3), (1, 1))).antichains()
+    for fence in (lower_fence, upper_fence):
+        with pytest.raises(AssertionError, match="escaped the interval"):
+            fence(_staircase(0, ((1, 1), (0, 0))))
     sq = GridInterval.rectangle((0, 0), (1, 1))
-    with pytest.raises(AssertionError, match=r"fence point \(1, 2\) escaped"):
-        check_fence_inside(sq, ((0, 2), (1, 0)), lower=True)
-    with pytest.raises(AssertionError, match=r"fence point \(0, -1\) escaped"):
-        check_fence_inside(sq, ((0, 1), (1, -1)), lower=False)
-    check_fence_inside(sq, ((0, 1), (1, 0)), lower=True)
-    check_fence_inside(sq, ((0, 1), (1, 0)), lower=False)
+    assert sq.antichains() == (((0, 0),), ((1, 1),))
+    # corners on the row ends: join (1, 1), meet (1, 0)
+    assert GridInterval(0, ((1, 3), (0, 1))).antichains() == (((0, 1), (1, 0)), ((1, 1), (3, 0)))
 
 
 # -- serialisation ------------------------------------------------------------------
