@@ -122,7 +122,7 @@ def _check_budgets(mm, nn, given: str) -> None:
 def _parse_members(module: PModule, tokens: list[str], kind: str | None = None):
     """One subset per line: `x,y` coordinate tokens or plain element ids.
     Connected non-intervals stay id-based subsets; intervals become
-    ambient grid intervals when the module has coordinates."""
+    plane grid intervals when the module has coordinates."""
     if all("," in t for t in tokens):
         if module.poset.grid_coords is None:
             raise ValueError("coordinates need a module on a grid window")
@@ -160,7 +160,7 @@ def _read_collection_file(module: PModule, path: str):
     if not out:
         raise CliError("collection file is empty")
     # a collection must live in one member-key space: if any entry is an
-    # id-based subset, re-house the ambient intervals as id subsets too
+    # id-based subset, re-house the plane intervals as id subsets too
     if any(not isinstance(it, GridInterval) for it in out) and any(
         isinstance(it, GridInterval) for it in out
     ):
@@ -199,7 +199,7 @@ def _emit_table(table, fmt: str):
 def cmd_gri(args) -> int:
     module = _load_module(args.module, args)
     collection = _collection(module, args.collection, args.cap)
-    table = gri(module, collection, module_ref=os.path.basename(args.module))
+    table = gri(module, collection)
     bad = table.check_monotone()
     if bad is not None:
         print(f"invariant violation: non-monotone table at {format_members(bad[0])} "
@@ -338,7 +338,7 @@ def cmd_erosion(args) -> int:
                f"{caches[0].queries + caches[1].queries}")
         print(row + f"\t{dt:.4f}" if args.timing else row)
         if args.witness:
-            for eps in range(int(dist)):
+            for eps in range(dist):
                 w = verify_erosion(m1, m2, collection, eps, *caches)
                 print(f"witness\teps={eps}\t{format_members(w)}")
     return EXIT_OK
@@ -445,14 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("module", help="module file")
         sp.add_argument("--collection", default="intervals",
                         help="segments | intervals | connected | int:M,N | file:PATH")
-        sp.add_argument("--format", choices=("tsv", "structured", "dot"), default="tsv")
 
     sp = sub.add_parser("gri", help="rank table over a collection")
     common(sp)
+    sp.add_argument("--format", choices=("tsv", "structured"), default="tsv")
     sp.set_defaults(fn=cmd_gri)
 
     sp = sub.add_parser("gpd", help="signed diagram (Mobius inversion of the rank table)")
     common(sp)
+    sp.add_argument("--format", choices=("tsv", "structured", "dot"), default="tsv")
     sp.set_defaults(fn=cmd_gpd)
 
     sp = sub.add_parser("decompose", help="minimal rank decomposition (R, S)")

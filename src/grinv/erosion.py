@@ -2,9 +2,9 @@
 
 The collection is a thickening-closed family of plane intervals; the
 working finite slice is the set of members inside the union bounding
-box of the two windows, since every rank over an interval leaving both
-windows vanishes under extension-by-zero and the erosion inequalities
-hold there automatically.  Ranks never increase under containment, so
+box of the two windows: a grid module is extended by zero, so every
+rank over an interval leaving both windows vanishes and the erosion
+inequalities hold there automatically.  Ranks never increase under containment, so
 a member whose two ranks agree never bounds the radius, and for the
 others the one inequality that can fail is monotone in the radius: the
 distance is found in one walk of the collection with a running radius.
@@ -65,9 +65,7 @@ def verify_erosion(m1: PModule, m2: PModule, collection, eps: int,
     return None
 
 
-def erosion_distance(m1: PModule, m2: PModule, collection=None,
-                     family: ThickeningFamily | None = None,
-                     caches=None) -> int | float:
+def erosion_distance(m1: PModule, m2: PModule, collection, caches=None) -> int:
     """Least radius admitting an erosion between the two rank invariants.
 
     One walk of the collection with a running radius eps, starting at 0.
@@ -78,17 +76,14 @@ def erosion_distance(m1: PModule, m2: PModule, collection=None,
     holds, so eps is raised until the member passes.  The final eps is
     the least radius at which every member passes.
 
-    With extension-by-zero windows the search is bounded: one past the
-    bounding-box diameter every thickened interval exits both windows
-    and the check passes, so the distance is finite; the infinity return
-    (eps passing that bound) is kept for interface completeness.
+    Both modules are extended by zero, so the search is bounded: one
+    past the bounding-box diameter every thickened interval leaves both
+    windows, where every rank is 0, and the check passes.  A radius
+    beyond that bound raises ``AssertionError`` (an internal alarm).
     """
     if m1.p != m2.p:
         raise ValueError("field mismatch")
     bbox = union_bbox(m1, m2)
-    if collection is None:
-        family = family or ThickeningFamily(2, 2)
-        collection = family.members_within(bbox)
     if caches is None:
         caches = (RankCache(m1), RankCache(m2))
     c1, c2 = caches
@@ -102,7 +97,7 @@ def erosion_distance(m1: PModule, m2: PModule, collection=None,
         while big.rank(gi.thicken(eps)) > small:
             eps += 1
             if eps > hi:
-                return math.inf
+                raise AssertionError(f"erosion radius passed its bound {hi}")
     return eps
 
 
@@ -120,8 +115,7 @@ def shift_module(module: PModule, delta: int) -> PModule:
         raise ValueError("shift needs a grid module")
     coords = tuple((x - delta, y - delta) for x, y in module.poset.grid_coords)
     shifted = module.poset.with_coords(coords)
-    return PModule(shifted, module.dims, module.maps, module.p, ambient=module.ambient,
-                   validate=False)
+    return PModule(shifted, module.dims, module.maps, module.p, validate=False)
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ class ErosionStudyRow:
     max_min_pts: int
     max_max_pts: int
     collection_size: int
-    distance: int | float
+    distance: int
     rank_queries: int
     wall_seconds: float
 
@@ -161,7 +155,7 @@ def timed_distance(m1: PModule, m2: PModule, collection, repeats: int = 1):
     return dist, caches, seconds
 
 
-def erosion_study(module_builder, sides, budgets, collection_padding: int = 0) -> list[ErosionStudyRow]:
+def erosion_study(module_builder, sides, budgets) -> list[ErosionStudyRow]:
     """Timing/work table for the efficiency-versus-power trade-off.
 
     ``module_builder(side)`` must return a pair of modules on an
@@ -174,11 +168,7 @@ def erosion_study(module_builder, sides, budgets, collection_padding: int = 0) -
     for side in sides:
         m1, m2 = module_builder(side)
         for mm, xx in budgets:
-            family = ThickeningFamily(mm, xx)
-            bbox = union_bbox(m1, m2)
-            bbox = (bbox[0] - collection_padding, bbox[1] - collection_padding,
-                    bbox[2] + collection_padding, bbox[3] + collection_padding)
-            collection = family.members_within(bbox)
+            collection = ThickeningFamily(mm, xx).members_within(union_bbox(m1, m2))
             dist, caches, dt = timed_distance(m1, m2, collection, STUDY_REPEATS)
             rows.append(
                 ErosionStudyRow(side, mm, xx, len(collection), dist,

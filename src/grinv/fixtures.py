@@ -91,7 +91,7 @@ def _module_from_pattern(window: FinitePoset, dims_by_coord: dict, maps_by_coord
     for xy, d in dims_by_coord.items():
         dims[idx[xy]] = d
     maps = {(idx[src], idx[dst]): mat for (src, dst), mat in maps_by_coord.items()}
-    return PModule(window, dims, maps, p, ambient=True)
+    return PModule(window, dims, maps, p)
 
 
 def grid3_zib_pair(p: int = DEFAULT_P, **_) -> FixtureBundle:
@@ -250,7 +250,7 @@ def anti_diagonal(p: int = DEFAULT_P, window: int = 4, **_) -> FixtureBundle:
     for x, y in win.grid_coords:
         s = x + y
         pi.append(0 if s < 0 else (1 if s == 0 else 2))
-    m = pullback(n, pi, win, ambient=True)
+    m = pullback(n, pi, win)
     return FixtureBundle(
         "anti-diagonal",
         "plane module: zero below the anti-diagonal, rank 2 on it, rank 1 above, "
@@ -317,7 +317,7 @@ def tame_counterexample(p: int = DEFAULT_P, window: int = 6, **_) -> FixtureBund
             pi.append(3 if x % 2 == 0 else 4)
         else:
             pi.append(5)
-    m = pullback(n, pi, win, ambient=True)
+    m = pullback(n, pi, win)
     shifts = admissible_shifts(window)
     intervals = {f"serrated[{a}]": serrated_interval(a, window) for a in shifts}
     return FixtureBundle(
@@ -372,8 +372,8 @@ def serrated_interval(a: int, window: int) -> GridInterval:
     return GridInterval.from_points(pts)
 
 
-def claim2_supersets(bundle: FixtureBundle, rng: np.random.Generator, count: int = 50,
-                     shift: int | None = None) -> list[list[int]]:
+def claim2_supersets(bundle: FixtureBundle, rng: np.random.Generator,
+                     count: int = 50) -> list[list[int]]:
     """Strict connected supersets of a serrated interval with vanishing rank.
 
     At finite windows the rank-zero argument localises in two ways: the
@@ -394,7 +394,7 @@ def claim2_supersets(bundle: FixtureBundle, rng: np.random.Generator, count: int
     attempts = 0
     while len(out) < count and attempts < count * 50:
         attempts += 1
-        a = shift if shift is not None else int(shifts[rng.integers(0, len(shifts))])
+        a = int(shifts[rng.integers(0, len(shifts))])
         base = serrated_interval(a, window)
         base_ids = [idx[pt] for pt in base.points()]
         caps = set(cap_pattern(a, window))

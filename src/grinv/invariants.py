@@ -76,7 +76,6 @@ class GriTable:
 
     collection: tuple
     ranks: tuple[int, ...]
-    module_ref: str = ""
 
     def __post_init__(self):
         if len(self.collection) != len(self.ranks):
@@ -101,7 +100,7 @@ class GriTable:
         pairs = [(it, r) for it, r in zip(self.collection, self.ranks) if it in keys]
         if len(pairs) != len(keys):
             raise KeyError("subcollection is not contained in the table")
-        return GriTable(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs), self.module_ref)
+        return GriTable(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
     def check_monotone(self) -> tuple | None:
         """First violating pair (I, J) with I contained in J but rank(I) < rank(J).
@@ -167,6 +166,9 @@ class SignedDiagram:
             return NotImplemented
         return self._value_by_item == other._value_by_item
 
+    def __hash__(self):
+        return hash(frozenset(self._value_by_item.items()))
+
     def to_tsv(self) -> str:
         return "\n".join(f"{format_members(it)}\t{v}" for it, v in self.support)
 
@@ -204,13 +206,12 @@ def parse_table_tsv(text: str) -> tuple[tuple[frozenset, int], ...]:
 # -- building tables -----------------------------------------------------------
 
 
-def gri(module: PModule, collection, module_ref: str = "",
-        cache: RankCache | None = None) -> GriTable:
+def gri(module: PModule, collection, cache: RankCache | None = None) -> GriTable:
     """Rank table of a module over a collection, in canonical order."""
     items = canonical_order(collection)
     cache = cache or RankCache(module)
     ranks = tuple(cache.rank(it) for it in items)
-    return GriTable(tuple(items), ranks, module_ref)
+    return GriTable(tuple(items), ranks)
 
 
 def _invert(items, values) -> list[int]:
@@ -338,8 +339,7 @@ class IntervalDecomposableError(ValueError):
     pass
 
 
-def tightness_pair(module: PModule, collection, host=None, full_collection=None, p: int | None = None
-                   ) -> tuple[PModule, PModule]:
+def tightness_pair(module: PModule, collection, full_collection=None) -> tuple[PModule, PModule]:
     """A pair (interval-decomposable, contains-the-module) with equal tables.
 
     From the signed diagram of the module over the collection: the
@@ -347,10 +347,9 @@ def tightness_pair(module: PModule, collection, host=None, full_collection=None,
     the realised negative part.  Raises if the module behaves
     interval-decomposably over the reference collection (the realised
     diagram reproduces its full table), since then no tightness gap
-    exists.
+    exists.  The summands live on the module's poset and field.
     """
-    p = p or module.p
-    host = host or module.poset
+    host, p = module.poset, module.p
     table = gri(module, collection)
     diagram = gpd(table)
     if full_collection is not None:

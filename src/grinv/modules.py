@@ -19,10 +19,10 @@ between its turning points, memoised per module by the interval's
 minimal and maximal antichains (see `generalized_rank_fast`).
 Both routes run on rows of Python ints through the `gf` row routines.
 
-Modules on grid windows can opt into the extension-by-zero convention:
-the module is regarded as a plane module that vanishes outside its
-window, so ranks over subsets that leave the window are zero without
-materialising anything infinite.
+A module whose poset has grid coordinates is extended by zero: it is
+regarded as a plane module that vanishes outside its points, so ranks
+over subsets that leave them are zero without materialising anything
+infinite.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import TYPE_CHECKING
 
-from .gf import (DEFAULT_P, MAX_DIM, FFMatrix, check_modulus, kernel_rows, mul_rows, pull_rows,
+from .gf import (DEFAULT_P, MAX_DIM, check_modulus, kernel_rows, mul_rows, pull_rows,
                  random_invertible, rows_from_lines, rows_to_text, rref_rows)
 from .posets import FinitePoset, GridInterval, SubposetId, fence_turns
 
@@ -62,10 +62,8 @@ def _columns(rows: list[list[int]], width: int) -> list[list[int]]:
 
 
 def _shape(m) -> tuple[int, ...]:
-    """The shape of a map given as int rows, a numpy array or an `FFMatrix`;
-    rows alone lose the width when there are none."""
-    if isinstance(m, FFMatrix):
-        m = m.a
+    """The shape of a map given as int rows or a numpy array; rows alone
+    lose the width when there are none."""
     if hasattr(m, "shape"):
         return tuple(m.shape)
     widths = {len(row) for row in m}
@@ -86,18 +84,23 @@ def _window_holds(geom, gi: GridInterval) -> bool:
             and rows[-1][0] >= ox and rows[0][1] < ox + len(zeros[0]) - 1)
 
 
+# the token count of each module-file header line
+_HEADER_TOKENS = {"field": 2, "dims": 3, "map": 3}
+
+
 class PModule:
     """A functor from a finite poset to GF(p) vector spaces.
 
     ``maps[(a, b)]``, the map on a cover a -> b, is ``dims[b]`` int rows of
-    residues; the constructor also takes numpy arrays and `FFMatrix` values.
+    residues; the constructor also takes numpy arrays.  On a poset with
+    grid coordinates the module is extended by zero off its points.
     """
 
-    __slots__ = ("poset", "dims", "maps", "p", "ambient", "_trans",
+    __slots__ = ("poset", "dims", "maps", "p", "_trans",
                  "_window_idx", "_window_geom", "_fences")
 
     def __init__(self, poset: FinitePoset, dims, maps, p: int = DEFAULT_P,
-                 ambient: bool = False, validate: bool = True):
+                 validate: bool = True):
         self.poset = poset
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != poset.n or any(d < 0 for d in self.dims):
@@ -107,13 +110,9 @@ class PModule:
         check_modulus(p)
         if validate:
             self._check_shapes(maps)
-        self.maps = {(int(a), int(b)): [[int(v) % p for v in row]
-                                        for row in (m.a if isinstance(m, FFMatrix) else m)]
+        self.maps = {(int(a), int(b)): [[int(v) % p for v in row] for row in m]
                      for (a, b), m in maps.items()}
         self.p = p
-        self.ambient = bool(ambient)
-        if self.ambient and poset.grid_coords is None:
-            raise ValueError("extension-by-zero needs a grid window")
         self._window_idx = poset.id_of_coord() if poset.grid_coords is not None else None
         self._clear_memos()
         if validate:
@@ -240,13 +239,11 @@ class PModule:
         return self._window_geom
 
     def _interval_rank_trivial(self, gi: GridInterval) -> bool:
-        """True when the rank over gi is forced to 0: the interval leaves an
-        extension-by-zero window or touches a zero-dimensional point."""
+        """True when the rank over gi is forced to 0: the interval leaves the
+        window or touches a zero-dimensional point."""
         geom = self._window_geometry()
         if not _window_holds(geom, gi):
-            if self.ambient:
-                return True
-            raise ValueError("interval leaves the window")
+            return True
         ox, oy, zeros = geom
         for y, (a, b) in enumerate(gi.rows, gi.y0 - oy):
             pre = zeros[y]
@@ -277,8 +274,7 @@ class PModule:
             right, left = [0] * other.dims[a], [0] * self.dims[a]
             maps[(a, b)] = ([row + right for row in self._edge(a, b)]
                             + [left + row for row in other._edge(a, b)])
-        return PModule(self.poset, dims, maps, self.p, ambient=self.ambient or other.ambient,
-                       validate=False)
+        return PModule(self.poset, dims, maps, self.p, validate=False)
 
     def __add__(self, other: "PModule") -> "PModule":
         return self.direct_sum(other)
@@ -292,7 +288,7 @@ class PModule:
         maps = {}
         for a, b in self.poset.covers:
             maps[(a, b)] = mul_rows(rows[b], mul_rows(inv_t[a], self._edge(a, b), p), p)
-        return PModule(self.poset, self.dims, maps, self.p, ambient=self.ambient, validate=False)
+        return PModule(self.poset, self.dims, maps, self.p, validate=False)
 
     # -- serialisation -----------------------------------------------------------
 
@@ -308,16 +304,20 @@ class PModule:
         return "\n".join(lines)
 
     @classmethod
-    def from_text(cls, text: str, ambient: bool | None = None) -> "PModule":
+    def from_text(cls, text: str) -> "PModule":
         lines = [ln.rstrip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
         poset, i = FinitePoset._from_lines(lines, 0)
-        p = DEFAULT_P
+        p = None
         dims, maps, widths = {}, {}, {}
         while i < len(lines):
             line, toks = lines[i], lines[i].split()
             i += 1
+            if len(toks) != _HEADER_TOKENS.get(toks[0], len(toks)):
+                raise ValueError(f"malformed {toks[0]} line: {line!r}")
             if toks[0] == "field":
+                if p is not None:
+                    raise ValueError(f"repeated field line: {line!r}")
                 p = int(toks[1])
             elif toks[0] == "dims":
                 a = int(toks[1])
@@ -337,35 +337,29 @@ class PModule:
             if not rows and widths[(a, b)] != dims[a] and (a, b) in poset.covers:
                 raise ValueError(f"map {a}->{b} has shape {(0, widths[(a, b)])}, "
                                  f"expected {(dims[b], dims[a])}")
-        if ambient is None:
-            ambient = poset.grid_coords is not None
-        return cls(poset, dims, maps, p, ambient=ambient)
+        return cls(poset, dims, maps, DEFAULT_P if p is None else p)
 
 
 # -- module constructors ------------------------------------------------------
 
 
-def interval_module(poset: FinitePoset, members, p: int = DEFAULT_P,
-                    ambient: bool | None = None) -> PModule:
+def interval_module(poset: FinitePoset, members, p: int = DEFAULT_P) -> PModule:
     """The module with dimension 1 on the interval, identities inside it."""
     ms = set(int(m) for m in members)
     if not poset.is_interval_subset(ms):
         raise ValueError("support is not an interval")
     dims = [1 if i in ms else 0 for i in range(poset.n)]
     maps = {(a, b): [[1]] for a, b in poset.covers if a in ms and b in ms}
-    if ambient is None:
-        ambient = poset.grid_coords is not None
-    return PModule(poset, dims, maps, p, ambient=ambient, validate=False)
+    return PModule(poset, dims, maps, p, validate=False)
 
 
 def zero_module(poset: FinitePoset, p: int = DEFAULT_P) -> PModule:
-    return PModule(poset, [0] * poset.n, {}, p, ambient=poset.grid_coords is not None,
-                   validate=False)
+    return PModule(poset, [0] * poset.n, {}, p, validate=False)
 
 
 def grid_interval_module(window: FinitePoset, gi: GridInterval, p: int = DEFAULT_P) -> PModule:
     idx = window.id_of_coord()
-    return interval_module(window, [idx[pt] for pt in gi.points()], p, ambient=True)
+    return interval_module(window, [idx[pt] for pt in gi.points()], p)
 
 
 def direct_sum(*mods: PModule) -> PModule:
@@ -375,7 +369,7 @@ def direct_sum(*mods: PModule) -> PModule:
     return out
 
 
-def pullback(n_module: PModule, pi, target_poset: FinitePoset, ambient: bool | None = None) -> PModule:
+def pullback(n_module: PModule, pi, target_poset: FinitePoset) -> PModule:
     """The pullback along an order-preserving map pi: target -> source poset.
 
     ``pi`` maps each target id to a source id; monotonicity is validated on
@@ -390,9 +384,7 @@ def pullback(n_module: PModule, pi, target_poset: FinitePoset, ambient: bool | N
     maps = {}
     for a, b in target_poset.covers:
         maps[(a, b)] = n_module.transition(pi[a], pi[b])
-    if ambient is None:
-        ambient = target_poset.grid_coords is not None
-    return PModule(target_poset, dims, maps, n_module.p, ambient=ambient, validate=False)
+    return PModule(target_poset, dims, maps, n_module.p, validate=False)
 
 
 # -- limits, colimits, ranks -----------------------------------------------------
@@ -457,22 +449,15 @@ def _rank_of_restriction(module: PModule, ms: list[int]) -> int:
 def _members_of(module: PModule, region) -> list[int] | None:
     """Resolve a region (SubposetId | GridInterval | id-iterable) to ids.
 
-    Returns None when the region leaves an extension-by-zero window, in
-    which case every rank over it vanishes.
+    Returns None when the region leaves the module's points, in which case
+    every rank over it vanishes.
     """
     if isinstance(region, GridInterval):
         idx = module._window_idx
         if idx is None:
             raise ValueError("grid interval given for a module without coordinates")
-        ids = []
-        for pt in region.points():
-            i = idx.get(pt)
-            if i is None:
-                if module.ambient:
-                    return None
-                raise ValueError(f"point {pt} outside the window")
-            ids.append(i)
-        return ids
+        ids = [idx.get(pt) for pt in region.points()]
+        return None if None in ids else ids
     if isinstance(region, SubposetId):
         return list(region.members)
     return [int(i) for i in region]
@@ -482,7 +467,7 @@ def generalized_rank(module: PModule, region) -> int:
     """Rank of the canonical limit-to-colimit map of the restriction.
 
     Zero whenever some point of the region carries the zero space (in
-    particular whenever the region leaves an extension-by-zero window).
+    particular whenever the region leaves the module's points).
     """
     ms = _members_of(module, region)
     if ms is None:

@@ -7,7 +7,7 @@ Two representations coexist:
   coordinates when the poset is a product-order window of the integer
   plane.  Its boolean ``leq`` matrix is built with numpy on first use,
   for oracles and tests; nothing else here imports numpy.
-* ``GridInterval`` — an interval of the ambient integer plane, stored as
+* ``GridInterval`` — an interval of the integer plane, stored as
   a staircase of per-row x-ranges.  This is the working representation
   for thickenings and fence constructions, which must not be clipped to
   any particular window.
@@ -319,6 +319,8 @@ class FinitePoset:
         if head[0] != "poset":
             raise ValueError(f"expected 'poset <n>' or 'grid w h ox oy', got {lines[start]!r}")
         n = int(head[1])
+        if n < 1:
+            raise ValueError(f"a poset needs at least one element: {lines[start]!r}")
         i = start + 1
         pairs = []
         while i < len(lines) and lines[i].startswith("cover "):
@@ -416,7 +418,7 @@ def subposet(poset: FinitePoset, members, kind: str | None = None) -> SubposetId
     return SubposetId(kind, ms)
 
 
-# -- ambient grid intervals --------------------------------------------------
+# -- plane grid intervals ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -534,7 +536,7 @@ class GridInterval:
     # -- constructions --------------------------------------------------------
 
     def thicken(self, eps: int) -> "GridInterval":
-        """Dilation by the sup-norm ball of radius eps (ambient, never clipped)."""
+        """Dilation by the sup-norm ball of radius eps (in the plane, never clipped)."""
         if eps < 0:
             raise ValueError("eps must be >= 0")
         if eps == 0:

@@ -84,7 +84,7 @@ def _translated_center_double(window: FinitePoset, dx: int, dy: int, p: int) -> 
         ax, ay = base.poset.grid_coords[a]
         bx, by = base.poset.grid_coords[b]
         maps[(idx[(ax + dx, ay + dy)], idx[(bx + dx, by + dy)])] = mat
-    return PModule(window, dims, maps, p, ambient=True, validate=False)
+    return PModule(window, dims, maps, p, validate=False)
 
 
 def random_module(rng: np.random.Generator, window: FinitePoset, p: int = 2,
@@ -101,10 +101,10 @@ def random_module(rng: np.random.Generator, window: FinitePoset, p: int = 2,
     return module.scramble(rng)
 
 
-def random_chain_module(rng: np.random.Generator, n: int, p: int = 2, dmax: int = 3) -> PModule:
+def random_chain_module(rng: np.random.Generator, n: int, p: int = 2) -> PModule:
     """Arbitrary dims and maps over a chain (no commutativity constraints)."""
     poset = FinitePoset.chain(n)
-    dims = [int(rng.integers(0, dmax + 1)) for _ in range(n)]
+    dims = [int(rng.integers(0, 4)) for _ in range(n)]
     maps = {}
     for a in range(n - 1):
         maps[(a, a + 1)] = rng.integers(0, p, (dims[a + 1], dims[a]))

@@ -5,7 +5,8 @@ paths take unit steps, simple paths never revisit a point.  Restricting
 a grid module to a path gives a zigzag module (over the index poset of
 the path, not the induced subposet), which is always
 interval-decomposable; its barcode is computed here by inclusion-
-exclusion over subpath ranks.
+exclusion over subpath ranks.  A grid module is extended by zero, so a
+path may leave the module's points, which then carry the zero space.
 
 Subpath ranks come from one sweep per left end i: while j advances, a
 map E from the limit of the zigzag over i..j into V_j and a map Q from
@@ -347,23 +348,18 @@ def is_solid(gi: GridInterval) -> bool:
 
 
 def _path_ids(module: PModule, path: ZigzagPath) -> list[int | None]:
-    """Module element of each path point; None off an extension-by-zero window."""
+    """Module element of each path point; None off the module's points,
+    where the module (extended by zero) vanishes."""
     idx = module._window_idx
     if idx is None:
         raise ValueError("path restriction needs a grid module")
-    ids = []
-    for pt in path.points:
-        i = idx.get(pt)
-        if i is None and not module.ambient:
-            raise ValueError(f"path point {pt} outside the window")
-        ids.append(i)
-    return ids
+    return [idx.get(pt) for pt in path.points]
 
 
 def path_module(module: PModule, path: ZigzagPath) -> PModule:
     """The zigzag module: the pullback of the module along the path's index poset.
 
-    Points outside an extension-by-zero window carry the zero space.
+    Points off the module's points carry the zero space (extension by zero).
     """
     ids = _path_ids(module, path)
     n = len(path.points)
@@ -567,28 +563,25 @@ def multiplicity_bounds(path: ZigzagPath, span: tuple[int, int], interval_rank) 
     return lo, hi
 
 
-def enumerate_simple_paths(points, max_len: int | None = None):
+def enumerate_simple_paths(points):
     """All simple faithful paths through the given plane points, one orientation each."""
     pts = sorted(set(points))
     inside = set(pts)
-    limit = max_len if max_len is not None else len(pts)
     out = []
 
     def extend(seq):
-        if len(seq) <= limit:
-            path = ZigzagPath(tuple(seq))
-            if path.points <= tuple(reversed(path.points)):
-                out.append(path)
-            if len(seq) < limit:
-                x, y = seq[-1]
-                for dx, dy in _STEPS:
-                    q = (x + dx, y + dy)
-                    if q in inside and q not in seq_set:
-                        seq.append(q)
-                        seq_set.add(q)
-                        extend(seq)
-                        seq_set.remove(q)
-                        seq.pop()
+        path = ZigzagPath(tuple(seq))
+        if path.points <= tuple(reversed(path.points)):
+            out.append(path)
+        x, y = seq[-1]
+        for dx, dy in _STEPS:
+            q = (x + dx, y + dy)
+            if q in inside and q not in seq_set:
+                seq.append(q)
+                seq_set.add(q)
+                extend(seq)
+                seq_set.remove(q)
+                seq.pop()
 
     for start in pts:
         seq = [start]
@@ -635,25 +628,26 @@ def _exactly_spanned(module: PModule, gi: GridInterval) -> int | None:
     return None
 
 
-def gri_bounds_from_zib(module: PModule, gi: GridInterval,
-                        search_window: tuple[int, int, int, int] | None = None,
-                        exhaustive_cap: int = 12) -> tuple[int, int]:
+EXHAUSTIVE_CAP = 12
+
+
+def gri_bounds_from_zib(module: PModule, gi: GridInterval) -> tuple[int, int]:
     """Bracket an interval's generalized rank using only path barcodes.
 
     Thin intervals are traced by a negative path and solid intervals by
     a simple tame path, so both are exact (lower == upper).  Otherwise:
     the upper bound is the least full-bar multiplicity over simple paths
     inside the interval, the lower bound the largest one over exactly
-    spanned supersets inside the search window (default: the module's
-    window).  Every simple path inside and every spanned superset gives
-    a sound bound, so above ``exhaustive_cap`` points the exponential
-    families are replaced by small sound ones: min-to-max monotone paths
-    inside, and window-clipped thickenings outside.
+    spanned supersets inside the module's window.  Every simple path
+    inside and every spanned superset gives a sound bound, so above
+    ``EXHAUSTIVE_CAP`` points the exponential families are replaced by
+    small sound ones: min-to-max monotone paths inside, and
+    window-clipped thickenings outside.
     """
     exact = _exactly_spanned(module, gi)
     if exact is not None:
         return exact, exact
-    if len(gi) <= exhaustive_cap:
+    if len(gi) <= EXHAUSTIVE_CAP:
         inside = maximal_simple_paths(gi.points())
     else:
         inside = []
@@ -664,14 +658,12 @@ def gri_bounds_from_zib(module: PModule, gi: GridInterval,
                     inside.append(path)
     upper = min(full_bar_multiplicity(module, path) for path in inside)
 
-    if search_window is None:
-        (ox, oy), (w, h) = module.window_origin_size()
-        search_window = (ox, oy, ox + w - 1, oy + h - 1)
-    x0, y0, x1, y1 = search_window
+    (x0, y0), (w, h) = module.window_origin_size()
+    x1, y1 = x0 + w - 1, y0 + h - 1
     lower = 0
-    if count_grid_intervals(x1 - x0 + 1, y1 - y0 + 1) <= 20_000:
+    if count_grid_intervals(w, h) <= 20_000:
         # only the max over the candidates is read, so their order is not
-        candidates = iter_grid_intervals(search_window)
+        candidates = iter_grid_intervals((x0, y0, x1, y1))
     else:
         clipped = []
         diam = max(x1 - x0, y1 - y0)

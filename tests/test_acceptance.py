@@ -66,7 +66,7 @@ def chain_window_module(rng, n, p=2):
     idx = win.id_of_coord()
     mod = random_chain_module(rng, n, p)
     maps = {(idx[(i, 0)], idx[(i + 1, 0)]): mod._edge(i, i + 1) for i in range(n - 1)}
-    return PModule(win, mod.dims, maps, p, ambient=True)
+    return PModule(win, mod.dims, maps, p)
 
 
 def chain_segments(n):

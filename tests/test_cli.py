@@ -95,6 +95,27 @@ def test_gpd_structured_and_dot(capsys, square_module_file):
     assert dot.startswith("digraph")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("gri", "--format", "tsv"), EXIT_OK),
+    (("gri", "--format", "structured"), EXIT_OK),
+    (("gri", "--format", "dot"), EXIT_INPUT),
+    (("gpd", "--format", "dot"), EXIT_OK),
+    (("decompose", "--format", "tsv"), EXIT_INPUT),
+    (("invertible", "--format", "structured"), EXIT_INPUT),
+])
+def test_format_is_accepted_only_where_it_is_read(capsys, square_module_file, argv, code):
+    """gri reads tsv|structured, gpd also dot; decompose and invertible take no --format."""
+    cmd, *rest = argv
+    try:
+        got = main([cmd, square_module_file, *rest])
+    except SystemExit as e:
+        got = e.code
+    out, err = capsys.readouterr()
+    assert got == code, err
+    if code == EXIT_INPUT:
+        assert out == "" and "--format" in err
+
+
 def test_decompose(capsys, square_module_file):
     code, out, _ = run(capsys, "decompose", square_module_file)
     assert code == EXIT_OK
@@ -368,6 +389,13 @@ def test_non_functorial_module_over_a_large_abstract_poset_is_an_input_error(cap
     ("grid 2 1 0 0\ndims 0 1\ndims 1 1\ndims 1 2\n", "'dims 1 2'"),  # repeated dims
     ("grid 2 1 0 0\nfield 2\ndims 0 1\ndims 1 1\nmap 0 1\n1 1\n1\nmap 0 1\n1 1\n0\n",
      "'map 0 1'"),  # repeated map
+    ("grid 2 1 0 0\nfield 2\nfield 3\n", "'field 3'"),  # repeated field
+    ("grid 2 1 0 0\nfield 2 3\n", "'field 2 3'"),  # extra token
+    ("grid 2 1 0 0\ndims 0 1 7\n", "'dims 0 1 7'"),  # extra token
+    ("grid 2 1 0 0\nfield 2\ndims 0 1\ndims 1 1\nmap 0 1 junk\n1 1\n1\n",
+     "'map 0 1 junk'"),  # extra token
+    ("poset -3\n", "'poset -3'"),  # no elements
+    ("poset 0\n", "'poset 0'"),
     ("poset 3\ncover 1 -1\n", "cover 1 -1"),  # id below 0
     ("poset 3\ncover 1 3\n", "cover 1 3"),  # id above n - 1
     ("poset 3\ncover 1 1\n", "cover 1 1"),  # self-cover

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from grinv import erosion
@@ -213,3 +214,27 @@ def test_erosion_study_shape_and_monotonicity(rng):
     by_key = {(r.side, r.max_min_pts, r.max_max_pts): r for r in rows}
     assert by_key[(3, 1, 1)].collection_size < by_key[(3, 2, 2)].collection_size
     assert by_key[(3, 2, 2)].rank_queries <= by_key[(4, 2, 2)].rank_queries
+
+
+def test_radius_past_the_bounding_box_is_an_alarm(monkeypatch, capsys, tmp_path):
+    """With thickening made the identity, a member whose two ranks differ
+    never passes, so the radius climbs past the bounding-box bound: that
+    raises AssertionError, which the CLI reports as exit 4."""
+    from grinv.cli import EXIT_INVARIANT, main
+    from grinv.fixtures import build_fixture
+
+    fx = build_fixture("ex-2x2-indicator")
+    m, n = fx.modules["m"], fx.modules["n"]
+    coll = ThickeningFamily(2, 2).members_within(union_bbox(m, n))
+    assert erosion_distance(m, n, coll) >= 1
+    monkeypatch.setattr(GridInterval, "thicken", lambda gi, eps: gi)
+    with pytest.raises(AssertionError, match="erosion radius passed its bound 2"):
+        erosion_distance(m, n, coll)
+    files = []
+    for name, module in (("m", m), ("n", n)):
+        files.append(tmp_path / f"{name}.txt")
+        files[-1].write_text(module.to_text())
+    assert main(["erosion", *map(str, files), "--witness"]) == EXIT_INVARIANT
+    out, err = capsys.readouterr()
+    assert out == "min_pts\tmax_pts\tcollection\tdistance\trank_queries\n"
+    assert err == "invariant violation: erosion radius passed its bound 2\n"

@@ -46,7 +46,7 @@ def test_grid3_pair_equal_tables_any_characteristic():
 def test_counterexample_is_a_pullback():
     fx = build_fixture("thm-tame-counterexample", window=6)
     m = fx.modules["m"]
-    rebuilt = pullback(fx.modules["quotient"], fx.extras["projection"], fx.poset, ambient=True)
+    rebuilt = pullback(fx.modules["quotient"], fx.extras["projection"], fx.poset)
     assert rebuilt.dims == m.dims
     for e in fx.poset.covers:
         assert np.array_equal(rebuilt._edge(*e), m._edge(*e))

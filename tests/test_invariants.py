@@ -70,12 +70,12 @@ def test_rank_cache_hashes_each_member_once_per_call(monkeypatch, grid33, rng):
 
 
 def test_rank_cache_files_no_rank_for_a_failed_miss(grid22):
-    module = interval_module(grid22, range(4), ambient=False)
+    module = interval_module(grid22, range(4))
     cache = RankCache(module)
-    outside = GridInterval.rectangle((0, 0), (2, 0))
+    antichain = [1, 2]  # (0, 1) and (1, 0)
     for _ in range(2):
-        with pytest.raises(ValueError, match="leaves the window"):
-            cache.rank(outside)
+        with pytest.raises(ValueError, match="region must be connected"):
+            cache.rank(antichain)
         assert cache.rank(GridInterval.rectangle((0, 0), (1, 1))) == 1
     assert cache.queries == 1
 
@@ -173,7 +173,7 @@ def test_gpd_on_chain_equals_zigzag_barcode(rng):
         mod = random_chain_module(rng, n)
         # re-house the chain module on the 1-row window so both machines see it
         maps = {(idx[(i, 0)], idx[(i + 1, 0)]): mod._edge(i, i + 1) for i in range(n - 1)}
-        m = type(mod)(win, mod.dims, maps, mod.p, ambient=True)
+        m = type(mod)(win, mod.dims, maps, mod.p)
         table = gri(m, segments_of_chain(n))
         d = gpd(table)
         path = ZigzagPath(tuple((i, 0) for i in range(n)))
@@ -519,6 +519,18 @@ def test_tightness_pair_on_center_double():
     d1 = gpd(gri(n_plus, ints))
     d2 = gpd(gri(n_prime, ints))
     assert d1 != d2
+
+
+def test_equal_signed_diagrams_hash_equal(rng, grid33):
+    """Equality reads the value map, so the hash must too: two diagrams
+    listing the same entries in different orders are one set element."""
+    from grinv.invariants import SignedDiagram
+
+    d = gpd(gri(random_module(rng, grid33), enumerate_grid_intervals(grid33)))
+    assert len(d.support) >= 2
+    flipped = SignedDiagram(d.support[::-1])
+    assert flipped == d and hash(flipped) == hash(d)
+    assert len({d, flipped}) == 1
 
 
 def test_tightness_pair_rejects_decomposable(rng, grid33):

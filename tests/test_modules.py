@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from grinv.erosion import shift_module
 from grinv.fixtures import FIXTURES, build_fixture
-from grinv.gf import MAX_P, FFMatrix, is_prime, kernel_rows, mul_rows, random_invertible, rref_rows
+from grinv.gf import MAX_P, is_prime, kernel_rows, mul_rows, random_invertible, rref_rows
 from grinv.modules import (
     PModule,
     _basis,
@@ -36,6 +37,7 @@ from grinv.sampling import (
     random_module,
     random_poset,
 )
+from grinv.zigzag import ZigzagPath, zigzag_barcode
 
 
 LARGEST_P = next(q for q in range(MAX_P, 2, -1) if is_prime(q))
@@ -203,7 +205,7 @@ def test_functoriality_check_off_full_grid_windows():
 
 
 def test_maps_are_stored_as_int_rows_of_residues():
-    for m in ([[-1], [7]], np.array([[-1], [7]]), FFMatrix([[-1], [7]], 5)):
+    for m in ([[-1], [7]], np.array([[-1], [7]])):
         mod = PModule(FinitePoset.chain(2), [1, 2], {(0, 1): m}, 5)
         assert mod.maps == {(0, 1): [[4], [2]]}
         assert all(type(v) is int for row in mod.maps[(0, 1)] for v in row)
@@ -355,11 +357,39 @@ def test_rank_errors_on_empty_or_disconnected(grid22):
         generalized_rank(m, [1, 2])  # antichain
 
 
-def test_ambient_extension_by_zero(grid22):
-    m = grid_interval_module(grid22, GridInterval.rectangle((0, 0), (1, 1)))
-    outside = GridInterval.rectangle((0, 0), (2, 2))
-    assert generalized_rank(m, outside) == 0
-    assert generalized_rank_fast(m, outside) == 0
+def test_ambient_extension_by_zero(rng, grid22, grid33):
+    """Every constructor gives a grid module extended by zero: ranks over
+    intervals that leave its window are 0 on both rank routes, and a path
+    stepping off the window has no bar at the indices outside it."""
+    square = GridInterval.rectangle((0, 0), (1, 1))
+    ones = PModule(grid22, [1] * 4, {e: [[1]] for e in grid22.covers})
+    point = PModule(FinitePoset.chain(1), [1], {})
+    corner = [i for i, (x, y) in enumerate(grid33.grid_coords) if x < 2 and y < 2]
+    modules = {
+        "PModule": ones,
+        "from_text": PModule.from_text(ones.to_text()),
+        "interval_module": interval_module(grid22, range(4)),
+        "grid_interval_module": grid_interval_module(grid22, square),
+        "pullback": pullback(point, [0] * 4, grid22),
+        "direct_sum": direct_sum(ones, ones),
+        "scramble": ones.scramble(rng),
+        "restrict": grid_interval_module(grid33, GridInterval.rectangle((0, 0), (2, 2)))
+        .restrict(corner),
+        "shift_module": shift_module(ones, 1),
+    }
+    for name, m in modules.items():
+        (ox, oy), size = m.window_origin_size()
+        assert size == (2, 2), name
+        inside = GridInterval.rectangle((ox, oy), (ox + 1, oy + 1))
+        assert generalized_rank(m, inside) == generalized_rank_fast(m, inside) >= 1, name
+        for outside in (GridInterval.rectangle((ox, oy), (ox + 2, oy + 2)),
+                        GridInterval.rectangle((ox - 1, oy - 1), (ox, oy)),
+                        GridInterval.rectangle((ox + 2, oy), (ox + 3, oy))):
+            assert generalized_rank(m, outside) == generalized_rank_fast(m, outside) == 0, name
+        # indices 0 and 3 lie off the window
+        path = ZigzagPath(tuple((ox + k, oy) for k in range(-1, 3)))
+        bars = dict(zigzag_barcode(m, path).bars)
+        assert bars and all((i, j) == (1, 2) for i, j in bars), (name, bars)
 
 
 def test_rank_monotone_under_containment(rng):
@@ -450,12 +480,11 @@ def test_fast_equals_slow_sampled_4x4(rng):
     st.sampled_from([2, 3, 5, LARGEST_P]),
     st.sampled_from([3, 4]),
     st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
-    st.booleans(),
     st.integers(1, 4),
     st.integers(0, 10 ** 9),
     st.data(),
 )
-def test_fence_memo_matches_oracle_in_any_order(p, side, origin, ambient, summands, seed, data):
+def test_fence_memo_matches_oracle_in_any_order(p, side, origin, summands, seed, data):
     """One module answers many intervals in a drawn order, so memoised fence
     sweeps are reused across intervals; each rank must still equal the full
     limit/colimit solve.  A 3x3 window answers all of its intervals, a 4x4
@@ -465,8 +494,6 @@ def test_fence_memo_matches_oracle_in_any_order(p, side, origin, ambient, summan
     rng = np.random.default_rng(seed)
     win = grid_poset(side, side, origin)
     m = random_module(rng, win, p, max_summands=summands)
-    if not ambient:
-        m = PModule(m.poset, m.dims, m.maps, p, ambient=False, validate=False)
     ints = enumerate_grid_intervals(win)
     if side == 4:
         ints = data.draw(st.lists(st.sampled_from(ints), min_size=40, max_size=80))
@@ -474,42 +501,34 @@ def test_fence_memo_matches_oracle_in_any_order(p, side, origin, ambient, summan
     box = (ox - 1, oy - 1, ox + side, oy + side)
     ints += [random_grid_interval(rng, box) for _ in range(12)]
     for gi in data.draw(st.permutations(ints)):
-        if ambient or m.contains_interval(gi):
-            assert generalized_rank_fast(m, gi) == generalized_rank(m, gi)
-        else:
-            with pytest.raises(ValueError, match="interval leaves the window"):
-                generalized_rank_fast(m, gi)
+        assert generalized_rank_fast(m, gi) == generalized_rank(m, gi)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.sampled_from([2, 3, 5]),
     st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
-    st.booleans(),
     st.integers(1, 4),
     st.integers(0, 10 ** 9),
     st.data(),
 )
-def test_antichain_memos_match_oracle_cold_and_warm(p, origin, ambient, summands, seed, data):
+def test_antichain_memos_match_oracle_cold_and_warm(p, origin, summands, seed, data):
     """Each drawn interval gets the oracle's rank from a module whose memos
     are cleared before every query (cold) and from one that has already
     answered every interval of the window (warm), so every fence sweep
     and pushed basis it reads was made for other intervals.  Few summands
-    leave points zero-dimensional; an ambient window also meets
-    intervals that leave it."""
+    leave points zero-dimensional; intervals that leave the window are
+    drawn too."""
     rng = np.random.default_rng(seed)
     win = grid_poset(4, 4, origin)
     m = random_module(rng, win, p, max_summands=summands)
-    if not ambient:
-        m = PModule(m.poset, m.dims, m.maps, p, ambient=False, validate=False)
     ints = enumerate_grid_intervals(win)
-    warm = PModule(m.poset, m.dims, m.maps, p, ambient=ambient, validate=False)
+    warm = PModule(m.poset, m.dims, m.maps, p, validate=False)
     for gi in ints:
         generalized_rank_fast(warm, gi)
     drawn = data.draw(st.lists(st.sampled_from(ints), min_size=20, max_size=40))
-    if ambient:
-        ox, oy = origin
-        drawn += [random_grid_interval(rng, (ox - 1, oy - 1, ox + 4, oy + 4)) for _ in range(8)]
+    ox, oy = origin
+    drawn += [random_grid_interval(rng, (ox - 1, oy - 1, ox + 4, oy + 4)) for _ in range(8)]
     for gi in drawn:
         want = generalized_rank(m, gi)
         m._clear_memos()
@@ -533,13 +552,12 @@ def unit_step_fence(module, ext, lower):
 @given(
     st.sampled_from([2, 3, 5]),
     st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
-    st.booleans(),
     st.integers(1, 4),
     st.integers(0, 10 ** 9),
 )
-def test_turning_point_sweep_matches_a_unit_step_sweep(p, origin, ambient, summands, seed):
-    """After the fast path has answered every interval of a window (and, on
-    an ambient window, intervals leaving it), every fence memo entry is the
+def test_turning_point_sweep_matches_a_unit_step_sweep(p, origin, summands, seed):
+    """After the fast path has answered every interval of a window and
+    intervals leaving it, every fence memo entry is the
     tuple a sweep through every fence point gives: the same last id, the
     same reduced basis and the same pushed bases.  A full-window summand
     keeps every interval nontrivial, so every antichain gets swept."""
@@ -548,10 +566,8 @@ def test_turning_point_sweep_matches_a_unit_step_sweep(p, origin, ambient, summa
     win = grid_poset(4, 4, origin)
     full = grid_interval_module(win, GridInterval.rectangle(origin, (ox + 3, oy + 3)), p)
     m = direct_sum(full, random_module(rng, win, p, max_summands=summands)).scramble(rng)
-    m = PModule(m.poset, m.dims, m.maps, p, ambient=ambient, validate=False)
     ints = enumerate_grid_intervals(win)
-    if ambient:
-        ints += [random_grid_interval(rng, (ox - 1, oy - 1, ox + 4, oy + 4)) for _ in range(8)]
+    ints += [random_grid_interval(rng, (ox - 1, oy - 1, ox + 4, oy + 4)) for _ in range(8)]
     for gi in ints:
         generalized_rank_fast(m, gi)
     mins = {gi.minimal_points() for gi in ints if m.contains_interval(gi)}
@@ -665,9 +681,7 @@ def grid_slice_trivial(module: PModule, grid: np.ndarray, gi: GridInterval) -> b
     h, w = grid.shape
     x0, y0, x1, y1 = gi.bbox()
     if not (ox <= x0 and oy <= y0 and x1 < ox + w and y1 < oy + h):
-        if module.ambient:
-            return True
-        raise ValueError("interval leaves the window")
+        return True
     return any(
         not grid[gi.y0 + i - oy, a - ox : b - ox + 1].all() for i, (a, b) in enumerate(gi.rows)
     )
@@ -676,26 +690,18 @@ def grid_slice_trivial(module: PModule, grid: np.ndarray, gi: GridInterval) -> b
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     st.lists(st.integers(0, 2), min_size=9, max_size=9),
-    st.booleans(),
     st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
 )
-def test_trivial_zero_filter_matches_grid_slices(dims, ambient, origin):
+def test_trivial_zero_filter_matches_grid_slices(dims, origin):
     win = grid_poset(3, 3, origin)
-    m = PModule(win, dims, {}, ambient=ambient)
+    m = PModule(win, dims, {})
     ox, oy = origin
     grid = np.zeros((3, 3), dtype=np.int64)
     for i, (x, y) in enumerate(win.grid_coords):
         grid[y - oy, x - ox] = dims[i]
     # every interval of a fixed 4x4 box that the shifted window only partly covers
     for gi in iter_grid_intervals((0, 0, 3, 3)):
-        inside = m.contains_interval(gi)
-        if inside or ambient:
-            assert m._interval_rank_trivial(gi) == grid_slice_trivial(m, grid, gi)
-        else:
-            with pytest.raises(ValueError, match="leaves the window"):
-                m._interval_rank_trivial(gi)
-            with pytest.raises(ValueError, match="leaves the window"):
-                grid_slice_trivial(m, grid, gi)
+        assert m._interval_rank_trivial(gi) == grid_slice_trivial(m, grid, gi)
 
 
 def test_rectangle_rank_equals_corner_map_rank(rng):

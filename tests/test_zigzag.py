@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from grinv.fixtures import build_fixture
 from grinv.gf import rref_rows
 from grinv.invariants import RankCache
-from grinv.modules import PModule, generalized_rank, generalized_rank_fast, grid_interval_module
+from grinv.modules import generalized_rank, generalized_rank_fast, grid_interval_module
 from grinv.posets import GridInterval, grid_poset, lower_fence, upper_fence
 from grinv.sampling import (
     random_faithful_path,
@@ -371,33 +371,29 @@ def test_grid3_fixture_path_barcodes_differ():
 
 
 def draw_module_and_path(data, max_len):
-    """A random 3x3 or 4x4 module (ambient or not) and a path for it.
+    """A random 3x3 or 4x4 module and a path for it.
 
     Walks take unit steps; bounces walk out and straight back, so they
     revisit every point; corner paths join consecutive drawn points
-    through their join or meet, so steps need not be unit steps.  Paths
-    on an ambient module may leave the window, where the module is zero;
+    through their join or meet, so steps need not be unit steps.  Corner
+    paths may leave the window, where the module (extended by zero) is 0;
     summands rarely cover the window, so zero-dimensional points inside
     it are common too.
     """
     p = data.draw(st.sampled_from([2, 3, 5]), label="p")
     side = data.draw(st.sampled_from([3, 4]), label="side")
     seed = data.draw(st.integers(0, 10**9), label="seed")
-    ambient = data.draw(st.booleans(), label="ambient")
     kind = data.draw(st.sampled_from(["walk", "bounce", "corners"]), label="kind")
     rng = np.random.default_rng(seed)
     win = grid_poset(side, side, (0, 0))
     m = random_module(rng, win, p, max_summands=int(rng.integers(1, 9)))
-    if not ambient:
-        m = PModule(m.poset, m.dims, m.maps, p, ambient=False, validate=False)
     length = int(rng.integers(2, max_len + 1))
     if kind == "walk":
         return m, random_faithful_path(rng, win, length)
     if kind == "bounce":
         out = random_faithful_path(rng, win, (length + 1) // 2).points
         return m, ZigzagPath(out + out[-2::-1])
-    lo, hi = (-1, side) if ambient else (0, side - 1)
-    point = st.tuples(st.integers(lo, hi), st.integers(lo, hi))
+    point = st.tuples(st.integers(-1, side), st.integers(-1, side))
     drawn = data.draw(st.lists(point, min_size=length, max_size=length), label="corners")
     pts = [drawn[0]]
     for q in drawn[1:]:
@@ -468,16 +464,6 @@ def test_interval_hull_matches_the_sandwich_rule(drawn, picks, unit_steps):
         for j in range(i, len(pts)):
             sub = path.subpath(i, j)
             assert interval_hull(sub) == interval_hull_reference(sub), (i, j)
-
-
-def test_off_window_point_of_non_ambient_module_raises(rng, grid33):
-    amb = random_module(rng, grid33)
-    m = PModule(amb.poset, amb.dims, amb.maps, amb.p, ambient=False, validate=False)
-    path = ZigzagPath(((1, 1), (2, 1), (3, 1)))
-    for fn in (zigzag_rank, zigzag_barcode, path_module):
-        with pytest.raises(ValueError, match=r"path point \(3, 1\) outside the window"):
-            fn(m, path)
-    zigzag_barcode(amb, path)  # extended by zero instead
 
 
 # -- bounds --------------------------------------------------------------------------
