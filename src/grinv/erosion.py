@@ -135,12 +135,12 @@ STUDY_REPEATS = 5
 def timed_distance(m1: PModule, m2: PModule, collection, repeats: int = 1):
     """``erosion_distance`` from cold state: (distance, caches, seconds).
 
-    Each of the repeats clears both modules' memos (transitions and
-    fence sweeps) and starts from fresh rank caches, so every repeat
-    does the whole work; ``seconds`` is the least wall time among them,
-    which a scheduling or GC pause in one repeat cannot inflate.  The
-    caches returned are the first repeat's, so their misses count the
-    work of a single run.
+    Each of the repeats clears both modules' memos (transitions, fence
+    sweeps and subspace moves, see ``PModule._clear_memos``) and starts
+    from fresh rank caches, so every repeat does the whole work;
+    ``seconds`` is the least wall time among them, which a scheduling or
+    GC pause in one repeat cannot inflate.  The caches returned are the
+    first repeat's, so their misses count the work of a single run.
     """
     seconds = math.inf
     for k in range(repeats):

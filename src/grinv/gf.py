@@ -54,11 +54,12 @@ def is_prime(p: int) -> bool:
 
 
 def check_modulus(p: int) -> None:
-    """Raise ValueError unless p is a prime for which int64 arithmetic stays exact."""
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
+    """Raise ValueError unless p is a prime for which int64 arithmetic stays
+    exact; the cap comes first, as trial division of 2**61 - 1 takes minutes."""
     if p > MAX_P:
         raise ValueError(f"modulus {p} exceeds {MAX_P}, the largest exact in int64")
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
 
 
 def rref_rows(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:

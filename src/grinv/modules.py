@@ -16,7 +16,8 @@ general rank route and the oracle of the grid fast path, which solves
 each interval's two boundary fences with the zigzag sweep step
 (`sweep_step`, shared with path barcodes), one step per fence leg
 between its turning points, memoised per module by the interval's
-minimal and maximal antichains (see `generalized_rank_fast`).
+minimal and maximal antichains (see `generalized_rank_fast`); every
+sweep step goes through one per-module memo of subspace moves (`_move`).
 Both routes run on rows of Python ints through the `gf` row routines.
 
 A module whose poset has grid coordinates is extended by zero: it is
@@ -97,7 +98,7 @@ class PModule:
     """
 
     __slots__ = ("poset", "dims", "maps", "p", "_trans",
-                 "_window_idx", "_window_geom", "_fences")
+                 "_window_idx", "_window_geom", "_fences", "_moves")
 
     def __init__(self, poset: FinitePoset, dims, maps, p: int = DEFAULT_P,
                  validate: bool = True):
@@ -119,10 +120,11 @@ class PModule:
             self._check_functorial()
 
     def _clear_memos(self):
-        """Forget the memoised transitions, fence sweeps and window geometry."""
+        """Forget the memoised transitions, fence sweeps, moves and window geometry."""
         self._trans = {}
         self._window_geom = None
         self._fences = {}
+        self._moves = {}
 
     # -- construction-time checks -----------------------------------------
 
@@ -481,36 +483,64 @@ def generalized_rank(module: PModule, region) -> int:
     return _rank_of_restriction(module, ms)
 
 
-def sweep_step(module: PModule, a: int, b: int, e, q):
+def sweep_step(module: PModule, a: int, b: int, rows, dual: bool):
     """One step of the zigzag sweep, from element a to a comparable element b.
 
-    ``e`` (E: limit -> V_a) holds the images in V_a of vectors spanning the
-    limit of the zigzag swept so far, and ``q`` (Q: V_a -> colimit) the
-    functionals on V_a spanning the coordinates of its colimit, both as
-    int rows; either may be None to leave it out.  Returns both moved to
-    V_b.  Along M: V_a -> V_b, E is pushed forward by M and Q is pulled
-    back along M^T (the pushout, as the pullback of the dual
-    functionals); along M: V_b -> V_a, E is pulled back along M and Q is
-    composed with M.  Only the spans matter: the vectors may be dependent.
+    ``rows`` (E: limit -> V_a) hold the images in V_a of vectors spanning
+    the limit of the zigzag swept so far or, when ``dual``, (Q: V_a ->
+    colimit) the functionals on V_a spanning the coordinates of its
+    colimit, as int rows; returns them moved to V_b.  Along M: V_a -> V_b,
+    E is pushed forward by M and Q is pulled back along M^T (the pushout,
+    as the pullback of the dual functionals); along M: V_b -> V_a, E is
+    pulled back along M and Q is composed with M.  Only the span matters:
+    the rows may be dependent, and the span moved to depends on it alone.
     """
-    p, width = module.p, module.dims[b]
     forward = module.poset.le(a, b)
-    lo, hi = (a, b) if forward else (b, a)
-    if e is not None:
-        rows = module.transition(lo, hi)
-        e = mul_rows(e, rows, p) if forward else pull_rows(e, rows, width, p)
-    if q is not None:
-        rows = module.transition(lo, hi, transpose=True)
-        q = pull_rows(q, rows, width, p) if forward else mul_rows(q, rows, p)
-    return e, q
+    m = module.transition(*((a, b) if forward else (b, a)), transpose=dual)
+    if forward != dual:
+        return mul_rows(rows, m, module.p)
+    return pull_rows(rows, m, module.dims[b], module.p)
+
+
+def _identity(d: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced basis of a whole space of dimension d."""
+    return tuple(tuple(int(r == c) for c in range(d)) for r in range(d))
+
+
+def _basis(rows, width: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """A basis of the span of the rows, as tuples: compact in the memos."""
+    rows, pivots = rref_rows(rows, width, p)
+    return tuple(map(tuple, rows[:len(pivots)]))
+
+
+def _move(module: PModule, dual: bool, a: int, b: int, basis):
+    """The reduced basis at b of ``sweep_step`` from a reduced basis at a,
+    memoised per module: the step depends only on the span and reduced
+    bases are canonical, so every sweep reaching one subspace shares it."""
+    key = (dual, a, b, basis)
+    hit = module._moves.get(key)
+    if hit is None:
+        rows = sweep_step(module, a, b, basis, dual)
+        hit = module._moves[key] = _basis(rows, module.dims[b], module.p)
+    return hit
+
+
+def _rank_at(e, q, width: int, p: int) -> int:
+    """rank(Q E) at a point of dimension ``width``, from reduced bases of E
+    and Q: an elimination only when neither spans the space."""
+    if len(e) == width:
+        return len(q)
+    if len(q) == width:
+        return len(e)
+    return len(rref_rows(mul_rows(e, q, p), len(q), p)[1])
 
 
 def _fence_solve(module: PModule, ext, lower: bool):
-    """(last fence id, basis of E or Q there, {b: pushed E basis} or None), memoised.
+    """(last fence id, reduced basis of E or Q there), memoised.
 
     The key is the antichain ``ext`` that fixes the fence; its turning
     points are listed only on a miss.  One sweep from the identity at the
-    first point, one step per leg, with each leg's composite
+    first point, one `_move` per leg, with each leg's composite
     ``PModule.transition``: 2k steps for an antichain of k + 1 points.  A
     lower fence keeps only E, an upper fence only Q.  The points of a
     fence induce exactly the path's covers, so E spans the image of the
@@ -524,22 +554,11 @@ def _fence_solve(module: PModule, ext, lower: bool):
     if hit is None:
         idx = module._window_idx
         ids = [idx[pt] for pt in fence_turns(ext, lower)]
-        d = module.dims[ids[0]]
-        rows = [[int(r == c) for r in range(d)] for c in range(d)]
+        basis = _identity(module.dims[ids[0]])
         for a, b in zip(ids, ids[1:]):
-            if lower:
-                rows = sweep_step(module, a, b, rows, None)[0]
-            else:
-                rows = sweep_step(module, a, b, None, rows)[1]
-        hit = (ids[-1], _basis(rows, module.dims[ids[-1]], module.p), {} if lower else None)
-        module._fences[key] = hit
+            basis = _move(module, not lower, a, b, basis)
+        hit = module._fences[key] = (ids[-1], basis)
     return hit
-
-
-def _basis(rows, width: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """A basis of the span of the rows, as tuples: compact in the memos."""
-    rows, pivots = rref_rows(rows, width, p)
-    return tuple(map(tuple, rows[:len(pivots)]))
 
 
 def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
@@ -554,33 +573,23 @@ def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
     rank(Q T(a, b) E), all on int rows.
 
     Many intervals share a fence, so the module memoises one sweep per
-    distinct minimal or maximal antichain (the key) and the basis of E
-    pushed to b, T(a, b) E, once per (minimal antichain, b): the memos are
-    bounded by those counts, not by the number of intervals.  If that
-    basis spans V_b the rank is the number of Q rows, and if Q has dim V_b
-    rows it is the size of that basis; only otherwise is there an
-    elimination.  The memo is exact: an entry is a deterministic function
-    of its key and the module alone.  After the trivial-zero filter, one
-    walk up the rows (`GridInterval.antichains`) finds both antichains and
-    checks that the fences stay inside the interval, at their corners.
+    distinct minimal or maximal antichain (the key), and pushing E to b is
+    one more memoised move (`_move`): the memos are bounded by those
+    counts, not by the number of intervals.  The memos are exact: an
+    entry is a deterministic function of its key and the module alone.
+    After the trivial-zero filter, one walk up the rows
+    (`GridInterval.antichains`) finds both antichains and checks that the
+    fences stay inside the interval, at their corners.
     """
     if module._window_idx is None:
         raise ValueError("fast path needs a grid module")
     if module._interval_rank_trivial(gi):
         return 0
     mins, maxs = gi.antichains()
-    a, e, pushed = _fence_solve(module, mins, lower=True)
+    a, e = _fence_solve(module, mins, lower=True)
     if not e:
         return 0
-    b, q, _ = _fence_solve(module, maxs, lower=False)
+    b, q = _fence_solve(module, maxs, lower=False)
     if not q:
         return 0
-    p = module.p
-    e_b = pushed.get(b)
-    if e_b is None:
-        e_b = pushed[b] = _basis(mul_rows(e, module.transition(a, b), p), module.dims[b], p)
-    if len(e_b) == module.dims[b]:
-        return len(q)
-    if len(q) == module.dims[b]:
-        return len(e_b)
-    return len(rref_rows(mul_rows(e_b, q, p), len(q), p)[1])
+    return _rank_at(_move(module, False, a, b, e), q, module.dims[b], module.p)

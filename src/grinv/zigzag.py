@@ -12,9 +12,9 @@ Subpath ranks come from one sweep per left end i: while j advances, a
 map E from the limit of the zigzag over i..j into V_j and a map Q from
 V_j onto its colimit are updated by one pullback or pushout per step,
 and rank(i, j) = rank(Q E), because the limit-to-colimit map factors
-through every vertex.  A zero rank or a zero space ends the sweep.  The
-step is `modules.sweep_step`, which also solves the boundary fences of
-the grid fast path.
+through every vertex.  A zero rank or a zero space ends the sweep.  E
+and Q are reduced bases, and each step is a move of the module's memo
+(`modules._move`), shared by every path and by the fast path's fences.
 
 Fences (min_zz / max_zz), tameness, solidity and thinness connect path
 ranks to interval ranks: over a tame path the zigzag rank equals the
@@ -31,8 +31,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import inf
 
-from .gf import mul_rows, rref_rows
-from .modules import PModule, sweep_step
+from .modules import PModule, _identity, _move, _rank_at
 from .posets import (
     FinitePoset,
     GridInterval,
@@ -382,30 +381,27 @@ def path_module(module: PModule, path: ZigzagPath) -> PModule:
 def _span_ranks(module: PModule, path: ZigzagPath, lefts) -> list[list[int]]:
     """Zigzag ranks over path indices i..j: ranks[k][j - i] for the k-th left end i.
 
-    For each left end one sweep keeps E (limit -> V_j) as the images of
-    vectors spanning the limit, and Q (V_j -> colimit) as functionals
-    spanning the colimit's coordinates, and moves both one step at a time with
-    :func:`~grinv.modules.sweep_step`, the step the boundary fences of
-    the grid fast path are solved with.
+    For each left end one sweep keeps the reduced bases of E (limit ->
+    V_j), the images of the limit, and of Q (V_j -> colimit), functionals
+    spanning the colimit's coordinates, and moves both one step at a time
+    through the module's memo of subspace moves (`modules._move`).
     """
-    p = module.p
     ids = _path_ids(module, path)
     n = len(ids)
     dims = [0 if i is None else module.dims[i] for i in ids]
     out = []
     for i in lefts:
         row = [0] * (n - i)
-        d = dims[i]
-        e = [[int(r == c) for r in range(d)] for c in range(d)]
-        q = [list(v) for v in e]
-        rank, j = d, i
+        e = q = _identity(dims[i])
+        rank, j = dims[i], i
         while rank:
             row[j - i] = rank
             if j == n - 1 or dims[j + 1] == 0:
                 break
-            e, q = sweep_step(module, ids[j], ids[j + 1], e, q)
+            a, b = ids[j], ids[j + 1]
+            e, q = _move(module, False, a, b, e), _move(module, True, a, b, q)
             j += 1
-            rank = len(rref_rows(mul_rows(e, q, p), len(q), p)[1])
+            rank = _rank_at(e, q, dims[j], module.p)
         out.append(row)
     return out
 
@@ -448,8 +444,9 @@ def zigzag_barcode(module: PModule, path: ZigzagPath) -> Barcode:
     rank(i,j) - rank(i-1,j) - rank(i,j+1) + rank(i-1,j+1), with terms
     falling off the ends of the path dropped.  Zigzag modules decompose
     into interval summands, so every multiplicity must be >= 0 (checked).
-    The ranks come from one pullback/pushout sweep per left end, which
-    fills the whole table of subpath ranks in O(n^2) small eliminations.
+    The ranks come from one pullback/pushout sweep per left end; a step
+    any sweep of the module took before (from another left end, path or
+    fence) is read from its memo of subspace moves.
 
     Any path of comparable steps qualifies, faithful or not: the corner
     zigzag p -> (p join q) <- q is the standard non-faithful use.

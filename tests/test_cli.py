@@ -497,17 +497,29 @@ def test_env_field_default(capsys, square_module_file, monkeypatch):
 
 
 def test_field_too_large_for_exact_arithmetic(capsys, square_module_file, monkeypatch, tmp_path):
-    big = str(2**31 - 1)
-    code, _, err = run(capsys, "--field", big, "gri", square_module_file)
-    assert code == EXIT_INPUT and "exceeds" in err
-    monkeypatch.setenv("GRINV_FIELD", big)
-    code, _, err = run(capsys, "gri", square_module_file)
-    assert code == EXIT_INPUT and "exceeds" in err
-    monkeypatch.delenv("GRINV_FIELD")
-    f = tmp_path / "big.txt"
-    f.write_text(open(square_module_file).read().replace("field 2", f"field {big}"))
-    code, _, err = run(capsys, "gri", str(f))
-    assert code == EXIT_INPUT and "exceeds" in err
+    """--field, GRINV_FIELD and a module file's field line all exit 2 on a
+    prime above the cap, without a primality test (2**61 - 1 would take
+    minutes of trial division)."""
+    import grinv.gf as gf
+
+    def no_trial_division(p):
+        if p > gf.MAX_P:
+            raise AssertionError(f"primality of {p} tested above the cap")
+        return real(p)
+
+    real = gf.is_prime
+    monkeypatch.setattr(gf, "is_prime", no_trial_division)
+    for big in map(str, (2**31 - 1, 2**61 - 1)):
+        code, _, err = run(capsys, "--field", big, "gri", square_module_file)
+        assert code == EXIT_INPUT and "exceeds" in err
+        monkeypatch.setenv("GRINV_FIELD", big)
+        code, _, err = run(capsys, "gri", square_module_file)
+        assert code == EXIT_INPUT and "exceeds" in err
+        monkeypatch.delenv("GRINV_FIELD")
+        f = tmp_path / "big.txt"
+        f.write_text(open(square_module_file).read().replace("field 2", f"field {big}"))
+        code, _, err = run(capsys, "gri", str(f))
+        assert code == EXIT_INPUT and "exceeds" in err
 
 
 def test_fixtures_list_and_describe(capsys):

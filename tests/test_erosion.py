@@ -184,18 +184,23 @@ def test_timed_distance_repeats_from_cold_state(rng, monkeypatch):
     coll = ThickeningFamily(2, 2).members_within(union_bbox(m, shifted))
     warm = (RankCache(m), RankCache(shifted))
     want = erosion_distance(m, shifted, coll, caches=warm)
-    assert m._fences and shifted._fences
+
+    def memo_sizes(module):
+        return len(module._trans), len(module._fences), len(module._moves)
+
+    assert all(memo_sizes(m)) and all(memo_sizes(shifted))
     starts = []
     real = erosion.erosion_distance
 
     def spy(m1, m2, collection, caches):
-        # state each repeat starts from: memoised fences and cache misses
-        starts.append((len(m1._fences), len(m2._fences), caches[0].queries + caches[1].queries))
+        # state each repeat starts from: memoised transitions, fence sweeps
+        # and subspace moves of both modules, and cache misses
+        starts.append((*memo_sizes(m1), *memo_sizes(m2), caches[0].queries + caches[1].queries))
         return real(m1, m2, collection, caches=caches)
 
     monkeypatch.setattr(erosion, "erosion_distance", spy)
     dist, caches, seconds = timed_distance(m, shifted, coll, repeats=3)
-    assert starts == [(0, 0, 0)] * 3
+    assert starts == [(0,) * 7] * 3
     assert dist == want
     assert [c.queries for c in caches] == [c.queries for c in warm]
     assert 0 < seconds < math.inf

@@ -41,6 +41,20 @@ def test_moduli_beyond_int64_exactness_are_rejected():
         check_modulus(big)
 
 
+def test_a_modulus_above_the_cap_is_rejected_before_any_primality_test(monkeypatch):
+    """Trial division of 2**61 - 1 would run for minutes, so the cap must
+    be compared first; a composite above the cap is rejected the same way."""
+    import grinv.gf as gf
+
+    def no_trial_division(p):
+        raise AssertionError(f"primality of {p} tested above the cap")
+
+    monkeypatch.setattr(gf, "is_prime", no_trial_division)
+    for big in (MAX_P + 1, 2**61 - 1, 2**62):
+        with pytest.raises(ValueError, match="exceeds"):
+            check_modulus(big)
+
+
 def test_largest_allowed_prime_multiplies_exactly():
     # a 3-chain whose two maps are all p - 1, so each entry of the composite
     # transition sums 3 * (p - 1)**2

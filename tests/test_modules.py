@@ -543,8 +543,7 @@ def unit_step_fence(module, ext, lower):
     d = module.dims[ids[0]]
     rows = [[int(r == c) for r in range(d)] for c in range(d)]
     for a, b in zip(ids, ids[1:]):
-        e, q = sweep_step(module, a, b, rows if lower else None, None if lower else rows)
-        rows = e if lower else q
+        rows = sweep_step(module, a, b, rows, not lower)
     return ids[-1], _basis(rows, module.dims[ids[-1]], module.p)
 
 
@@ -557,10 +556,13 @@ def unit_step_fence(module, ext, lower):
 )
 def test_turning_point_sweep_matches_a_unit_step_sweep(p, origin, summands, seed):
     """After the fast path has answered every interval of a window and
-    intervals leaving it, every fence memo entry is the
-    tuple a sweep through every fence point gives: the same last id, the
-    same reduced basis and the same pushed bases.  A full-window summand
-    keeps every interval nontrivial, so every antichain gets swept."""
+    intervals leaving it, every fence memo entry is the pair a sweep
+    through every fence point gives: the same last id and the same
+    reduced basis.  Every interval's push of E to the upper fence's end is
+    a move entry equal to the reduced product by the transition, and
+    every move entry equals a memo-free step of its key's basis.  A
+    full-window summand keeps every interval nontrivial, so every
+    antichain gets swept."""
     rng = np.random.default_rng(seed)
     ox, oy = origin
     win = grid_poset(4, 4, origin)
@@ -572,10 +574,16 @@ def test_turning_point_sweep_matches_a_unit_step_sweep(p, origin, summands, seed
         generalized_rank_fast(m, gi)
     mins = {gi.minimal_points() for gi in ints if m.contains_interval(gi)}
     assert {ext for lower, ext in m._fences if lower} == mins
-    for (lower, ext), (last, basis, pushed) in m._fences.items():
+    for (lower, ext), (last, basis) in m._fences.items():
         assert (last, basis) == unit_step_fence(m, ext, lower)
-        for b, e_b in (pushed or {}).items():
-            assert e_b == _basis(mul_rows(basis, m.transition(last, b), p), m.dims[b], p)
+    for gi in ints:
+        if m.contains_interval(gi):
+            a, e = m._fences[True, gi.minimal_points()]
+            b = m._fences[False, gi.maximal_points()][0]
+            assert m._moves[False, a, b, e] == _basis(mul_rows(e, m.transition(a, b), p),
+                                                       m.dims[b], p)
+    for (dual, a, b, basis), moved in m._moves.items():
+        assert moved == _basis(sweep_step(m, a, b, [list(v) for v in basis], dual), m.dims[b], p)
 
 
 def dense_5x5_module():
@@ -589,9 +597,9 @@ def dense_5x5_module():
 
 def test_fast_path_work_counts_on_a_dense_5x5_module(monkeypatch):
     """gri over int:2,2 sweeps each distinct minimal and maximal antichain
-    once, one step per fence leg, pushes one basis per distinct (minimal
-    antichain, b) and never lists fences per interval.  These counts do
-    not depend on the machine."""
+    once, one move per fence leg, pushes E to b by one move per interval,
+    takes one step and one reduction per distinct move and never lists
+    fences per interval.  These counts do not depend on the machine."""
     import grinv.modules as modules_mod
     import grinv.posets as posets_mod
     from grinv.invariants import gri
@@ -611,20 +619,24 @@ def test_fast_path_work_counts_on_a_dense_5x5_module(monkeypatch):
     win, m = dense_5x5_module()
     coll = enumerate_grid_intervals(win, 2, 2)
     table = gri(m, coll)
-    # one fence listing per sweep; one basis per sweep and per push; two
-    # steps, one of them a pullback, per pair of consecutive antichain
-    # points (a unit-step sweep made 800 steps and 400 pullbacks)
-    assert calls == {"fence_turns": 250, "_basis": 250 + 825, "sweep_step": 400, "pull_rows": 200}
+    # one fence listing per sweep; one step and one basis per distinct
+    # move, fence legs and pushes together
+    assert calls == {"fence_turns": 250, "_basis": 387, "sweep_step": 387, "pull_rows": 98}
+    assert len(m._moves) == 387
     assert min(table.ranks) >= 1 and len(set(table.ranks)) > 2
     idx = win.id_of_coord()
     mins = {gi.minimal_points() for gi in coll}
     maxs = {gi.maximal_points() for gi in coll}
-    pushes = {(gi.minimal_points(), idx[gi.maximal_points()[-1]]) for gi in coll}
-    assert (len(coll), len(mins), len(maxs), len(pushes)) == (2300, 125, 125, 825)
     lows = {ext: hit for (lower, ext), hit in m._fences.items() if lower}
     ups = {ext for (lower, ext) in m._fences if not lower}
     assert lows.keys() == mins and ups == maxs
-    assert {(ext, b) for ext, hit in lows.items() for b in hit[2]} == pushes
+    pushes = set()
+    for gi in coll:
+        a, e = lows[gi.minimal_points()]
+        pushes.add((False, a, idx[gi.maximal_points()[-1]], e))
+    # 825 (minimal antichain, b) pairs reach 249 distinct (a, b, E) pushes
+    assert (len(coll), len(mins), len(maxs), len(pushes)) == (2300, 125, 125, 249)
+    assert pushes <= m._moves.keys()
 
 
 def test_functoriality_check_work_counts(monkeypatch):

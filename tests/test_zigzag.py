@@ -4,9 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from grinv.fixtures import build_fixture
 from grinv.gf import rref_rows
-from grinv.invariants import RankCache
-from grinv.modules import generalized_rank, generalized_rank_fast, grid_interval_module
-from grinv.posets import GridInterval, grid_poset, lower_fence, upper_fence
+from grinv.invariants import RankCache, gri
+from grinv.modules import PModule, generalized_rank, generalized_rank_fast, grid_interval_module
+from grinv.posets import GridInterval, enumerate_grid_intervals, grid_poset, lower_fence, upper_fence
 from grinv.sampling import (
     random_faithful_path,
     random_grid_interval,
@@ -393,7 +393,13 @@ def draw_module_and_path(data, max_len):
     if kind == "bounce":
         out = random_faithful_path(rng, win, (length + 1) // 2).points
         return m, ZigzagPath(out + out[-2::-1])
-    point = st.tuples(st.integers(-1, side), st.integers(-1, side))
+    return m, draw_corner_path(data, (-1, side), length)
+
+
+def draw_corner_path(data, span, length):
+    """A path through ``length`` points drawn from span x span, joining
+    consecutive incomparable points through their join or meet."""
+    point = st.tuples(st.integers(*span), st.integers(*span))
     drawn = data.draw(st.lists(point, min_size=length, max_size=length), label="corners")
     pts = [drawn[0]]
     for q in drawn[1:]:
@@ -403,7 +409,7 @@ def draw_module_and_path(data, max_len):
             pts.append((pick(a[0], q[0]), pick(a[1], q[1])))
         if q != pts[-1]:
             pts.append(q)
-    return m, ZigzagPath(tuple(pts))
+    return ZigzagPath(tuple(pts))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -418,6 +424,57 @@ def test_span_ranks_match_the_limit_colimit_oracle(data):
             zz = path_module(m, path.subpath(i, j))
             assert table[i][j - i] == generalized_rank(zz, range(zz.poset.n)), (i, j)
     assert zigzag_rank(m, path) == table[0][-1]
+
+
+def oracle_barcode(module, path):
+    """Bars by inclusion-exclusion over the ranks of the limit-to-colimit
+    maps of the path modules of every subpath (`path_module`), with no
+    sweep and no move memo."""
+    n = len(path.points)
+
+    def rank(i, j):
+        if i < 0 or j == n:
+            return 0
+        zz = path_module(module, path.subpath(i, j))
+        return generalized_rank(zz, range(zz.poset.n))
+
+    bars = {}
+    for i in range(n):
+        for j in range(i, n):
+            mult = rank(i, j) - rank(i - 1, j) - rank(i, j + 1) + rank(i - 1, j + 1)
+            if mult:
+                bars[i, j] = mult
+    return bars
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5]), st.sampled_from([3, 4]),
+       st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+       st.integers(0, 10**9), st.data())
+def test_warm_move_memo_keeps_path_barcodes(p, side, origin, seed, data):
+    """A module whose memo of subspace moves was filled by gri over its
+    window and by the barcodes of other paths, walks inside the window and
+    corner paths leaving it, gives every path the barcode of a cold module
+    and of the path-module oracle; E and Q moves of one span from one
+    point differ, so the memo must tell them apart."""
+    rng = np.random.default_rng(seed)
+    win = grid_poset(side, side, origin)
+    m = random_module(rng, win, p, max_summands=int(rng.integers(1, 6)))
+    cold = PModule(m.poset, m.dims, m.maps, p, validate=False)
+    ox, oy = origin
+    paths = [random_faithful_path(rng, win, int(rng.integers(2, 7))) for _ in range(3)]
+    for _ in range(3):
+        path = draw_corner_path(data, (-1, side), int(rng.integers(2, 6)))
+        paths.append(ZigzagPath(tuple((x + ox, y + oy) for x, y in path.points)))
+    gri(m, enumerate_grid_intervals(win))
+    assert m._moves
+    for path in paths:
+        zigzag_barcode(m, path)
+    for path in data.draw(st.permutations(paths)):
+        cold._clear_memos()
+        warm_bars = dict(zigzag_barcode(m, path).bars)
+        assert warm_bars == dict(zigzag_barcode(cold, path).bars)
+        assert warm_bars == oracle_barcode(m, path), path.points
 
 
 def interval_hull_reference(path):
