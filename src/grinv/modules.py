@@ -29,6 +29,7 @@ infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, combinations
 from typing import TYPE_CHECKING
 
@@ -502,8 +503,10 @@ def sweep_step(module: PModule, a: int, b: int, rows, dual: bool):
     return pull_rows(rows, m, module.dims[b], module.p)
 
 
+@cache
 def _identity(d: int) -> tuple[tuple[int, ...], ...]:
-    """The reduced basis of a whole space of dimension d."""
+    """The reduced basis of a whole space of dimension d, built once per d
+    (the tuples are immutable, so every caller shares them)."""
     return tuple(tuple(int(r == c) for c in range(d)) for r in range(d))
 
 

@@ -21,7 +21,9 @@ ranks to interval ranks: over a tame path the zigzag rank equals the
 generalized rank of the interval hull, which is both the fast
 computation route and the bridge for estimating either invariant from
 the other.  Each path holds one lazy table of (hull, tameness) per
-index span, from which every bracket is read.
+index span and one bracket memo of hull ranks and upper brackets per
+span under the last rank function it served, so the brackets of every
+span of an n-point path take O(n^2) interval-rank lookups between them.
 """
 
 from __future__ import annotations
@@ -419,8 +421,12 @@ class Barcode:
     path: ZigzagPath
     bars: tuple[tuple[tuple[int, int], int], ...]
 
+    @cached_property
+    def _multiplicity_by_span(self) -> dict:
+        return dict(self.bars)
+
     def multiplicity(self, i: int, j: int) -> int:
-        return dict(self.bars).get((i, j), 0)
+        return self._multiplicity_by_span.get((i, j), 0)
 
     def full_bar(self) -> int:
         return self.multiplicity(0, len(self.path.points) - 1)
@@ -492,22 +498,59 @@ def zib(module: PModule, paths) -> dict[ZigzagPath, Barcode]:
 # -- estimating one invariant from the other ----------------------------------------
 
 
-def _upper_brackets(path: ZigzagPath, lo: int, hi: int, interval_rank) -> dict:
-    """Least hull rank over the tame subpaths of a..b, for every lo <= a <= b <= hi.
+class _Brackets:
+    """One path's bracket memo under one rank function: hull ranks h and
+    upper brackets U, each keyed by span (a, b).
 
-    U(a, b) = min(h(a, b) if a..b is tame, U(a + 1, b), U(a, b - 1)); only
-    the hulls of tame spans are ranked.
+    U(a, b) = min(h(a, b) if a..b is tame, U(a + 1, b), U(a, b - 1)) is
+    the least hull rank over the tame subpaths of a..b.  It depends on
+    the span alone, not on the window a call brackets, so every call
+    with the same rank function reads one memo.
     """
-    table = path._span_table
-    upper = {}
-    for a in range(hi, lo - 1, -1):
-        for b in range(a, hi + 1):
-            hull, tame = table[a, b]
-            best = interval_rank(hull) if tame else inf
-            if b > a:
-                best = min(best, upper[a + 1, b], upper[a, b - 1])
-            upper[a, b] = best
-    return upper
+
+    def __init__(self, path: ZigzagPath, interval_rank):
+        self.interval_rank = interval_rank
+        self.table = path._span_table
+        self.hull_rank: dict[tuple[int, int], int] = {}
+        self.upper: dict[tuple[int, int], float] = {}
+
+    def hull(self, span: tuple[int, int]) -> int:
+        """The rank of the span's hull, tame or not."""
+        if span not in self.hull_rank:
+            self.hull_rank[span] = self.interval_rank(self.table[span][0])
+        return self.hull_rank[span]
+
+    def fill(self, lo: int, hi: int) -> dict:
+        """U over every span inside lo..hi.
+
+        The window is filled bottom-up, skipping spans already present.
+        U(a, b) is written only after U(a + 1, b) and U(a, b - 1), so a
+        present span implies every span inside it, a window whose (lo, hi)
+        is present needs no fill, and a rank function that raises leaves
+        only complete entries.  Only the hulls of tame spans are ranked.
+        """
+        upper = self.upper
+        if (lo, hi) in upper:
+            return upper
+        for a in range(hi, lo - 1, -1):
+            for b in range(a, hi + 1):
+                if (a, b) in upper:
+                    continue
+                best = self.hull((a, b)) if self.table[a, b][1] else inf
+                if b > a:
+                    best = min(best, upper[a + 1, b], upper[a, b - 1])
+                upper[a, b] = best
+        return upper
+
+
+def _brackets(path: ZigzagPath, interval_rank) -> _Brackets:
+    """The path's bracket memo if it serves a function == interval_rank,
+    else a fresh one that replaces it."""
+    memo = path.__dict__.get("_bracket_memo")
+    if memo is None or memo.interval_rank != interval_rank:
+        memo = _Brackets(path, interval_rank)
+        object.__setattr__(path, "_bracket_memo", memo)
+    return memo
 
 
 def rank_bounds_from_gri(path: ZigzagPath, interval_rank) -> tuple[int, int]:
@@ -517,10 +560,18 @@ def rank_bounds_from_gri(path: ZigzagPath, interval_rank) -> tuple[int, int]:
     lookup or module query).  Lower bound: rank of the path's hull.
     Upper bound: least hull-rank over tame subpaths (single points are
     tame, so the minimum exists).  For a tame path the two coincide.
+
+    Both are read from the path's bracket memo, which this call fills
+    over the whole path.  The memo is keyed by ``interval_rank``,
+    compared with == (every ``cache.rank`` of one cache is one key), and
+    holds one function at a time: a call with another one starts it
+    afresh.  The path holds the memo, so it keeps the rank function
+    alive; ranks once read are kept, so ``interval_rank`` must be a
+    function of the interval.
     """
     last = len(path.points) - 1
-    m = interval_rank(path._span_table[0, last][0])
-    return m, _upper_brackets(path, 0, last, interval_rank)[0, last]
+    memo = _brackets(path, interval_rank)
+    return memo.hull((0, last)), memo.fill(0, last)[0, last]
 
 
 def multiplicity_bounds(path: ZigzagPath, span: tuple[int, int], interval_rank) -> tuple[int, int]:
@@ -528,20 +579,22 @@ def multiplicity_bounds(path: ZigzagPath, span: tuple[int, int], interval_rank) 
 
     Applies the inclusion-exclusion formula with each exact subpath rank
     replaced by its bracket from :func:`rank_bounds_from_gri`; extension
-    terms that fall off the path are dropped.
+    terms that fall off the path are dropped.  The brackets are read
+    from the path's bracket memo under ``interval_rank`` (same key,
+    lifetime and contract as there), filled over the window
+    i - 1..j + 1, so the calls for every span of an n-point path rank
+    each span hull at most once between them.
     """
     i, j = span
     n = len(path.points)
     if not (0 <= i <= j < n):
         raise ValueError("span is not a subpath")
     first, last = max(i - 1, 0), min(j + 1, n - 1)
-    table = path._span_table
-    hull_rank = {s: interval_rank(table[s][0])
-                 for s in ((i, j), (i, last), (first, j), (first, last))}
-    upper = _upper_brackets(path, first, last, interval_rank)
+    memo = _brackets(path, interval_rank)
+    upper = memo.fill(first, last)
 
     def bounds(a, b):
-        return hull_rank[a, b], upper[a, b]
+        return memo.hull((a, b)), upper[a, b]
 
     m0, l0 = bounds(i, j)
     lo, hi = m0, l0

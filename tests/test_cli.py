@@ -3,15 +3,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grinv
 from grinv import cli
 from grinv.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
 from grinv.fixtures import build_fixture
+from grinv.invariants import RankCache
 from grinv.modules import PModule
 from grinv.posets import grid_poset
-from grinv.sampling import random_interval_decomposable
+from grinv.sampling import random_faithful_path, random_interval_decomposable, random_module
+from grinv.zigzag import ZigzagPath, multiplicity_bounds, rank_bounds_from_gri
 
 
 @pytest.fixture
@@ -129,6 +132,22 @@ def test_invertible(capsys, square_module_file):
     assert out.startswith("invertible")
 
 
+def bounds_lines_per_span(module, paths):
+    """`grinv bounds` output built from one library call per line, each
+    with a fresh rank function and so a cold bracket memo."""
+    cache = RankCache(module)
+    lines = []
+    for path in paths:
+        n = len(path.points)
+        lines.append(f"path {' '.join(f'{x},{y}' for x, y in path.points)}")
+        lines.append("rank_bounds\t%d\t%d" % rank_bounds_from_gri(path, lambda gi: cache.rank(gi)))
+        for i in range(n):
+            for j in range(i, n):
+                lo, hi = multiplicity_bounds(path, (i, j), lambda gi: cache.rank(gi))
+                lines.append(f"bar\t{i}\t{j}\t{lo}\t{hi}")
+    return lines
+
+
 def test_zib_and_bounds(capsys, tmp_path, square_module_file):
     paths = tmp_path / "p.txt"
     paths.write_text("path 3\n0 0\n1 0\n1 1\n")
@@ -137,7 +156,24 @@ def test_zib_and_bounds(capsys, tmp_path, square_module_file):
     assert out.startswith("path 0,0 1,0 1,1")
     code, out, _ = run(capsys, "bounds", square_module_file, "--paths", str(paths))
     assert code == EXIT_OK
-    assert "rank_bounds" in out and "bar" in out
+    square = PModule.from_text(Path(square_module_file).read_text())
+    assert out.splitlines() == bounds_lines_per_span(square, [ZigzagPath(((0, 0), (1, 0), (1, 1)))])
+    # long paths, one inside a window off the origin and one leaving it:
+    # every span's line must match its own cold library call
+    rng = np.random.default_rng(7)
+    win = grid_poset(4, 4, (1, -1))
+    module = random_module(rng, win, 3, max_summands=6)
+    long_paths = [
+        random_faithful_path(rng, win, 14),
+        ZigzagPath(((0, -1), (1, -1), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (2, 2),
+                    (2, 3), (3, 3), (4, 3), (5, 3), (5, 2))),
+    ]
+    module_file = tmp_path / "long.txt"
+    module_file.write_text(module.to_text())
+    paths.write_text("\n".join(path.to_text() for path in long_paths) + "\n")
+    code, out, _ = run(capsys, "bounds", str(module_file), "--paths", str(paths))
+    assert code == EXIT_OK
+    assert out.splitlines() == bounds_lines_per_span(module, long_paths)
 
 
 def test_erosion_cli(capsys, pair_files):

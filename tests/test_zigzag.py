@@ -370,8 +370,10 @@ def test_grid3_fixture_path_barcodes_differ():
     assert dict(bm.bars) != dict(bn.bars)
 
 
-def draw_module_and_path(data, max_len):
-    """A random 3x3 or 4x4 module and a path for it.
+def draw_module_and_path(data, max_len, origin=(0, 0), length=None):
+    """A random 3x3 or 4x4 module on the window at ``origin`` and a path
+    for it: of at most ``length`` points if given, else of a drawn length
+    up to ``max_len`` (corner paths then grow by their joins and meets).
 
     Walks take unit steps; bounces walk out and straight back, so they
     revisit every point; corner paths join consecutive drawn points
@@ -385,15 +387,17 @@ def draw_module_and_path(data, max_len):
     seed = data.draw(st.integers(0, 10**9), label="seed")
     kind = data.draw(st.sampled_from(["walk", "bounce", "corners"]), label="kind")
     rng = np.random.default_rng(seed)
-    win = grid_poset(side, side, (0, 0))
+    win = grid_poset(side, side, origin)
     m = random_module(rng, win, p, max_summands=int(rng.integers(1, 9)))
-    length = int(rng.integers(2, max_len + 1))
+    n = int(rng.integers(2, max_len + 1)) if length is None else length
     if kind == "walk":
-        return m, random_faithful_path(rng, win, length)
+        return m, random_faithful_path(rng, win, n)
     if kind == "bounce":
-        out = random_faithful_path(rng, win, (length + 1) // 2).points
+        out = random_faithful_path(rng, win, (n + 1) // 2).points
         return m, ZigzagPath(out + out[-2::-1])
-    return m, draw_corner_path(data, (-1, side), length)
+    ox, oy = origin
+    pts = draw_corner_path(data, (-1, side), n).points[:length]
+    return m, ZigzagPath(tuple((x + ox, y + oy) for x, y in pts))
 
 
 def draw_corner_path(data, span, length):
@@ -580,6 +584,113 @@ def test_bounds_match_the_tame_subpath_rule(data):
             assert (multiplicity_bounds(path, (i, j), recording(got))
                     == multiplicity_bounds_reference(path, (i, j), recording(want)))
             assert got == want, (i, j)
+
+
+OFF_ZERO = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+
+
+def all_spans(path):
+    n = len(path.points)
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(OFF_ZERO, st.data())
+def test_warm_bracket_memo_matches_the_per_span_reference(origin, data):
+    """Per-span calls with one rank function, in shuffled order and split
+    around the whole-path bracket, read one warm memo and must give the
+    bounds of the per-span reference."""
+    m, path = draw_module_and_path(data, 8, origin)
+    cache = RankCache(m)
+    spans = data.draw(st.permutations(all_spans(path)), label="order")
+    split = data.draw(st.integers(0, len(spans)), label="split")
+    for k, span in enumerate(spans):
+        if k == split:
+            assert rank_bounds_from_gri(path, cache.rank) == rank_bounds_reference(path, cache.rank)
+        assert (multiplicity_bounds(path, span, cache.rank)
+                == multiplicity_bounds_reference(path, span, cache.rank)), span
+    assert rank_bounds_from_gri(path, cache.rank) == rank_bounds_reference(path, cache.rank)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(OFF_ZERO, st.integers(0, 10**9), st.data())
+def test_bracket_memo_keeps_each_rank_function_apart(origin, seed, data):
+    """One path bracketed alternately against two modules' caches gives
+    each module its own bounds."""
+    m, path = draw_module_and_path(data, 8, origin)
+    rng = np.random.default_rng(seed)
+    other = random_module(rng, m.poset, m.p, max_summands=int(rng.integers(1, 9)))
+    caches = (RankCache(m), RankCache(other))
+    spans = all_spans(path)
+    want = [{s: multiplicity_bounds_reference(path, s, c.rank) for s in spans} for c in caches]
+    whole = [rank_bounds_reference(path, c.rank) for c in caches]
+    for span in data.draw(st.permutations(spans), label="order"):
+        for k, cache in enumerate(caches):
+            assert multiplicity_bounds(path, span, cache.rank) == want[k][span], span
+            assert rank_bounds_from_gri(path, cache.rank) == whole[k]
+
+
+class Boom(Exception):
+    pass
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(OFF_ZERO, st.data())
+def test_bracket_memo_survives_a_raising_rank_function(origin, data):
+    """A rank function that raises on its k-th call leaves only complete
+    memo entries: retrying with the same function gives the reference."""
+    m, path = draw_module_and_path(data, 8, origin)
+    cache = RankCache(m)
+    spans = all_spans(path)
+    fail_at = data.draw(st.integers(1, len(spans)), label="fail_at")
+    calls = 0
+
+    def flaky(gi):
+        nonlocal calls
+        calls += 1
+        if calls == fail_at:
+            raise Boom
+        return cache.rank(gi)
+
+    def bounds(span, interval_rank):
+        if span is None:
+            return rank_bounds_from_gri(path, interval_rank)
+        return multiplicity_bounds(path, span, interval_rank)
+
+    def reference(span):
+        if span is None:
+            return rank_bounds_reference(path, cache.rank)
+        return multiplicity_bounds_reference(path, span, cache.rank)
+
+    for span in data.draw(st.permutations(spans + [None]), label="order"):
+        try:
+            got = bounds(span, flaky)
+        except Boom:
+            got = None
+        if got is None:  # retried outside the handler, so a failure is not chained to Boom
+            got = bounds(span, flaky)
+        assert got == reference(span), span
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(OFF_ZERO, st.data())
+def test_bracket_memo_ranks_each_span_hull_at_most_once(origin, data):
+    """All spans of a path of at most 12 points, with one RankCache, call
+    ``interval_rank`` at most n(n + 1) / 2 times: once per span hull."""
+    m, path = draw_module_and_path(data, 12, origin, length=12)
+    cache = RankCache(m)
+    calls = 0
+
+    def counting(gi):
+        nonlocal calls
+        calls += 1
+        return cache.rank(gi)
+
+    rank_bounds_from_gri(path, counting)
+    for span in data.draw(st.permutations(all_spans(path)), label="order"):
+        multiplicity_bounds(path, span, counting)
+    n = len(path.points)
+    assert calls <= n * (n + 1) // 2
 
 
 def test_rank_bounds_tame_equality(rng, grid33):
