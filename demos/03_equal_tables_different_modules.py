@@ -35,9 +35,10 @@ for item, a, b in zip(tp.collection, tp.ranks, tn.ranks):
     marker = "  <-- differs" if a != b else ""
     print(f"  {format_members(item)}: {a} vs {b}{marker}")
 
-print("\nband the difference of diagrams lies in the dropped-indicator span:")
+print("\nand the difference of diagrams lies in the dropped-indicator span:")
 assert gri_difference_kernel_check(plus, minus, small, big)
-print("  certified by an exact rational solve")
+print("  certified in integers: it is the sum of those indicators' inversions,\n"
+      "  weighted by the table difference")
 
 print("\n3x3 window: equal tables on all 83 intervals, different path barcodes")
 fx3 = build_fixture("grid3-zib-pair")

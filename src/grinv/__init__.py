@@ -74,7 +74,6 @@ from .zigzag import (
     Barcode,
     ZigzagPath,
     boundary_cap,
-    full_bar_multiplicity,
     gri_bounds_from_zib,
     interval_hull,
     is_solid,

@@ -404,8 +404,9 @@ def _run_fixture(bundle, args) -> int:
     print(f"fixture {bundle.name}")
     if bundle.name == "thm-tame-counterexample":
         module = bundle.modules["m"]
+        cache = RankCache(module)
         for label, gi in sorted(bundle.intervals.items()):
-            print(f"rank {label} = {generalized_rank(module, gi)}")
+            print(f"rank {label} = {cache.rank(gi)}")
         from .fixtures import claim2_supersets
 
         import numpy as np
@@ -418,10 +419,11 @@ def _run_fixture(bundle, args) -> int:
     for mname, module in sorted(bundle.modules.items()):
         dims = " ".join(str(d) for d in module.dims)
         print(f"module {mname}: dims {dims}")
+    caches = {mname: RankCache(module) for mname, module in bundle.modules.items()}
     for label, gi in sorted(bundle.intervals.items()):
-        for mname, module in sorted(bundle.modules.items()):
+        for mname in sorted(caches):
             try:
-                r = generalized_rank(module, gi)
+                r = caches[mname].rank(gi)
             except ValueError:
                 continue
             print(f"rank[{mname}] {label} = {r}")

@@ -3,7 +3,8 @@
 Everything downstream (limits, colimits, generalized ranks) reduces to
 rank / kernel / cokernel computations of small dense matrices, and all
 of it runs on rows of Python ints with no numpy products: elimination
-(`rref_rows`, the one GF(p) elimination loop), kernels (`kernel_rows`,
+(`rref_rows`, the one elimination routine of the package; nothing
+eliminates over Q, so no `Fraction` is used), kernels (`kernel_rows`,
 the one kernel routine; a cokernel is the kernel of the transpose) and
 the two moves of the zigzag sweep (`mul_rows`, `pull_rows`) use modular
 pivot inverses, exact for every p, and on the small matrices grinv
@@ -18,7 +19,6 @@ Default p = 2.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import isqrt
 from operator import mul
@@ -228,35 +228,3 @@ def random_invertible(rng: np.random.Generator, n: int, p: int) -> FFMatrix:
     perm = np.eye(n, dtype=np.int64)[rng.permutation(n)]
     return FFMatrix((lo @ up) % p @ perm, p, copy=False)
 
-
-def rational_solve_in_span(columns: list[list[int]], target: list[int]) -> list[Fraction] | None:
-    """Exact solve over Q: coefficients x with sum(x_j * columns[j]) == target, else None.
-
-    Used for the span-membership certificate of signed-diagram differences;
-    no floating point anywhere.
-    """
-    m = len(target)
-    n = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(target[i])] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = aug[r][n]
-    return x

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gf import rational_solve_in_span
 from .modules import PModule, direct_sum, generalized_rank, generalized_rank_fast, grid_interval_module, interval_module, zero_module
 from .posets import ContainmentPoset, GridInterval, SubposetId, Supersets, bitset, canonical_members, canonical_order, iter_bits
 
@@ -91,9 +90,6 @@ class GriTable:
             return self._rank_by_item[item]
         except KeyError:
             raise KeyError("item not in collection") from None
-
-    def as_dict(self) -> dict:
-        return {it: r for it, r in zip(self.collection, self.ranks)}
 
     def restrict(self, subcollection) -> "GriTable":
         keys = set(subcollection)
@@ -178,29 +174,6 @@ def format_members(item) -> str:
     if isinstance(item, GridInterval):
         return " ".join(f"{x},{y}" for x, y in sorted(item.points()))
     return " ".join(str(m) for m in item.members)
-
-
-def parse_members(token_line: str):
-    """Inverse of :func:`format_members`: a frozenset of coords or ids."""
-    tokens = token_line.split()
-    if all("," in t for t in tokens):
-        out = []
-        for t in tokens:
-            x, y = t.split(",")
-            out.append((int(x), int(y)))
-        return frozenset(out)
-    return frozenset(int(t) for t in tokens)
-
-
-def parse_table_tsv(text: str) -> tuple[tuple[frozenset, int], ...]:
-    """Parse the `members<TAB>value` emission back into (member set, value) pairs."""
-    out = []
-    for ln in text.splitlines():
-        if not ln.strip() or ln.startswith("#"):
-            continue
-        members, value = ln.rsplit("\t", 1)
-        out.append((parse_members(members), int(value)))
-    return tuple(out)
 
 
 # -- building tables -----------------------------------------------------------
@@ -368,23 +341,27 @@ def tightness_pair(module: PModule, collection, full_collection=None) -> tuple[P
 def gri_difference_kernel_check(m1: PModule, m2: PModule, small_collection, big_collection) -> bool:
     """True iff the two modules' tables agree on the small collection.
 
-    When they do agree, the difference of the two signed diagrams over
-    the big collection must lie in the span of the inverted indicators
-    of the members outside the small collection; this is certified by an
-    exact rational solve and any failure raises (it would be an internal
-    inconsistency, not a property of the inputs).
+    Mobius inversion is linear, so the difference of the two signed
+    diagrams over the big collection is the sum of the inverted
+    indicators weighted by the table difference; when the tables agree
+    on the small collection, only members outside it carry weight.  That
+    sum is checked in integers, inverting only the indicators of the
+    members where the tables differ, and a mismatch raises (it would be
+    an internal inconsistency, not a property of the inputs).
     """
     items = canonical_members(big_collection)
     r1, r2 = gri(m1, items).ranks, gri(m2, items).ranks  # in the order of items
     small = set(small_collection)
     if any(a != b for it, a, b in zip(items, r1, r2) if it in small):
         return False
+    n = len(items)
+    spanned = [0] * n
+    for i, (a, b) in enumerate(zip(r1, r2)):
+        if a != b:
+            e_i = _invert(items, [int(j == i) for j in range(n)])  # row i of mu
+            spanned = [s + (a - b) * v for s, v in zip(spanned, e_i)]
     target = [a - b for a, b in zip(_invert(items, r1), _invert(items, r2))]
-    # the inverted indicator of member i (row i of mu)
-    columns = [_invert(items, [int(j == i) for j in range(len(items))])
-               for i, it in enumerate(items) if it not in small]
-    coeffs = rational_solve_in_span(columns, target) if columns else ([] if not any(target) else None)
-    if coeffs is None:
+    if spanned != target:
         raise AssertionError("diagram difference escaped the indicator span")
     return True
 

@@ -2,8 +2,8 @@
 
 Values are exact Python integers (never reduced mod p): the signed
 multiplicities produced by inversion live in Z.  On a finite poset every
-function is convolvable, so the support-finiteness predicate is provided
-for interface completeness and always holds.
+function is convolvable (its support below each element is finite), so
+no predicate checks it.
 """
 
 from __future__ import annotations
@@ -36,22 +36,6 @@ class IncidenceElement:
         for (p, q), v in self.values.items():
             out[pos[p], pos[q]] = v
         return out
-
-    def to_text(self) -> str:
-        """One `p q value` line per nonzero comparable pair."""
-        return "\n".join(
-            f"{p} {q} {v}" for (p, q), v in sorted(self.values.items()) if v != 0
-        )
-
-    @classmethod
-    def from_text(cls, poset: FinitePoset, text: str) -> "IncidenceElement":
-        vals = {}
-        for ln in text.splitlines():
-            if not ln.strip():
-                continue
-            p, q, v = ln.split()
-            vals[(int(p), int(q))] = int(v)
-        return cls(poset, vals)
 
 
 def delta(poset: FinitePoset) -> IncidenceElement:
@@ -121,25 +105,6 @@ class PosetFunction:
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v != 0)
-
-    def to_text(self) -> str:
-        """One `element value` line per nonzero element."""
-        return "\n".join(f"{i} {v}" for i, v in enumerate(self.values) if v != 0)
-
-    @classmethod
-    def from_text(cls, poset: FinitePoset, text: str) -> "PosetFunction":
-        d = {}
-        for ln in text.splitlines():
-            if not ln.strip():
-                continue
-            i, v = ln.split()
-            d[int(i)] = int(v)
-        return cls.from_dict(poset, d)
-
-
-def is_convolvable(f: PosetFunction) -> bool:
-    """Support finiteness below every element; vacuously true on finite posets."""
-    return f.poset.n < float("inf")
 
 
 def convolve(f: PosetFunction, alpha: IncidenceElement) -> PosetFunction:

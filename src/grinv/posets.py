@@ -21,7 +21,7 @@ listing points.  The intervals of a box are enumerated straight into
 that order by :func:`canonical_grid_intervals`, which sums each
 member's int key while it builds the member and ends with one int sort.
 The unsorted generator :func:`iter_grid_intervals` is its test oracle
-and still serves callers that do not need the order.
+and nothing else.
 
 Members are their own keys, equal exactly when equal as sets, and a
 plane interval hashes once.  Containment has one index,
@@ -280,11 +280,6 @@ class FinitePoset:
         if not ms:
             return False
         return self.is_convex_subset(ms) and self.is_connected_subset(ms)
-
-    def coord_of(self, a: int) -> tuple[int, int]:
-        if self.grid_coords is None:
-            raise ValueError("poset has no grid coordinates")
-        return self.grid_coords[a]
 
     def id_of_coord(self) -> dict[tuple[int, int], int]:
         if self.grid_coords is None:
@@ -1065,16 +1060,6 @@ class ContainmentPoset:
 
     items: tuple
     poset: FinitePoset
-
-    @cached_property
-    def _index(self) -> dict:
-        return {it: i for i, it in enumerate(self.items)}
-
-    def index_of(self, item) -> int:
-        try:
-            return self._index[item]
-        except KeyError:
-            raise KeyError("item not in collection") from None
 
 
 def containment_poset(items) -> ContainmentPoset:

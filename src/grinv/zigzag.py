@@ -38,8 +38,8 @@ from .posets import (
     FinitePoset,
     GridInterval,
     _staircase,
+    canonical_grid_intervals,
     count_grid_intervals,
-    iter_grid_intervals,
     lower_fence,
     upper_fence,
 )
@@ -109,9 +109,6 @@ class ZigzagPath:
         if not (0 <= i <= j < len(self.points)):
             raise ValueError("bad subpath indices")
         return ZigzagPath(self.points[i : j + 1])
-
-    def hull(self) -> GridInterval:
-        return interval_hull(self)
 
     @cached_property
     def _span_table(self) -> dict[tuple[int, int], tuple[GridInterval, bool]]:
@@ -434,11 +431,6 @@ class Barcode:
     def total_at(self, i: int) -> int:
         return sum(m for (a, b), m in self.bars if a <= i <= b)
 
-    def reflected(self) -> "Barcode":
-        n = len(self.path.points)
-        bars = sorted(((n - 1 - b, n - 1 - a), m) for (a, b), m in self.bars)
-        return Barcode(self.path.reverse(), tuple(bars))
-
     def to_tsv(self) -> str:
         return "\n".join(f"{a}\t{b}\t{m}" for (a, b), m in self.bars)
 
@@ -458,31 +450,20 @@ def zigzag_barcode(module: PModule, path: ZigzagPath) -> Barcode:
     zigzag p -> (p join q) <- q is the standard non-faithful use.
     """
     n = len(path.points)
-    table = _span_ranks(module, path, range(n))
-
-    def rank(i, j):
-        return table[i][j - i]
-
+    # rank(i, j) is row[j - i] of left end i; a trailing 0 on each row and
+    # a zero row before the first drop the terms that fall off the ends
+    prev = [0] * (n + 2)
     bars = []
-    for i in range(n):
-        for j in range(i, n):
-            m = rank(i, j)
-            if i > 0:
-                m -= rank(i - 1, j)
-            if j < n - 1:
-                m -= rank(i, j + 1)
-            if i > 0 and j < n - 1:
-                m += rank(i - 1, j + 1)
+    for i, row in enumerate(_span_ranks(module, path, range(n))):
+        row.append(0)
+        for k in range(n - i):
+            m = row[k] - row[k + 1] - prev[k + 1] + prev[k + 2]
             if m < 0:
-                raise AssertionError(f"negative bar multiplicity at ({i}, {j})")
+                raise AssertionError(f"negative bar multiplicity at ({i}, {i + k})")
             if m:
-                bars.append(((i, j), m))
-    return Barcode(path, tuple(sorted(bars)))
-
-
-def full_bar_multiplicity(module: PModule, path: ZigzagPath) -> int:
-    """Multiplicity of the full bar: the zigzag rank of the whole path."""
-    return zigzag_rank(module, path)
+                bars.append(((i, i + k), m))
+        prev = row
+    return Barcode(path, tuple(bars))
 
 
 def zib(module: PModule, paths) -> dict[ZigzagPath, Barcode]:
@@ -671,10 +652,10 @@ def _monotone_path_inside(gi: GridInterval, src, dst) -> ZigzagPath | None:
 def _exactly_spanned(module: PModule, gi: GridInterval) -> int | None:
     """Full-bar multiplicity over a spanning negative or simple tame path."""
     if is_thin(gi):
-        return full_bar_multiplicity(module, negative_cover_path(gi))
+        return zigzag_rank(module, negative_cover_path(gi))
     path = simple_tame_path(gi)
     if path is not None:
-        return full_bar_multiplicity(module, path)
+        return zigzag_rank(module, path)
     return None
 
 
@@ -706,14 +687,14 @@ def gri_bounds_from_zib(module: PModule, gi: GridInterval) -> tuple[int, int]:
                 path = _monotone_path_inside(gi, p, q)
                 if path is not None:
                     inside.append(path)
-    upper = min(full_bar_multiplicity(module, path) for path in inside)
+    upper = min(zigzag_rank(module, path) for path in inside)
 
     (x0, y0), (w, h) = module.window_origin_size()
     x1, y1 = x0 + w - 1, y0 + h - 1
     lower = 0
     if count_grid_intervals(w, h) <= 20_000:
-        # only the max over the candidates is read, so their order is not
-        candidates = iter_grid_intervals((x0, y0, x1, y1))
+        # only the max over the candidates is read, so their order does not matter
+        candidates = canonical_grid_intervals((x0, y0, x1, y1))
     else:
         clipped = []
         diam = max(x1 - x0, y1 - y0)

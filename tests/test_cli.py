@@ -464,7 +464,8 @@ def test_huge_map_entries_read_as_their_residues(capsys, tmp_path):
 
 def test_numpy_stays_off_the_import_and_cli_paths(capsys, tmp_path):
     """`import grinv` and CLI runs on module files, each in a fresh
-    interpreter, leave numpy unloaded."""
+    interpreter, leave numpy unloaded, and nothing loads the exact
+    rational or decimal types."""
     emit = tmp_path / "emit"
     assert main(["fixtures", "run", "ex-2x2-indicator", "--emit", str(emit)]) == EXIT_OK
     capsys.readouterr()
@@ -480,6 +481,7 @@ def test_numpy_stays_off_the_import_and_cli_paths(capsys, tmp_path):
         if argv:
             code += f"assert grinv.cli.main({argv!r}) == 0\n"
         code += "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        code += "assert not {'fractions', 'decimal'} & set(sys.modules), 'fractions loaded'\n"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, (argv, proc.stderr)
@@ -605,15 +607,13 @@ def test_module_round_trip_through_cli_format(tmp_path, rng):
 
 
 def test_table_tsv_round_trip(capsys, square_module_file):
-    from grinv.invariants import gri, parse_table_tsv
+    from grinv.invariants import gri
     from grinv.posets import enumerate_grid_intervals
 
     _, out, _ = run(capsys, "gri", square_module_file)
-    parsed = parse_table_tsv(out)
     fx = build_fixture("ex-2x2-indicator")
     table = gri(fx.modules["m"], enumerate_grid_intervals(fx.poset))
-    want = tuple((it.member_set, r) for it, r in zip(table.collection, table.ranks))
-    assert parsed == want
+    assert out.rstrip("\n") == table.to_tsv()
 
 
 def test_invariant_violation_exit_code(capsys, square_module_file, monkeypatch):

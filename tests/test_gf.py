@@ -11,7 +11,6 @@ from grinv.gf import (
     mul_rows,
     pull_rows,
     random_invertible,
-    rational_solve_in_span,
     rows_from_lines,
     rows_to_text,
     rref_rows,
@@ -229,13 +228,6 @@ def test_pull_rows_spans_the_pullback(p, k, n, w, data):
         col = np.array(img, dtype=np.int64).reshape(n, 1)
         assert np_rank(np.hstack([span, col])) == np_rank(span)
     assert len(bs) == np_rank(b_cols) == w - np_rank(np.hstack([span, mt_a])) + np_rank(span)
-
-
-def test_rational_solve_in_span():
-    cols = [[1, 0, 1], [0, 1, 1]]
-    assert rational_solve_in_span(cols, [1, 1, 2]) is not None
-    assert rational_solve_in_span(cols, [0, 0, 1]) is None
-    assert rational_solve_in_span([], [0, 0, 0]) == []
 
 
 def test_is_prime():

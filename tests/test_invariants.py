@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from grinv import invariants as inv_module
 from grinv.fixtures import build_fixture
 from grinv.invariants import (
     GriTable,
@@ -149,8 +150,7 @@ def test_gpd_support_inside_rank_support(rng, grid33):
         m, _ = random_interval_decomposable(rng, grid33, 5)
         table = gri(m, enumerate_grid_intervals(grid33))
         d = gpd(table)
-        ranks = table.as_dict()
-        positive = {it.member_set for it, r in ranks.items() if r > 0}
+        positive = {it.member_set for it, r in zip(table.collection, table.ranks) if r > 0}
         for it, v in d.support:
             assert it.member_set in positive
 
@@ -283,7 +283,7 @@ def drawn_tables(draw):
 def dense_inversion(items, values) -> dict:
     """{member set: value} of g * mu over the containment poset, g given per item."""
     cont = containment_poset(items)
-    g = PosetFunction.from_dict(cont.poset, {cont.index_of(it): v for it, v in zip(items, values)})
+    g = PosetFunction.from_dict(cont.poset, {cont.items.index(it): v for it, v in zip(items, values)})
     f = convolve(g, mobius_function(cont.poset))
     return {cont.items[i].member_set: v for i, v in enumerate(f.values) if v}
 
@@ -563,16 +563,74 @@ def test_difference_kernel_check_square_pair():
     assert not gri_difference_kernel_check(fx.modules["m"], fx.modules["n"], big, big)
 
 
-def test_difference_kernel_check_random_equal_pairs(rng, grid33):
-    # build pairs with equal small-collection tables by adding the canonical pair
+def hook_pair(rng, grid33):
+    """A random base plus each side of the canonical pair of the 3x3 hook,
+    with the small collection of intervals of at most two points."""
     ints = enumerate_grid_intervals(grid33)
     small = [it for it in ints if len(it) <= 2]
     hook = GridInterval.from_points([(0, 0), (0, 1), (1, 0)])
     plus, minus, _ = minimal_nonisomorphic_pair(ints, hook, grid33)
     base, _ = random_interval_decomposable(rng, grid33, 2)
-    m1 = direct_sum(base, plus)
-    m2 = direct_sum(base, minus)
+    return direct_sum(base, plus), direct_sum(base, minus), small, ints
+
+
+def test_difference_kernel_check_random_equal_pairs(rng, grid33):
+    # build pairs with equal small-collection tables by adding the canonical pair
+    m1, m2, small, ints = hook_pair(rng, grid33)
     assert gri_difference_kernel_check(m1, m2, small, ints)
+
+
+def counting_invert(monkeypatch, alter=None):
+    """Replace the inversion the kernel check uses by one that counts its
+    calls and passes its result through ``alter(values, f)``."""
+    calls = []
+    real = inv_module._invert
+
+    def counted(items, values):
+        calls.append(1)
+        f = real(items, values)
+        return alter(values, f) if alter else f
+
+    monkeypatch.setattr(inv_module, "_invert", counted)
+    return calls
+
+
+def test_difference_kernel_check_inverts_only_the_differing_indicators(rng, grid33, monkeypatch):
+    m1, m2, small, ints = hook_pair(rng, grid33)
+    differing = sum(a != b for a, b in zip(gri(m1, ints).ranks, gri(m2, ints).ranks))
+    calls = counting_invert(monkeypatch)
+    assert gri_difference_kernel_check(m1, m2, small, ints)
+    assert 0 < differing < len(ints) - len(small)
+    assert len(calls) == 2 + differing
+
+
+def test_difference_kernel_check_catches_a_nonlinear_inversion(rng, grid33, monkeypatch):
+    m1, m2, small, ints = hook_pair(rng, grid33)
+
+    def nonlinear(values, f):
+        return [f[0] + sum(values) ** 2, *f[1:]]
+
+    counting_invert(monkeypatch, nonlinear)
+    with pytest.raises(AssertionError, match="escaped the indicator span"):
+        gri_difference_kernel_check(m1, m2, small, ints)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.sampled_from([2, 3]),
+       st.data())
+def test_difference_kernel_check_answers_whether_tables_agree(seed, shape, p, data):
+    """The canonical pair of a member, over any base, differs exactly at
+    that member, so the check holds iff the small collection misses it."""
+    window = grid_poset(*shape)
+    ints = enumerate_grid_intervals(window)
+    item = data.draw(st.sampled_from(ints))
+    small = data.draw(st.lists(st.sampled_from([it for it in ints if it != item]), unique=True))
+    if data.draw(st.booleans()):
+        small.insert(data.draw(st.integers(0, len(small))), item)
+    plus, minus, _ = minimal_nonisomorphic_pair(ints, item, window, p)
+    base, _ = random_interval_decomposable(np.random.default_rng(seed), window, 3, p)
+    m1, m2 = direct_sum(base, plus), direct_sum(base, minus)
+    assert gri_difference_kernel_check(m1, m2, small, ints) == (item not in small)
 
 
 # -- emission ------------------------------------------------------------------------

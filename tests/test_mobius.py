@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grinv.mobius import (
-    IncidenceElement,
     PosetFunction,
     convolve,
     delta,
-    is_convolvable,
     mobius_function,
     mobius_invert,
     multiply,
@@ -70,7 +68,7 @@ def test_mobius_diamond_coefficients(chain4):
     mid = subposet(chain4, (1, 2))
     cp = containment_poset([full, left, right, mid])
     mu = mobius_function(cp.poset)
-    i = {x: cp.index_of(x) for x in (full, left, right, mid)}
+    i = {x: cp.items.index(x) for x in (full, left, right, mid)}
     assert mu(i[full], i[full]) == 1
     assert mu(i[full], i[left]) == -1
     assert mu(i[full], i[right]) == -1
@@ -158,21 +156,7 @@ def test_upper_triangular_view_and_invertibility(rng):
         assert np.array_equal((zmat @ mumat), np.eye(p.n, dtype=np.int64))
 
 
-def test_convolvable_predicate(chain4):
-    f = PosetFunction(chain4, (1, 0, 2, 0))
-    assert is_convolvable(f)
-
-
 def test_incidence_element_rejects_incomparable(grid22):
     z = zeta(grid22)
     with pytest.raises(KeyError):
         z(1, 2)
-
-
-def test_incidence_and_function_text_round_trip(rng):
-    p = random_poset(rng, 6)
-    mu = mobius_function(p)
-    back = IncidenceElement.from_text(p, mu.to_text())
-    assert dict(back.values) == dict(mu.values)
-    f = PosetFunction(p, tuple(int(v) for v in rng.integers(-3, 4, p.n)))
-    assert PosetFunction.from_text(p, f.to_text()).values == f.values

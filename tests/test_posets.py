@@ -47,16 +47,16 @@ def test_grid_2x2_structure(grid22):
     assert len(grid22.covers) == 4
     assert grid22.minimal_of(range(4)) == (0,)
     assert grid22.maximal_of(range(4)) == (3,)
-    assert grid22.coord_of(0) == (0, 0)
-    assert grid22.coord_of(3) == (1, 1)
+    assert grid22.grid_coords[0] == (0, 0)
+    assert grid22.grid_coords[3] == (1, 1)
 
 
 def test_grid_coords_match_product_order():
     p = grid_poset(3, 3, (1, 1))
     for a in range(p.n):
         for b in range(p.n):
-            xa, ya = p.coord_of(a)
-            xb, yb = p.coord_of(b)
+            xa, ya = p.grid_coords[a]
+            xb, yb = p.grid_coords[b]
             assert bool(p.leq[a, b]) == (xa <= xb and ya <= yb)
 
 
@@ -189,8 +189,8 @@ def test_containment_diamond(chain4):
     mid = subposet(chain4, (1, 2))
     cp = containment_poset([full, left, right, mid])
     # order is reverse inclusion: the full segment is the unique minimum
-    i_full = cp.index_of(full)
-    i_mid = cp.index_of(mid)
+    i_full = cp.items.index(full)
+    i_mid = cp.items.index(mid)
     assert cp.poset.minimal_of(range(4)) == (i_full,)
     assert cp.poset.maximal_of(range(4)) == (i_mid,)
     assert len(cp.poset.covers) == 4
