@@ -13,8 +13,9 @@ import argparse
 import os
 import sys
 from functools import cache
+from itertools import islice
 
-from .erosion import ThickeningFamily, timed_distance, union_bbox, verify_erosion
+from .erosion import ThickeningFamily, erosion_witnesses, timed_distance, union_bbox
 from .fixtures import FIXTURES, build_fixture
 from .gf import check_modulus
 from .invariants import (
@@ -34,7 +35,6 @@ from .posets import (
     check_interval_cap,
     containment_poset,
     enumerate_connected,
-    enumerate_grid_intervals,
     enumerate_intervals,
     enumerate_segments,
     subposet,
@@ -85,32 +85,39 @@ def _load_module(path: str, args) -> PModule:
     return module
 
 
+def _table(args):
+    """The module file and its rank table over the selected collection."""
+    module = _load_module(args.module, args)
+    return module, gri(module, _collection(module, args.collection, args.cap))
+
+
 def _collection(module: PModule, spec: str, cap: int):
     """Resolve a collection selector: segments | intervals | connected |
     int:M,N | file:PATH."""
-    poset = module.poset
-    if spec == "segments":
-        if poset.grid_coords is not None:
-            return enumerate_grid_intervals(poset, 1, 1, cap)
-        return enumerate_segments(poset)
-    if spec == "intervals":
-        if poset.grid_coords is not None:
-            return enumerate_grid_intervals(poset, cap=cap)
-        return enumerate_intervals(poset, cap=cap)
-    if spec == "connected":
-        return enumerate_connected(poset)
+    if spec in ("segments", "intervals", "connected"):
+        return _enumerate(module.poset, spec, None, None, cap)
     if spec.startswith("int:"):
         try:
             m, n = (int(t) for t in spec[4:].split(","))
         except ValueError:
             raise CliError(f"bad collection selector {spec!r}; expected int:M,N")
         _check_budgets(m, n, f"collection selector {spec!r}")
-        if poset.grid_coords is None:
-            return enumerate_intervals(poset, m, n, cap)
-        return enumerate_grid_intervals(poset, m, n, cap)
+        return _enumerate(module.poset, "intervals", m, n, cap)
     if spec.startswith("file:"):
         return _read_collection_file(module, spec[5:])
     raise CliError(f"unknown collection selector {spec!r}")
+
+
+def _enumerate(poset: FinitePoset, what: str, mm, nn, cap: int):
+    """Segments, intervals within the min/max point budgets, or connected
+    subsets; a grid window's segments are its (1, 1) plane intervals."""
+    if what == "connected":
+        return enumerate_connected(poset)
+    if what == "segments":
+        if poset.grid_coords is None:
+            return enumerate_segments(poset)
+        mm = nn = 1
+    return enumerate_intervals(poset, mm, nn, cap)
 
 
 def _check_budgets(mm, nn, given: str) -> None:
@@ -197,9 +204,7 @@ def _emit_table(table, fmt: str):
 
 
 def cmd_gri(args) -> int:
-    module = _load_module(args.module, args)
-    collection = _collection(module, args.collection, args.cap)
-    table = gri(module, collection)
+    table = _table(args)[1]
     bad = table.check_monotone()
     if bad is not None:
         print(f"invariant violation: non-monotone table at {format_members(bad[0])} "
@@ -210,9 +215,7 @@ def cmd_gri(args) -> int:
 
 
 def cmd_gpd(args) -> int:
-    module = _load_module(args.module, args)
-    collection = _collection(module, args.collection, args.cap)
-    table = gri(module, collection)
+    table = _table(args)[1]
     diagram = gpd(table)
     if args.format == "dot":
         print(containment_dot(containment_poset(table.collection), diagram))
@@ -225,9 +228,7 @@ def cmd_gpd(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    module = _load_module(args.module, args)
-    collection = _collection(module, args.collection, args.cap)
-    diagram = gpd(gri(module, collection))
+    diagram = gpd(_table(args)[1])
     plus, minus = minimal_rank_decomposition(diagram)
     for it, m in plus:
         print(f"R\t{format_members(it)}\t{m}")
@@ -237,9 +238,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_invertible(args) -> int:
-    module = _load_module(args.module, args)
-    collection = _collection(module, args.collection, args.cap)
-    table = gri(module, collection)
+    module, table = _table(args)
     if args.support:
         support = _read_collection_file(module, args.support)
         for it in support:
@@ -338,8 +337,8 @@ def cmd_erosion(args) -> int:
                f"{caches[0].queries + caches[1].queries}")
         print(row + f"\t{dt:.4f}" if args.timing else row)
         if args.witness:
-            for eps in range(dist):
-                w = verify_erosion(m1, m2, collection, eps, *caches)
+            # the walk again, on the warm caches (no new rank), up to the last witness
+            for eps, w in enumerate(islice(erosion_witnesses(m1, m2, collection, caches), dist)):
                 print(f"witness\teps={eps}\t{format_members(w)}")
     return EXIT_OK
 
@@ -353,22 +352,10 @@ def cmd_enumerate(args) -> int:
         raise CliError(f"cannot read poset file: {e}")
     except (ValueError, IndexError) as e:
         raise CliError(f"cannot parse poset: {e}")
-    if args.what == "connected":
-        items = enumerate_connected(poset)
-        for it in items:
-            print(" ".join(str(m) for m in it.members))
-        return EXIT_OK
-    mm = args.min_pts
-    nn = args.max_pts
-    if args.what == "segments":
-        mm = nn = 1
-    _check_budgets(mm, nn, "--min-pts/--max-pts")
-    if poset.grid_coords is not None:
-        for gi in enumerate_grid_intervals(poset, mm, nn, args.cap):
-            print(format_members(gi))
-    else:
-        for it in enumerate_intervals(poset, mm, nn, args.cap):
-            print(" ".join(str(m) for m in it.members))
+    if args.what == "intervals":
+        _check_budgets(args.min_pts, args.max_pts, "--min-pts/--max-pts")
+    for it in _enumerate(poset, args.what, args.min_pts, args.max_pts, args.cap):
+        print(format_members(it))
     return EXIT_OK
 
 

@@ -7,7 +7,8 @@ rank over an interval leaving both windows vanishes and the erosion
 inequalities hold there automatically.  Ranks never increase under containment, so
 a member whose two ranks agree never bounds the radius, and for the
 others the one inequality that can fail is monotone in the radius: the
-distance is found in one walk of the collection with a running radius.
+distance, and a witness for each radius below it, is found in one walk
+of the collection with a running radius.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .invariants import RankCache
 from .modules import PModule
-from .posets import GridInterval, canonical_grid_intervals
+from .posets import CanonicalMembers, canonical_grid_intervals
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class ThickeningFamily:
     max_min_pts: int | None = None
     max_max_pts: int | None = None
 
-    def members_within(self, bbox) -> list[GridInterval]:
+    def members_within(self, bbox) -> CanonicalMembers:
         return canonical_grid_intervals(bbox, self.max_min_pts, self.max_max_pts)
 
 
@@ -66,19 +67,24 @@ def verify_erosion(m1: PModule, m2: PModule, collection, eps: int,
 
 
 def erosion_distance(m1: PModule, m2: PModule, collection, caches=None) -> int:
-    """Least radius admitting an erosion between the two rank invariants.
+    """Least radius admitting an erosion: the number of :func:`erosion_witnesses`."""
+    return sum(1 for _ in erosion_witnesses(m1, m2, collection, caches))
 
-    One walk of the collection with a running radius eps, starting at 0.
-    Since I is inside its thickening and ranks never increase under
-    containment, a member with r1(I) = r2(I) passes at every radius and
-    is skipped.  Otherwise, with r_small(I) < r_big(I), only
-    r_big(I^eps) <= r_small(I) can fail, and it stays true once it
-    holds, so eps is raised until the member passes.  The final eps is
-    the least radius at which every member passes.
 
-    Both modules are extended by zero, so the search is bounded: one
-    past the bounding-box diameter every thickened interval leaves both
-    windows, where every rank is 0, and the check passes.  A radius
+def erosion_witnesses(m1: PModule, m2: PModule, collection, caches=None):
+    """Yield, for each radius eps below the erosion distance, the first
+    member that fails at eps, as ``verify_erosion`` finds it; lazily, so
+    a caller that knows the distance can stop at the last witness.
+
+    One walk with a running radius eps from 0.  I lies inside I^eps and
+    ranks never increase under containment, so a member with
+    r1(I) = r2(I) passes at every radius.  Otherwise, with
+    r_small(I) < r_big(I), only r_big(I^eps) <= r_small(I) can fail, and
+    it stays true once it holds: eps is raised until the member passes,
+    and as every earlier member passes at eps, it is the first to fail.
+
+    Both modules are extended by zero, so one past the bounding-box
+    diameter every thickened interval has rank 0 and passes; a radius
     beyond that bound raises ``AssertionError`` (an internal alarm).
     """
     if m1.p != m2.p:
@@ -95,10 +101,10 @@ def erosion_distance(m1: PModule, m2: PModule, collection, caches=None) -> int:
             continue
         small, big = (r1, c2) if r1 < r2 else (r2, c1)
         while big.rank(gi.thicken(eps)) > small:
+            yield gi
             eps += 1
             if eps > hi:
                 raise AssertionError(f"erosion radius passed its bound {hi}")
-    return eps
 
 
 def shift_module(module: PModule, delta: int) -> PModule:

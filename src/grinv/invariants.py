@@ -7,8 +7,10 @@ explicit list).  Its Mobius inversion over the containment order is a
 and negative parts form the minimal rank decomposition whenever one
 exists.  Everything here is exact integer arithmetic.
 
-Members are their own keys.  Containment is read from per-point member
-bitsets (``posets.Supersets``): the inversion is a sparse
+Members are their own keys, put in canonical order once (by
+``posets.canonical_members``, which :func:`gri` tables keep).
+Containment is read from per-point member bitsets
+(``posets.Supersets``): the inversion is a sparse
 back-substitution from the largest members down that indexes only the
 support found so far, and the zeta sum and the monotonicity alarm are
 bitset ANDs.  The incidence algebra of :mod:`grinv.mobius` is the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .modules import PModule, direct_sum, generalized_rank, generalized_rank_fast, grid_interval_module, interval_module, zero_module
-from .posets import ContainmentPoset, GridInterval, SubposetId, Supersets, bitset, canonical_members, canonical_order, iter_bits
+from .posets import CanonicalMembers, ContainmentPoset, GridInterval, SubposetId, Supersets, bitset, canonical_members, iter_bits
 
 
 def _cache_key(region):
@@ -93,10 +95,19 @@ class GriTable:
 
     def restrict(self, subcollection) -> "GriTable":
         keys = set(subcollection)
-        pairs = [(it, r) for it, r in zip(self.collection, self.ranks) if it in keys]
-        if len(pairs) != len(keys):
+        keep = [i for i, it in enumerate(self.collection) if it in keys]
+        if len(keep) != len(keys):
             raise KeyError("subcollection is not contained in the table")
-        return GriTable(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        # a subsequence of a canonical tuple is canonical
+        kind = CanonicalMembers if isinstance(self.collection, CanonicalMembers) else tuple
+        return GriTable(kind(self.collection[i] for i in keep), tuple(self.ranks[i] for i in keep))
+
+    def canonical(self) -> "GriTable":
+        """The table in canonical order, itself if it is; ``ValueError`` on a repeat."""
+        items = canonical_members(self.collection)
+        if items is self.collection:
+            return self
+        return GriTable(items, tuple(self.rank_of(it) for it in items))
 
     def check_monotone(self) -> tuple | None:
         """First violating pair (I, J) with I contained in J but rank(I) < rank(J).
@@ -154,7 +165,7 @@ class SignedDiagram:
         acc: dict = {}
         for it, v in self.support + other.support:
             acc[it] = acc.get(it, 0) + v
-        order = canonical_order(it for it, v in acc.items() if v)
+        order = canonical_members(it for it, v in acc.items() if v)
         return SignedDiagram(tuple((it, acc[it]) for it in order))
 
     def __eq__(self, other):
@@ -180,11 +191,11 @@ def format_members(item) -> str:
 
 
 def gri(module: PModule, collection, cache: RankCache | None = None) -> GriTable:
-    """Rank table of a module over a collection, in canonical order."""
-    items = canonical_order(collection)
+    """Rank table of a module over a collection, in canonical order
+    (``posets.canonical_members``: ``ValueError`` on a repeated member)."""
+    items = canonical_members(collection)
     cache = cache or RankCache(module)
-    ranks = tuple(cache.rank(it) for it in items)
-    return GriTable(tuple(items), ranks)
+    return GriTable(items, tuple(cache.rank(it) for it in items))
 
 
 def _invert(items, values) -> list[int]:
@@ -218,22 +229,22 @@ def gpd(table: GriTable) -> SignedDiagram:
 
     The support is always contained in the support of the table (the
     table is non-increasing under containment, so inversion cannot
-    create mass where the rank vanishes).  Raises ``ValueError`` on a
-    collection with two equal members.
+    create mass where the rank vanishes).  A table not in canonical
+    order, as :func:`gri` builds it, is put in it first (``ValueError``
+    on a collection with two equal members).
     """
-    items = canonical_members(table.collection)
-    # a table from gri is in canonical order already, so its ranks need no lookup
-    ranks = table.ranks if items == table.collection else [table.rank_of(it) for it in items]
-    return _diagram(items, _invert(items, ranks))
+    table = table.canonical()
+    return _diagram(table.collection, _invert(table.collection, table.ranks))
 
 
 def reconstruct_table(diagram: SignedDiagram, collection) -> GriTable:
-    """Evaluate sum of diagram values over supersets: the zeta convolution."""
-    items = canonical_order(collection)
+    """Evaluate sum of diagram values over supersets: the zeta convolution,
+    over the collection in canonical order (``ValueError`` on a repeat)."""
+    items = canonical_members(collection)
     sup = Supersets([jt for jt, _ in diagram.support])
     values = [v for _, v in diagram.support]
     ranks = tuple(sum(values[j] for j in iter_bits(sup.containing(it))) for it in items)
-    return GriTable(tuple(items), ranks)
+    return GriTable(items, ranks)
 
 
 @dataclass(frozen=True)
@@ -247,14 +258,15 @@ def verify_invertibility(table: GriTable, candidate_support) -> InvertibilityRep
     """Can the table be written as a superset-sum over the candidate subcollection?
 
     Inverts the table restricted to the candidates and re-evaluates the
-    zeta sum at every member of the full collection; on failure returns
-    the first failing member in canonical order as a witness.
+    zeta sum at every member of the full collection, position by
+    position in canonical order; on failure returns the first failing
+    member as a witness.
     """
-    sub = table.restrict(candidate_support)
-    diagram = gpd(sub)
+    table = table.canonical()
+    diagram = gpd(table.restrict(candidate_support))
     recon = reconstruct_table(diagram, table.collection)
-    for it, got in zip(recon.collection, recon.ranks):
-        if table.rank_of(it) != got:
+    for it, want, got in zip(table.collection, table.ranks, recon.ranks):
+        if want != got:
             return InvertibilityReport(False, None, it)
     return InvertibilityReport(True, diagram)
 

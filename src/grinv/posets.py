@@ -14,14 +14,15 @@ Two representations coexist:
 
 Canonical order everywhere: subsets sorted by (size, lexicographic
 sorted member list), the ``sort_key`` of each member, which keeps every
-downstream table deterministic and diffable.  A given collection is
-sorted by one helper, :func:`canonical_order`; for plane intervals it
-orders by one int per member, built from the staircase rows without
-listing points.  The intervals of a box are enumerated straight into
-that order by :func:`canonical_grid_intervals`, which sums each
-member's int key while it builds the member and ends with one int sort.
-The unsorted generator :func:`iter_grid_intervals` is its test oracle
-and nothing else.
+downstream table deterministic and diffable.  One gate,
+:func:`canonical_members`, sorts a collection (for plane intervals by
+one int per member, built from the staircase rows without listing
+points) into a :class:`CanonicalMembers` tuple, which the enumerators
+return too and the gate passes through.  The intervals of a box are
+enumerated straight into that order by :func:`canonical_grid_intervals`,
+which sums each member's int key while it builds the member and ends
+with one int sort.  The unsorted generator :func:`iter_grid_intervals`
+is its test oracle and nothing else.
 
 Members are their own keys, equal exactly when equal as sets, and a
 plane interval hashes once.  Containment has one index,
@@ -34,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from operator import attrgetter
 
 DEFAULT_INTERVAL_CAP = 5_000_000
 DEFAULT_CONNECTED_CAP = 16
@@ -570,22 +570,34 @@ class GridInterval:
 # -- canonical order ------------------------------------------------------------
 
 
-def canonical_order(items) -> list:
+class CanonicalMembers(tuple):
+    """Distinct members in canonical order, built only by
+    :func:`canonical_members` and the enumerators; being a tuple, it
+    stays so."""
+
+    __slots__ = ()
+
+
+def canonical_members(items) -> CanonicalMembers:
     """The items sorted by their ``sort_key``: size, then sorted member list.
 
-    The one sort of the library.  A collection of plane intervals is
-    sorted by the int keys of :func:`_frame_keys`, which order it exactly
-    as ``sort_key`` does, and the sort is stable, so the result is
-    ``sorted(items, key=sort_key)`` either way.  ``SubposetId``
-    collections, and intervals too far apart for the int keys, sort by
-    ``sort_key`` itself.
+    The one sort of the library; ``ValueError`` when two items are equal
+    as sets, and a :class:`CanonicalMembers` passes through in O(1).
+    Plane intervals sort by the int keys of :func:`_frame_keys`, which
+    order them as ``sort_key`` does; ``SubposetId``s, and intervals too
+    far apart for int keys, by ``sort_key``.  Either key ties exactly on
+    equal sets, so repeats end up side by side.
     """
+    if type(items) is CanonicalMembers:
+        return items
     items = list(items)
-    if items and all(isinstance(it, GridInterval) for it in items):
-        keys = _frame_keys(items)
-        if keys is not None:
-            return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]
-    return sorted(items, key=attrgetter("sort_key"))
+    keys = _frame_keys(items) if items and all(isinstance(it, GridInterval) for it in items) else None
+    if keys is None:
+        keys = [it.sort_key for it in items]
+    order = sorted(range(len(items)), key=keys.__getitem__)
+    if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
+        raise ValueError("duplicate items in collection")
+    return CanonicalMembers(map(items.__getitem__, order))
 
 
 class _RowTerms(dict):
@@ -731,7 +743,7 @@ class _Steps(dict):
         return out
 
 
-def canonical_grid_intervals(bbox, max_min_pts=None, max_max_pts=None) -> list[GridInterval]:
+def canonical_grid_intervals(bbox, max_min_pts=None, max_max_pts=None) -> CanonicalMembers:
     """All GridIntervals inside bbox = (x0, y0, x1, y1), in canonical order.
 
     The staircases of :func:`iter_grid_intervals` (its test oracle), with
@@ -742,7 +754,7 @@ def canonical_grid_intervals(bbox, max_min_pts=None, max_max_pts=None) -> list[G
     listing any points.  The members are distinct sets, so no keys tie.
     """
     items, keys = _keyed_walk(bbox, max_min_pts, max_max_pts)
-    return [items[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+    return CanonicalMembers(map(items.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
 
 
 def _keyed_walk(bbox, max_min_pts, max_max_pts) -> tuple[list[GridInterval], list[int]]:
@@ -831,7 +843,7 @@ def enumerate_grid_intervals(
     max_min_pts=None,
     max_max_pts=None,
     cap: int = DEFAULT_INTERVAL_CAP,
-) -> list[GridInterval]:
+) -> CanonicalMembers:
     """Intervals of a grid window, canonical order, guarded by a count DP."""
     if poset.grid_coords is None:
         raise ValueError("not a grid poset")
@@ -847,61 +859,51 @@ def enumerate_intervals(
     max_min_pts=None,
     max_max_pts=None,
     cap: int = DEFAULT_INTERVAL_CAP,
-) -> list[SubposetId]:
+) -> CanonicalMembers:
     """All intervals with at most the given numbers of minimal/maximal points.
 
-    Grid windows use staircase generation; other posets fall back to the
-    brute-force subset filter (exponential, so capped by element count).
-    With budgets (1, 1) this is exactly the set of segments [p, q].
+    Grid windows give their plane intervals; other posets fall back to
+    the brute-force subset filter (exponential, so capped by element
+    count), by size, then lexicographically: canonical order.  With
+    budgets (1, 1) this is exactly the set of segments [p, q].
     """
     if poset.grid_coords is not None:
-        idx = poset.id_of_coord()
-        return [
-            SubposetId("interval", tuple(sorted(idx[pt] for pt in gi.points())))
-            for gi in enumerate_grid_intervals(poset, max_min_pts, max_max_pts, cap)
-        ]
+        return enumerate_grid_intervals(poset, max_min_pts, max_max_pts, cap)
     if poset.n > 20:
         raise EnumerationCapError(
             f"brute-force interval enumeration over {poset.n} elements refused"
         )
     if 2**poset.n - 1 > cap:
         raise EnumerationCapError(f"2^{poset.n} subsets exceed the cap of {cap}")
-    out = []
-    for size in range(1, poset.n + 1):
-        for ms in combinations(range(poset.n), size):
-            if not poset.is_interval_subset(ms):
-                continue
-            if max_min_pts is not None and len(poset.minimal_of(ms)) > max_min_pts:
-                continue
-            if max_max_pts is not None and len(poset.maximal_of(ms)) > max_max_pts:
-                continue
-            out.append(SubposetId("interval", ms))
-    return out
+    return CanonicalMembers(
+        SubposetId("interval", ms)
+        for size in range(1, poset.n + 1)
+        for ms in combinations(range(poset.n), size)
+        if poset.is_interval_subset(ms)
+        and (max_min_pts is None or len(poset.minimal_of(ms)) <= max_min_pts)
+        and (max_max_pts is None or len(poset.maximal_of(ms)) <= max_max_pts)
+    )
 
 
-def enumerate_connected(poset: FinitePoset, cap: int = DEFAULT_CONNECTED_CAP) -> list[SubposetId]:
+def enumerate_connected(poset: FinitePoset, cap: int = DEFAULT_CONNECTED_CAP) -> CanonicalMembers:
     """All connected nonempty subsets, canonical order. Exponential: capped."""
     if poset.n > cap:
         raise EnumerationCapError(
             f"connected-subset enumeration over {poset.n} > {cap} elements refused"
         )
-    out = []
-    for size in range(1, poset.n + 1):
-        for ms in combinations(range(poset.n), size):
-            if poset.is_connected_subset(ms):
-                out.append(SubposetId("connected", ms))
-    return out
+    return CanonicalMembers(
+        SubposetId("connected", ms)
+        for size in range(1, poset.n + 1)
+        for ms in combinations(range(poset.n), size)
+        if poset.is_connected_subset(ms)
+    )
 
 
-def enumerate_segments(poset: FinitePoset) -> list[SubposetId]:
-    """Segments [p, q] for p <= q, canonical order."""
-    out = []
-    for a in range(poset.n):
-        for b in poset.up_ids(a):
-            out.append(SubposetId("segment", poset.segment(a, b)))
-    # [p, q] has p as its unique minimum and q as its unique maximum, so no
-    # two segments coincide as sets
-    return canonical_order(out)
+def enumerate_segments(poset: FinitePoset) -> CanonicalMembers:
+    """Segments [p, q] for p <= q, canonical order.  [p, q] has p as its
+    unique minimum and q as its unique maximum, so no two coincide as sets."""
+    return canonical_members(SubposetId("segment", poset.segment(a, b))
+                             for a in range(poset.n) for b in poset.up_ids(a))
 
 
 # -- boundary fences -------------------------------------------------------------
@@ -1024,14 +1026,6 @@ def _lines(member):
     if isinstance(member, GridInterval):
         return [(y, range(a, b + 1)) for y, (a, b) in enumerate(member.rows, member.y0)]
     return [(None, member.members)]
-
-
-def canonical_members(items) -> tuple:
-    """The items in canonical order; ``ValueError`` when two are equal (as sets)."""
-    items = tuple(canonical_order(items))
-    if len(set(items)) != len(items):
-        raise ValueError("duplicate items in collection")
-    return items
 
 
 def bitset(indices, n: int) -> int:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grinv import posets
 from grinv.posets import FinitePoset, grid_poset
 
 
@@ -45,3 +46,27 @@ def brute_force_connected(poset):
             if poset.is_connected_subset(ms):
                 out.append(ms)
     return out
+
+
+def member_ids(poset, item):
+    """The sorted element ids of a member: a SubposetId's own, or the ids
+    of a plane interval's points on a grid poset, whose ids run in
+    lexicographic point order."""
+    if hasattr(item, "members"):
+        return item.members
+    idx = poset.id_of_coord()
+    return tuple(sorted(idx[pt] for pt in item.points()))
+
+
+@pytest.fixture
+def frame_key_calls(monkeypatch):
+    """The sizes of the collections keyed by ``posets._frame_keys``, one per call."""
+    calls = []
+    real = posets._frame_keys
+
+    def counting(intervals):
+        calls.append(len(intervals))
+        return real(intervals)
+
+    monkeypatch.setattr(posets, "_frame_keys", counting)
+    return calls

@@ -51,7 +51,7 @@ from grinv.zigzag import (
     zigzag_rank,
 )
 
-from conftest import brute_force_connected, brute_force_intervals
+from conftest import brute_force_connected, brute_force_intervals, member_ids
 
 
 def report(num, name, t0, budget):
@@ -318,7 +318,7 @@ def test_criterion_10_enumeration_correctness():
     posets += [grid_poset(2, 2), grid_poset(3, 3), grid_poset(4, 3), grid_poset(2, 6)]
     for p in posets:
         assert p.n <= 12
-        fast = [s.members for s in enumerate_intervals(p)]
+        fast = [member_ids(p, s) for s in enumerate_intervals(p)]
         assert fast == sorted(brute_force_intervals(p), key=lambda ms: (len(ms), ms))
         if p.n <= 10:
             conn = [s.members for s in enumerate_connected(p)]

@@ -11,8 +11,8 @@ from grinv import cli
 from grinv.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
 from grinv.fixtures import build_fixture
 from grinv.invariants import RankCache
-from grinv.modules import PModule
-from grinv.posets import grid_poset
+from grinv.modules import PModule, zero_module
+from grinv.posets import FinitePoset, grid_poset
 from grinv.sampling import random_faithful_path, random_interval_decomposable, random_module
 from grinv.zigzag import ZigzagPath, multiplicity_bounds, rank_bounds_from_gri
 
@@ -626,3 +626,36 @@ def test_invariant_violation_exit_code(capsys, square_module_file, monkeypatch):
     code, _, err = run(capsys, "gri", square_module_file)
     assert code == 4
     assert "invariant violation" in err
+
+
+def test_enumerate_segments_on_a_chain_past_the_brute_force_limit(capsys, tmp_path):
+    # 30 elements are too many for the brute-force interval filter, but
+    # segments are listed directly, as for `--collection segments`
+    f = tmp_path / "chain.txt"
+    f.write_text(zero_module(FinitePoset.chain(30)).to_text() + "\n")
+    code, out, err = run(capsys, "enumerate", str(f), "--what", "segments")
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert len(lines) == 465 and lines[0] == "0" and lines[-1] == " ".join(map(str, range(30)))
+    code, table, _ = run(capsys, "gri", str(f), "--collection", "segments")
+    assert code == EXIT_OK
+    assert [ln.split("\t")[0] for ln in table.splitlines()] == lines
+    code, _, err = run(capsys, "enumerate", str(f), "--what", "intervals")
+    assert code == EXIT_CAP and "30 elements refused" in err
+
+
+def test_commands_key_an_enumeration_never_and_a_file_once(capsys, tmp_path, rng, frame_key_calls):
+    module = tmp_path / "m.txt"
+    module.write_text(random_module(rng, grid_poset(3, 3, (2, 1))).to_text())
+    coll = tmp_path / "c.txt"
+    coll.write_text("3,1 3,2\n2,1\n2,1 3,1 2,2 3,2\n4,3\n2,1 2,2\n")
+    commands = (("gpd",), ("gpd", "--format", "dot"), ("decompose",), ("invertible",))
+    for argv in commands:
+        code, out, _ = run(capsys, argv[0], str(module), "--collection", "int:2,2", *argv[1:])
+        assert code == EXIT_OK and out
+    assert frame_key_calls == []
+    for argv in commands:
+        code, out, _ = run(capsys, argv[0], str(module), "--collection", f"file:{coll}", *argv[1:])
+        assert code == EXIT_OK and out
+        assert frame_key_calls == [5]
+        frame_key_calls.clear()

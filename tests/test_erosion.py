@@ -8,6 +8,7 @@ from grinv import erosion
 from grinv.erosion import (
     ThickeningFamily,
     erosion_distance,
+    erosion_witnesses,
     erosion_study,
     shift_module,
     study_table,
@@ -243,3 +244,22 @@ def test_radius_past_the_bounding_box_is_an_alarm(monkeypatch, capsys, tmp_path)
     out, err = capsys.readouterr()
     assert out == "min_pts\tmax_pts\tcollection\tdistance\trank_queries\n"
     assert err == "invariant violation: erosion radius passed its bound 2\n"
+
+
+def test_erosion_witnesses_are_the_first_failures_at_each_radius(rng):
+    win = grid_poset(4, 4, (1, -2))
+    block = grid_interval_module(win, GridInterval.rectangle((1, -2), (4, 1)))
+    hook = grid_interval_module(win, GridInterval.from_points([(1, -2), (2, -2), (3, -2), (1, -1), (1, 0)]))
+    pairs = [(block, zero_module(win)), (block, hook), (hook, shift_module(block, 1))]
+    pairs += [(m, shift_module(m, 1)) for m in (random_module(rng, win), random_interval_decomposable(rng, win, 4)[0])]
+    distances = []
+    for budgets in ((1, 1), (2, 2), (None, None)):
+        for m1, m2 in pairs:
+            coll = ThickeningFamily(*budgets).members_within(union_bbox(m1, m2))
+            witnesses = list(erosion_witnesses(m1, m2, coll))
+            d = erosion_distance(m1, m2, coll)
+            assert len(witnesses) == d
+            assert witnesses == [verify_erosion(m1, m2, coll, eps) for eps in range(d)]
+            assert verify_erosion(m1, m2, coll, d) is None
+            distances.append(d)
+    assert max(distances) >= 2, distances

@@ -10,6 +10,7 @@ from grinv.invariants import (
     GriTable,
     IntervalDecomposableError,
     RankCache,
+    SignedDiagram,
     containment_dot,
     format_members,
     gpd,
@@ -26,8 +27,10 @@ from grinv.invariants import (
 from grinv.mobius import PosetFunction, convolve, mobius_function
 from grinv.modules import direct_sum, generalized_rank, grid_interval_module, interval_module, zero_module
 from grinv.posets import (
+    CanonicalMembers,
     GridInterval,
     SubposetId,
+    canonical_members,
     containment_poset,
     enumerate_grid_intervals,
     grid_poset,
@@ -654,3 +657,45 @@ def test_format_members_grid_and_ids(chain4, grid22):
     gi = GridInterval.from_points([(1, 0), (0, 0)])
     assert format_members(gi) == "0,0 1,0"
     assert format_members(subposet(chain4, (2, 0, 1))) == "0 1 2"
+
+
+def test_gri_gpd_and_reconstruct_table_reject_duplicate_members(grid33):
+    row = GridInterval.rectangle((0, 0), (1, 0))
+    twin = GridInterval.from_points([(1, 0), (0, 0)])  # an equal, distinct object
+    module = grid_interval_module(grid33, row)
+    with pytest.raises(ValueError, match="duplicate"):
+        gri(module, [row, twin])
+    with pytest.raises(ValueError, match="duplicate"):
+        gpd(GriTable((row, twin), (1, 1)))
+    with pytest.raises(ValueError, match="duplicate"):
+        reconstruct_table(SignedDiagram(((row, 1),)), [twin, row])
+
+
+def test_restrict_keeps_the_canonical_type(rng, grid33):
+    table = gri(random_module(rng, grid33), enumerate_grid_intervals(grid33))
+    assert type(table.collection) is CanonicalMembers
+    picked = table.collection[1::3]
+    sub = table.restrict(reversed(picked))
+    assert list(sub.collection) == list(picked)
+    assert canonical_members(sub.collection) is sub.collection
+    assert sub.ranks == tuple(table.rank_of(it) for it in picked)
+    # a table built from a plain tuple promises no order
+    plain = GriTable(tuple(table.collection), table.ranks)
+    assert type(plain.restrict(picked).collection) is tuple
+
+
+def test_an_enumeration_is_keyed_by_no_layer(rng, frame_key_calls):
+    window = grid_poset(3, 3, (1, -2))
+    ints = enumerate_grid_intervals(window)
+    table = gri(random_module(rng, window), ints)
+    diagram = gpd(table)
+    support = [it for it, r in zip(table.collection, table.ranks) if r > 0]
+    report = verify_invertibility(table, support)
+    cont = containment_poset(table.collection)
+    assert report.ok and report.diagram == diagram
+    assert table.collection is ints and cont.items is ints
+    assert frame_key_calls == []
+    # a table in another order is keyed once, by the gate in gpd
+    shuffled = GriTable(tuple(reversed(table.collection)), tuple(reversed(table.ranks)))
+    assert gpd(shuffled) == diagram
+    assert frame_key_calls == [len(ints)]

@@ -494,7 +494,7 @@ def test_fence_memo_matches_oracle_in_any_order(p, side, origin, summands, seed,
     rng = np.random.default_rng(seed)
     win = grid_poset(side, side, origin)
     m = random_module(rng, win, p, max_summands=summands)
-    ints = enumerate_grid_intervals(win)
+    ints = list(enumerate_grid_intervals(win))
     if side == 4:
         ints = data.draw(st.lists(st.sampled_from(ints), min_size=40, max_size=80))
     ox, oy = origin
@@ -568,7 +568,7 @@ def test_turning_point_sweep_matches_a_unit_step_sweep(p, origin, summands, seed
     win = grid_poset(4, 4, origin)
     full = grid_interval_module(win, GridInterval.rectangle(origin, (ox + 3, oy + 3)), p)
     m = direct_sum(full, random_module(rng, win, p, max_summands=summands)).scramble(rng)
-    ints = enumerate_grid_intervals(win)
+    ints = list(enumerate_grid_intervals(win))
     ints += [random_grid_interval(rng, (ox - 1, oy - 1, ox + 4, oy + 4)) for _ in range(8)]
     for gi in ints:
         generalized_rank_fast(m, gi)

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from grinv.posets import (
+    CanonicalMembers,
     EnumerationCapError,
     FinitePoset,
     GridInterval,
     SubposetId,
     _staircase,
     canonical_grid_intervals,
-    canonical_order,
+    canonical_members,
     containment_poset,
     count_grid_intervals,
     enumerate_connected,
@@ -30,7 +31,7 @@ from grinv.posets import (
 )
 from grinv.sampling import random_grid_interval, random_poset
 
-from conftest import brute_force_connected, brute_force_intervals
+from conftest import brute_force_connected, brute_force_intervals, member_ids
 
 
 # -- grid construction -------------------------------------------------------
@@ -113,14 +114,14 @@ def test_2x2_segments_count(grid22):
 
 
 def test_segments_equal_min_max_budget_one(grid33):
-    budget = {s.members for s in enumerate_intervals(grid33, 1, 1)}
+    budget = {member_ids(grid33, s) for s in enumerate_intervals(grid33, 1, 1)}
     segments = {s.members for s in enumerate_segments(grid33)}
     assert budget == segments
 
 
 def test_grid_enumeration_matches_brute_force(grid22, grid33):
     for poset in (grid22, grid33, grid_poset(4, 2, (0, 0))):
-        fast = [s.members for s in enumerate_intervals(poset)]
+        fast = [member_ids(poset, s) for s in enumerate_intervals(poset)]
         brute = brute_force_intervals(poset)
         assert fast == sorted(brute, key=lambda ms: (len(ms), ms))
 
@@ -583,7 +584,7 @@ budgets = st.one_of(st.none(), st.integers(1, 3))
 def test_canonical_order_matches_sort_key_on_boxes(x0, y0, w, h, mm, xx, rnd):
     items = list(iter_grid_intervals((x0, y0, x0 + w - 1, y0 + h - 1), mm, xx))
     rnd.shuffle(items)
-    assert same_objects(canonical_order(items), by_sort_key(items))
+    assert same_objects(canonical_members(items), by_sort_key(items))
 
 
 @st.composite
@@ -607,16 +608,22 @@ def test_canonical_order_matches_sort_key_across_frames(data, spread):
     items = list(base)
     for gi in base:
         items.append(gi.thicken(data.draw(st.integers(0, 3))))
-        items.append(GridInterval.from_points(reversed(gi.points())))  # an equal, distinct object
+    items = list(dict.fromkeys(items))  # one object per set
     data.draw(st.randoms(use_true_random=False)).shuffle(items)
-    assert same_objects(canonical_order(items), by_sort_key(items))
+    assert same_objects(canonical_members(items), by_sort_key(items))
+    twin = GridInterval.from_points(reversed(items[-1].points()))  # an equal, distinct object
+    with pytest.raises(ValueError, match="duplicate items"):
+        canonical_members(items + [twin])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.lists(st.frozensets(st.integers(0, 15), min_size=1), max_size=30))
+@given(st.lists(st.frozensets(st.integers(0, 15), min_size=1), unique=True, max_size=30))
 def test_canonical_order_matches_sort_key_on_subposet_ids(sets):
     items = [SubposetId("connected", tuple(s)) for s in sets]
-    assert same_objects(canonical_order(items), by_sort_key(items))
+    assert same_objects(canonical_members(items), by_sort_key(items))
+    if items:  # the same set under another kind is the same member
+        with pytest.raises(ValueError, match="duplicate items"):
+            canonical_members(items + [SubposetId("segment", items[0].members)])
 
 
 def test_canonical_order_far_apart_members_stay_small():
@@ -624,12 +631,12 @@ def test_canonical_order_far_apart_members_stay_small():
     column = [GridInterval(0, ((0, 0),) * 20_000), GridInterval(0, ((0, 0),))]
     tracemalloc.start()
     try:
-        assert canonical_order(far) == far[::-1]
+        assert list(canonical_members(far)) == far[::-1]
         assert tracemalloc.get_traced_memory()[1] < 2 ** 16
         tracemalloc.reset_peak()
         # int keys over this 20,000-point frame would need one 20,000-bit
         # mask per row, 50 MB in all; sort_key lists its points instead
-        assert canonical_order(column) == column[::-1]
+        assert list(canonical_members(column)) == column[::-1]
         assert tracemalloc.get_traced_memory()[1] < 2 ** 23
     finally:
         tracemalloc.stop()
@@ -655,7 +662,7 @@ def test_generated_intervals_pass_validation(x0, y0, w, h, mm, xx):
 def test_canonical_grid_intervals_match_the_sorted_oracle(x0, y0, w, h, mm, xx):
     assume(count_grid_intervals(w, h, mm, xx) <= 12_000)
     bbox = (x0, y0, x0 + w - 1, y0 + h - 1)
-    oracle = canonical_order(iter_grid_intervals(bbox, mm, xx))
+    oracle = canonical_members(iter_grid_intervals(bbox, mm, xx))
     assert canonical_grid_intervals(bbox, mm, xx) == oracle
 
 
@@ -706,3 +713,30 @@ def test_canonical_grid_intervals_list_no_points_and_skip_validation(monkeypatch
     monkeypatch.undo()
     assert len(members) == count_grid_intervals(6, 5, 2, 3)
     assert all(GridInterval(gi.y0, gi.rows) == gi for gi in members)
+
+
+def test_enumerations_carry_their_order_through_the_gate(grid33):
+    chain = FinitePoset.chain(4)
+    enumerations = [
+        canonical_grid_intervals((2, -3, 4, -1), 2, 1),
+        enumerate_grid_intervals(grid_poset(3, 2, (-1, 5))),
+        enumerate_intervals(grid33, 1, 2),
+        enumerate_intervals(chain),
+        enumerate_connected(grid33),
+        enumerate_segments(grid33),
+        enumerate_segments(chain),
+    ]
+    for items in enumerations:
+        assert type(items) is CanonicalMembers
+        assert canonical_members(items) is items
+        assert list(items) == sorted(items, key=lambda it: it.sort_key)
+    # a sorted list or plain tuple is checked and copied, not trusted
+    plain = list(enumerations[0])
+    assert canonical_members(plain) == enumerations[0]
+    assert type(canonical_members(tuple(plain))) is CanonicalMembers
+
+
+def test_grid_intervals_come_out_as_plane_intervals(grid33):
+    shifted = grid_poset(3, 3, (4, -2))
+    assert enumerate_intervals(shifted, 2, 2) == enumerate_grid_intervals(shifted, 2, 2)
+    assert all(isinstance(gi, GridInterval) for gi in enumerate_intervals(grid33))
