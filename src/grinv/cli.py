@@ -13,9 +13,8 @@ import argparse
 import os
 import sys
 from functools import cache
-from itertools import islice
 
-from .erosion import ThickeningFamily, erosion_witnesses, timed_distance, union_bbox
+from .erosion import ThickeningFamily, timed_distance, union_bbox
 from .fixtures import FIXTURES, build_fixture
 from .gf import check_modulus
 from .invariants import (
@@ -332,13 +331,12 @@ def cmd_erosion(args) -> int:
     for mm, nn in budgets:
         family = ThickeningFamily(mm, nn)
         collection = family.members_within(bbox)
-        dist, caches, dt = timed_distance(m1, m2, collection)
-        row = (f"{mm}\t{nn}\t{len(collection)}\t{dist}\t"
+        witnesses, caches, dt = timed_distance(m1, m2, collection)
+        row = (f"{mm}\t{nn}\t{len(collection)}\t{len(witnesses)}\t"
                f"{caches[0].queries + caches[1].queries}")
         print(row + f"\t{dt:.4f}" if args.timing else row)
         if args.witness:
-            # the walk again, on the warm caches (no new rank), up to the last witness
-            for eps, w in enumerate(islice(erosion_witnesses(m1, m2, collection, caches), dist)):
+            for eps, w in enumerate(witnesses):
                 print(f"witness\teps={eps}\t{format_members(w)}")
     return EXIT_OK
 

@@ -73,12 +73,12 @@ def erosion_distance(m1: PModule, m2: PModule, collection, caches=None) -> int:
 
 def erosion_witnesses(m1: PModule, m2: PModule, collection, caches=None):
     """Yield, for each radius eps below the erosion distance, the first
-    member that fails at eps, as ``verify_erosion`` finds it; lazily, so
-    a caller that knows the distance can stop at the last witness.
+    member that fails at eps, as ``verify_erosion`` finds it.
 
-    One walk with a running radius eps from 0.  I lies inside I^eps and
-    ranks never increase under containment, so a member with
-    r1(I) = r2(I) passes at every radius.  Otherwise, with
+    The collection's ranks come from one ``RankCache.ranks`` call per
+    module, then one walk with a running radius eps from 0.  I lies
+    inside I^eps and ranks never increase under containment, so a member
+    with r1(I) = r2(I) passes at every radius.  Otherwise, with
     r_small(I) < r_big(I), only r_big(I^eps) <= r_small(I) can fail, and
     it stays true once it holds: eps is raised until the member passes,
     and as every earlier member passes at eps, it is the first to fail.
@@ -93,10 +93,11 @@ def erosion_witnesses(m1: PModule, m2: PModule, collection, caches=None):
     if caches is None:
         caches = (RankCache(m1), RankCache(m2))
     c1, c2 = caches
+    if not isinstance(collection, (list, tuple)):
+        collection = list(collection)
     hi = max(bbox[2] - bbox[0], bbox[3] - bbox[1]) + 1
     eps = 0
-    for gi in collection:
-        r1, r2 = c1.rank(gi), c2.rank(gi)
+    for gi, r1, r2 in zip(collection, c1.ranks(collection), c2.ranks(collection)):
         if r1 == r2:
             continue
         small, big = (r1, c2) if r1 < r2 else (r2, c1)
@@ -139,14 +140,15 @@ STUDY_REPEATS = 5
 
 
 def timed_distance(m1: PModule, m2: PModule, collection, repeats: int = 1):
-    """``erosion_distance`` from cold state: (distance, caches, seconds).
+    """:func:`erosion_witnesses` from cold state: (witnesses, caches, seconds).
 
-    Each of the repeats clears both modules' memos (transitions, fence
-    sweeps and subspace moves, see ``PModule._clear_memos``) and starts
+    The erosion distance is the number of witnesses.  Each of the repeats
+    clears both modules' memos (see ``PModule._clear_memos``) and starts
     from fresh rank caches, so every repeat does the whole work;
     ``seconds`` is the least wall time among them, which a scheduling or
-    GC pause in one repeat cannot inflate.  The caches returned are the
-    first repeat's, so their misses count the work of a single run.
+    GC pause in one repeat cannot inflate.  The witnesses and caches
+    returned are the first repeat's, so the caches' misses count the work
+    of a single run.
     """
     seconds = math.inf
     for k in range(repeats):
@@ -154,11 +156,11 @@ def timed_distance(m1: PModule, m2: PModule, collection, repeats: int = 1):
         m2._clear_memos()
         run = (RankCache(m1), RankCache(m2))
         t0 = time.perf_counter()
-        dist = erosion_distance(m1, m2, collection, caches=run)
+        found = list(erosion_witnesses(m1, m2, collection, caches=run))
         seconds = min(seconds, time.perf_counter() - t0)
         if k == 0:
-            caches = run
-    return dist, caches, seconds
+            witnesses, caches = found, run
+    return witnesses, caches, seconds
 
 
 def erosion_study(module_builder, sides, budgets) -> list[ErosionStudyRow]:
@@ -175,9 +177,9 @@ def erosion_study(module_builder, sides, budgets) -> list[ErosionStudyRow]:
         m1, m2 = module_builder(side)
         for mm, xx in budgets:
             collection = ThickeningFamily(mm, xx).members_within(union_bbox(m1, m2))
-            dist, caches, dt = timed_distance(m1, m2, collection, STUDY_REPEATS)
+            witnesses, caches, dt = timed_distance(m1, m2, collection, STUDY_REPEATS)
             rows.append(
-                ErosionStudyRow(side, mm, xx, len(collection), dist,
+                ErosionStudyRow(side, mm, xx, len(collection), len(witnesses),
                                 caches[0].queries + caches[1].queries, dt)
             )
     return rows

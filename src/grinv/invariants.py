@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .modules import PModule, direct_sum, generalized_rank, generalized_rank_fast, grid_interval_module, interval_module, zero_module
+from .modules import (PModule, direct_sum, generalized_rank, generalized_rank_fast, generalized_ranks_fast,
+                      grid_interval_module, interval_module, zero_module)
 from .posets import CanonicalMembers, ContainmentPoset, GridInterval, SubposetId, Supersets, bitset, canonical_members, iter_bits
 
 
@@ -36,11 +37,15 @@ def _cache_key(region):
 class RankCache:
     """Memoised generalized ranks of one module, keyed by member.
 
-    Grid intervals use the fence fast path, whose fence sweeps are
-    memoised on the module itself (exact: each is a deterministic
-    function of the fence and the module), so caches of the same module
-    share them.  ``queries`` counts cache misses — the deterministic work
-    measure used by the erosion trade-off instrumentation.
+    Grid intervals use the fence fast path, whose fence sweeps, subspace
+    moves and (E, Q) pair ranks are memoised on the module itself (exact:
+    each is a deterministic function of its key and the module), so
+    caches of the same module share them.  ``ranks`` serves a whole
+    collection: its warm path is one list comprehension, and its misses
+    are filed from one pass of the loop kernel
+    (``modules.generalized_ranks_fast``); ``rank`` serves one member.
+    ``queries`` counts distinct misses, the deterministic work measure
+    used by the erosion trade-off instrumentation.
     """
 
     def __init__(self, module: PModule):
@@ -69,6 +74,44 @@ class RankCache:
             del self._index[key]
             raise
         return ranks[i]
+
+    def ranks(self, members) -> list[int]:
+        """The ranks over the members, in their order.
+
+        When every member is cached, one comprehension reads them.
+        Otherwise each distinct miss is filed at the next free position,
+        the grid intervals among them are ranked by one kernel pass and
+        the other regions by ``generalized_rank``; if either raises, the
+        filed positions are dropped and the cache is as it was.
+        """
+        if not isinstance(members, (list, tuple)):
+            members = list(members)
+        index, ranks = self._index, self._ranks
+        try:
+            return [ranks[index[m]] for m in members]
+        except (KeyError, TypeError):  # a miss, or a region keyed by its frozenset
+            pass
+        misses, pos, free = [], [], len(ranks)
+        for m in members:
+            i = index.setdefault(_cache_key(m), free)
+            if i == free:
+                misses.append(m)
+                free += 1
+            pos.append(i)
+        try:
+            grid = [m for m in misses if isinstance(m, GridInterval)]
+            filled = generalized_ranks_fast(self.module, grid) if grid else []
+            if len(grid) < len(misses):
+                fast = iter(filled)
+                filled = [next(fast) if isinstance(m, GridInterval) else generalized_rank(self.module, m)
+                          for m in misses]
+        except BaseException:
+            for m in misses:
+                del index[_cache_key(m)]
+            raise
+        ranks.extend(filled)
+        # all distinct misses: the positions are the new ones, in order
+        return filled if len(misses) == len(members) else [ranks[i] for i in pos]
 
 
 @dataclass(frozen=True)
@@ -195,7 +238,7 @@ def gri(module: PModule, collection, cache: RankCache | None = None) -> GriTable
     (``posets.canonical_members``: ``ValueError`` on a repeated member)."""
     items = canonical_members(collection)
     cache = cache or RankCache(module)
-    return GriTable(items, tuple(cache.rank(it) for it in items))
+    return GriTable(items, tuple(cache.ranks(items)))
 
 
 def _invert(items, values) -> list[int]:

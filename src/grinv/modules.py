@@ -16,8 +16,11 @@ general rank route and the oracle of the grid fast path, which solves
 each interval's two boundary fences with the zigzag sweep step
 (`sweep_step`, shared with path barcodes), one step per fence leg
 between its turning points, memoised per module by the interval's
-minimal and maximal antichains (see `generalized_rank_fast`); every
-sweep step goes through one per-module memo of subspace moves (`_move`).
+minimal and maximal antichains (see `generalized_ranks_fast`, the loop
+that ranks a whole collection).  Each module interns the reduced bases
+it reaches (`_intern`), so its memos key on small subspace ids: the
+fences, one memo of subspace moves that every sweep step goes through
+(`_move`) and one memo of rank(Q E) per pair of ids (`_pair_rank`).
 Both routes run on rows of Python ints through the `gf` row routines.
 
 A module whose poset has grid coordinates is extended by zero: it is
@@ -80,10 +83,23 @@ def _window_holds(geom, gi: GridInterval) -> bool:
     The top row of a staircase starts leftmost and its bottom row ends
     rightmost (see ``GridInterval.bbox``), so two rows bound it in x.
     """
-    ox, oy, zeros = geom
+    ox, oy, w, h, _ = geom
     rows, y = gi.rows, gi.y0 - oy
-    return (y >= 0 and y + len(rows) <= len(zeros)
-            and rows[-1][0] >= ox and rows[0][1] < ox + len(zeros[0]) - 1)
+    return y >= 0 and y + len(rows) <= h and rows[-1][0] >= ox and rows[0][1] < ox + w
+
+
+def _rank_forced_zero(geom, gi: GridInterval) -> bool:
+    """The trivial-zero filter: gi leaves the window of geom or touches a
+    zero-dimensional point, so its rank is 0 without any sweep."""
+    if not _window_holds(geom, gi):
+        return True
+    ox, oy, _, _, zeros = geom
+    if zeros is not None:
+        for y, (a, b) in enumerate(gi.rows, gi.y0 - oy):
+            pre = zeros[y]
+            if pre[b - ox + 1] != pre[a - ox]:
+                return True
+    return False
 
 
 # the token count of each module-file header line
@@ -98,8 +114,9 @@ class PModule:
     grid coordinates the module is extended by zero off its points.
     """
 
-    __slots__ = ("poset", "dims", "maps", "p", "_trans",
-                 "_window_idx", "_window_geom", "_fences", "_moves")
+    __slots__ = ("poset", "dims", "maps", "p", "_trans", "_window_idx", "_window_geom",
+                 "_fences", "_moves", "_sids", "_bases", "_pair_ranks", "_spans",
+                 "_span_candidates")
 
     def __init__(self, poset: FinitePoset, dims, maps, p: int = DEFAULT_P,
                  validate: bool = True):
@@ -121,11 +138,18 @@ class PModule:
             self._check_functorial()
 
     def _clear_memos(self):
-        """Forget the memoised transitions, fence sweeps, moves and window geometry."""
+        """Forget every memo: transitions, window geometry, fence sweeps,
+        subspace moves, the intern table of reduced bases, the ranks of
+        (E, Q) pairs and the exact spans of ``zigzag.gri_bounds_from_zib``."""
         self._trans = {}
         self._window_geom = None
         self._fences = {}
         self._moves = {}
+        self._sids = {(): 0}  # reduced basis -> subspace id; 0 is the zero subspace
+        self._bases = [()]  # subspace id -> reduced basis
+        self._pair_ranks = {}
+        self._spans = {}
+        self._span_candidates = None
 
     # -- construction-time checks -----------------------------------------
 
@@ -215,14 +239,16 @@ class PModule:
         return rows
 
     def window_origin_size(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        ox, oy, zeros = self._window_geometry()
-        return (ox, oy), (len(zeros[0]) - 1, len(zeros))
+        ox, oy, w, h, _ = self._window_geometry()
+        return (ox, oy), (w, h)
 
     def contains_interval(self, gi: GridInterval) -> bool:
         return _window_holds(self._window_geometry(), gi)
 
     def _window_geometry(self):
-        """(x origin, y origin, zero prefix counts per window row), built once.
+        """(x origin, y origin, width, height, zero prefix counts per window
+        row), built once; the counts are None when every point of the
+        window's bounding box carries a nonzero space.
 
         ``zeros[y - oy][k]`` counts the zero-dimensional points among the
         first k points of window row y, so the row segment from x = a to
@@ -238,21 +264,14 @@ class PModule:
             is_zero = [[1] * (max(xs) - ox + 1) for _ in range(max(ys) - oy + 1)]
             for i, (x, y) in enumerate(coords):
                 is_zero[y - oy][x - ox] = int(self.dims[i] == 0)
-            self._window_geom = (ox, oy, [[0, *accumulate(row)] for row in is_zero])
+            zeros = [[0, *accumulate(row)] for row in is_zero] if any(map(any, is_zero)) else None
+            self._window_geom = (ox, oy, len(is_zero[0]), len(is_zero), zeros)
         return self._window_geom
 
     def _interval_rank_trivial(self, gi: GridInterval) -> bool:
         """True when the rank over gi is forced to 0: the interval leaves the
         window or touches a zero-dimensional point."""
-        geom = self._window_geometry()
-        if not _window_holds(geom, gi):
-            return True
-        ox, oy, zeros = geom
-        for y, (a, b) in enumerate(gi.rows, gi.y0 - oy):
-            pre = zeros[y]
-            if pre[b - ox + 1] != pre[a - ox]:
-                return True
-        return False
+        return _rank_forced_zero(self._window_geometry(), gi)
 
     # -- derived modules -------------------------------------------------------
 
@@ -511,26 +530,43 @@ def _identity(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _basis(rows, width: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """A basis of the span of the rows, as tuples: compact in the memos."""
+    """A basis of the span of the rows, as tuples: hashable, for the intern table."""
     rows, pivots = rref_rows(rows, width, p)
     return tuple(map(tuple, rows[:len(pivots)]))
 
 
-def _move(module: PModule, dual: bool, a: int, b: int, basis):
-    """The reduced basis at b of ``sweep_step`` from a reduced basis at a,
-    memoised per module: the step depends only on the span and reduced
+def _intern(module: PModule, basis) -> int:
+    """The id of a reduced basis in the module's intern table: ``_sids``
+    maps each basis to its id and ``_bases`` lists them by id, so the
+    memos key on small ints instead of hashing nested tuples.  Reduced
+    bases are canonical, so equal ids mean equal subspaces; the zero
+    subspace is id 0, so a falsy id means rank 0."""
+    sid = module._sids.get(basis)
+    if sid is None:
+        sid = module._sids[basis] = len(module._bases)
+        module._bases.append(basis)
+    return sid
+
+
+def _move(module: PModule, dual: bool, a: int, b: int, sid: int) -> int:
+    """The subspace id at b of ``sweep_step`` from subspace id ``sid`` at
+    a, memoised per module: the step depends only on the span and reduced
     bases are canonical, so every sweep reaching one subspace shares it."""
-    key = (dual, a, b, basis)
+    key = (dual, a, b, sid)
     hit = module._moves.get(key)
     if hit is None:
-        rows = sweep_step(module, a, b, basis, dual)
-        hit = module._moves[key] = _basis(rows, module.dims[b], module.p)
+        rows = sweep_step(module, a, b, module._bases[sid], dual)
+        hit = module._moves[key] = _intern(module, _basis(rows, module.dims[b], module.p))
     return hit
 
 
-def _rank_at(e, q, width: int, p: int) -> int:
-    """rank(Q E) at a point of dimension ``width``, from reduced bases of E
-    and Q: an elimination only when neither spans the space."""
+def _rank_at(e, q, p: int) -> int:
+    """rank(Q E) at one point, from reduced bases of E and Q there (rows
+    of the point's dimension): an elimination only when neither spans the
+    space."""
+    if not e or not q:
+        return 0
+    width = len(e[0])
     if len(e) == width:
         return len(q)
     if len(q) == width:
@@ -538,8 +574,18 @@ def _rank_at(e, q, width: int, p: int) -> int:
     return len(rref_rows(mul_rows(e, q, p), len(q), p)[1])
 
 
-def _fence_solve(module: PModule, ext, lower: bool):
-    """(last fence id, reduced basis of E or Q there), memoised.
+def _pair_rank(module: PModule, se: int, sq: int) -> int:
+    """rank(Q E) from the subspace ids of E and Q at one point, memoised
+    per module by the pair of ids (the rank depends on the two bases alone)."""
+    key = (se, sq)
+    rank = module._pair_ranks.get(key)
+    if rank is None:
+        rank = module._pair_ranks[key] = _rank_at(module._bases[se], module._bases[sq], module.p)
+    return rank
+
+
+def _fence_solve(module: PModule, ext, lower: bool) -> tuple[int, int]:
+    """(last fence id, subspace id of E or Q there), memoised.
 
     The key is the antichain ``ext`` that fixes the fence; its turning
     points are listed only on a miss.  One sweep from the identity at the
@@ -557,42 +603,64 @@ def _fence_solve(module: PModule, ext, lower: bool):
     if hit is None:
         idx = module._window_idx
         ids = [idx[pt] for pt in fence_turns(ext, lower)]
-        basis = _identity(module.dims[ids[0]])
+        sid = _intern(module, _identity(module.dims[ids[0]]))
         for a, b in zip(ids, ids[1:]):
-            basis = _move(module, not lower, a, b, basis)
-        hit = module._fences[key] = (ids[-1], basis)
+            sid = _move(module, not lower, a, b, sid)
+        hit = module._fences[key] = (ids[-1], sid)
     return hit
 
 
-def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
-    """Generalized rank over a grid interval via its boundary fences.
+def generalized_ranks_fast(module: PModule, members) -> list[int]:
+    """Generalized ranks over grid intervals via their boundary fences, in
+    the order of ``members``.
 
-    Sections over the interval restrict isomorphically to the lower
-    fence, and the colimit restricts isomorphically to the upper fence.
-    Both fences are zigzag paths, solved by the zigzag sweep: E spans the
-    image of the limit at the lower fence's last point a (the start of the
+    Sections over an interval restrict isomorphically to its lower fence,
+    and the colimit restricts isomorphically to its upper fence.  Both
+    fences are zigzag paths, solved by the zigzag sweep: E spans the image
+    of the limit at the lower fence's last point a (the start of the
     bottom row), Q maps the upper fence's last point b (the rightmost
     maximal point) onto the colimit, and a <= b, so the rank is
     rank(Q T(a, b) E), all on int rows.
 
     Many intervals share a fence, so the module memoises one sweep per
-    distinct minimal or maximal antichain (the key), and pushing E to b is
-    one more memoised move (`_move`): the memos are bounded by those
-    counts, not by the number of intervals.  The memos are exact: an
-    entry is a deterministic function of its key and the module alone.
-    After the trivial-zero filter, one walk up the rows
-    (`GridInterval.antichains`) finds both antichains and checks that the
-    fences stay inside the interval, at their corners.
+    distinct minimal or maximal antichain (the key); pushing E to b is one
+    more memoised move (`_move`), and rank(Q E) one entry of the memo of
+    (E, Q) subspace-id pairs (`_pair_rank`).  The memos are bounded by
+    those counts, not by the number of intervals, and exact: an entry is
+    a deterministic function of its key and the module alone.  Per member
+    the loop runs the trivial-zero filter (`_rank_forced_zero`), one walk
+    up the rows (`GridInterval.antichains`) that finds both antichains and
+    checks that the fences stay inside the interval at their corners, and
+    four memo lookups; a miss falls through to the solving helper.
     """
     if module._window_idx is None:
         raise ValueError("fast path needs a grid module")
-    if module._interval_rank_trivial(gi):
-        return 0
-    mins, maxs = gi.antichains()
-    a, e = _fence_solve(module, mins, lower=True)
-    if not e:
-        return 0
-    b, q = _fence_solve(module, maxs, lower=False)
-    if not q:
-        return 0
-    return _rank_at(_move(module, False, a, b, e), q, module.dims[b], module.p)
+    geom = module._window_geometry()
+    fence, move, pair = module._fences.get, module._moves.get, module._pair_ranks.get
+    out = []
+    append = out.append
+    for gi in members:
+        if _rank_forced_zero(geom, gi):
+            append(0)
+            continue
+        mins, maxs = gi.antichains()
+        a, e = fence((True, mins)) or _fence_solve(module, mins, True)
+        if not e:  # id 0 is the zero subspace
+            append(0)
+            continue
+        b, q = fence((False, maxs)) or _fence_solve(module, maxs, False)
+        if not q:
+            append(0)
+            continue
+        eb = move((False, a, b, e))
+        if eb is None:
+            eb = _move(module, False, a, b, e)
+        rank = pair((eb, q))
+        append(_pair_rank(module, eb, q) if rank is None else rank)
+    return out
+
+
+def generalized_rank_fast(module: PModule, gi: GridInterval) -> int:
+    """Generalized rank over one grid interval: `generalized_ranks_fast`
+    on a single member."""
+    return generalized_ranks_fast(module, (gi,))[0]

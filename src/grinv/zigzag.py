@@ -13,8 +13,10 @@ map E from the limit of the zigzag over i..j into V_j and a map Q from
 V_j onto its colimit are updated by one pullback or pushout per step,
 and rank(i, j) = rank(Q E), because the limit-to-colimit map factors
 through every vertex.  A zero rank or a zero space ends the sweep.  E
-and Q are reduced bases, and each step is a move of the module's memo
-(`modules._move`), shared by every path and by the fast path's fences.
+and Q are ids of reduced bases in the module's intern table: each step
+is a move of the module's memo (`modules._move`) and each rank an entry
+of its memo of (E, Q) pairs (`modules._pair_rank`), both shared by every
+path and by the fast path's fences.
 
 Fences (min_zz / max_zz), tameness, solidity and thinness connect path
 ranks to interval ranks: over a tame path the zigzag rank equals the
@@ -33,7 +35,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import inf
 
-from .modules import PModule, _identity, _move, _rank_at
+from .modules import PModule, _identity, _intern, _move, _pair_rank
 from .posets import (
     FinitePoset,
     GridInterval,
@@ -380,10 +382,12 @@ def path_module(module: PModule, path: ZigzagPath) -> PModule:
 def _span_ranks(module: PModule, path: ZigzagPath, lefts) -> list[list[int]]:
     """Zigzag ranks over path indices i..j: ranks[k][j - i] for the k-th left end i.
 
-    For each left end one sweep keeps the reduced bases of E (limit ->
-    V_j), the images of the limit, and of Q (V_j -> colimit), functionals
-    spanning the colimit's coordinates, and moves both one step at a time
-    through the module's memo of subspace moves (`modules._move`).
+    For each left end one sweep keeps the subspace ids (reduced bases in
+    the module's intern table) of E (limit -> V_j), the images of the
+    limit, and of Q (V_j -> colimit), functionals spanning the colimit's
+    coordinates, moves both one step at a time through the module's memo
+    of subspace moves (`modules._move`) and reads rank(Q E) from its memo
+    of pairs (`modules._pair_rank`).
     """
     ids = _path_ids(module, path)
     n = len(ids)
@@ -391,7 +395,7 @@ def _span_ranks(module: PModule, path: ZigzagPath, lefts) -> list[list[int]]:
     out = []
     for i in lefts:
         row = [0] * (n - i)
-        e = q = _identity(dims[i])
+        e = q = _intern(module, _identity(dims[i]))
         rank, j = dims[i], i
         while rank:
             row[j - i] = rank
@@ -400,7 +404,7 @@ def _span_ranks(module: PModule, path: ZigzagPath, lefts) -> list[list[int]]:
             a, b = ids[j], ids[j + 1]
             e, q = _move(module, False, a, b, e), _move(module, True, a, b, q)
             j += 1
-            rank = _rank_at(e, q, dims[j], module.p)
+            rank = _pair_rank(module, e, q)
         out.append(row)
     return out
 
@@ -659,6 +663,15 @@ def _exactly_spanned(module: PModule, gi: GridInterval) -> int | None:
     return None
 
 
+def _exact_span(module: PModule, gi: GridInterval) -> int | None:
+    """``_exactly_spanned``, memoised per module: it depends on the module
+    and the interval alone (the memo is ``PModule._spans``)."""
+    spans = module._spans
+    if gi not in spans:
+        spans[gi] = _exactly_spanned(module, gi)
+    return spans[gi]
+
+
 EXHAUSTIVE_CAP = 12
 
 
@@ -673,9 +686,10 @@ def gri_bounds_from_zib(module: PModule, gi: GridInterval) -> tuple[int, int]:
     inside and every spanned superset gives a sound bound, so above
     ``EXHAUSTIVE_CAP`` points the exponential families are replaced by
     small sound ones: min-to-max monotone paths inside, and
-    window-clipped thickenings outside.
+    window-clipped thickenings outside.  Exact spans are memoised per
+    module, and so is the list of a small window's intervals.
     """
-    exact = _exactly_spanned(module, gi)
+    exact = _exact_span(module, gi)
     if exact is not None:
         return exact, exact
     if len(gi) <= EXHAUSTIVE_CAP:
@@ -694,7 +708,9 @@ def gri_bounds_from_zib(module: PModule, gi: GridInterval) -> tuple[int, int]:
     lower = 0
     if count_grid_intervals(w, h) <= 20_000:
         # only the max over the candidates is read, so their order does not matter
-        candidates = canonical_grid_intervals((x0, y0, x1, y1))
+        if module._span_candidates is None:
+            module._span_candidates = canonical_grid_intervals((x0, y0, x1, y1))
+        candidates = module._span_candidates
     else:
         clipped = []
         diam = max(x1 - x0, y1 - y0)
@@ -711,7 +727,7 @@ def gri_bounds_from_zib(module: PModule, gi: GridInterval) -> tuple[int, int]:
     for cand in candidates:
         if not cand.issuperset(gi):
             continue
-        v = _exactly_spanned(module, cand)
+        v = _exact_span(module, cand)
         if v is not None:
             lower = max(lower, v)
     return lower, upper

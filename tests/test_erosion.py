@@ -191,7 +191,7 @@ def test_timed_distance_repeats_from_cold_state(rng, monkeypatch):
 
     assert all(memo_sizes(m)) and all(memo_sizes(shifted))
     starts = []
-    real = erosion.erosion_distance
+    real = erosion.erosion_witnesses
 
     def spy(m1, m2, collection, caches):
         # state each repeat starts from: memoised transitions, fence sweeps
@@ -199,10 +199,11 @@ def test_timed_distance_repeats_from_cold_state(rng, monkeypatch):
         starts.append((*memo_sizes(m1), *memo_sizes(m2), caches[0].queries + caches[1].queries))
         return real(m1, m2, collection, caches=caches)
 
-    monkeypatch.setattr(erosion, "erosion_distance", spy)
-    dist, caches, seconds = timed_distance(m, shifted, coll, repeats=3)
+    monkeypatch.setattr(erosion, "erosion_witnesses", spy)
+    witnesses, caches, seconds = timed_distance(m, shifted, coll, repeats=3)
     assert starts == [(0,) * 7] * 3
-    assert dist == want
+    assert len(witnesses) == want
+    assert witnesses == list(real(m, shifted, coll, caches=warm))
     assert [c.queries for c in caches] == [c.queries for c in warm]
     assert 0 < seconds < math.inf
 

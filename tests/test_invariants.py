@@ -25,7 +25,7 @@ from grinv.invariants import (
     verify_invertibility,
 )
 from grinv.mobius import PosetFunction, convolve, mobius_function
-from grinv.modules import direct_sum, generalized_rank, grid_interval_module, interval_module, zero_module
+from grinv.modules import PModule, direct_sum, generalized_rank, grid_interval_module, interval_module, zero_module
 from grinv.posets import (
     CanonicalMembers,
     GridInterval,
@@ -82,6 +82,83 @@ def test_rank_cache_files_no_rank_for_a_failed_miss(grid22):
             cache.rank(antichain)
         assert cache.rank(GridInterval.rectangle((0, 0), (1, 1))) == 1
     assert cache.queries == 1
+
+
+def memo_sizes(module):
+    """The size of every memo a module keeps, by slot."""
+    return {slot: len(getattr(module, slot) or ()) for slot in
+            ("_trans", "_fences", "_moves", "_sids", "_bases", "_pair_ranks")}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.integers(1, 4),
+    st.integers(0, 10 ** 9),
+    st.data(),
+)
+def test_bulk_ranks_match_the_oracle_cold_warm_and_repeated(p, origin, summands, seed, data):
+    """``RankCache.ranks`` gives the oracle's rank at every position:
+    cold, after part of the members were ranked one by one or in bulk,
+    shuffled, with repeats, with regions given as id lists (ranked by
+    ``generalized_rank``) and with intervals leaving the window; few
+    summands leave points zero-dimensional.  ``queries`` counts distinct
+    misses, a module whose memos were cleared refills them to the sizes a
+    fresh copy reaches, and a raising kernel leaves the cache as it was."""
+    rng = np.random.default_rng(seed)
+    ox, oy = origin
+    win = grid_poset(4, 4, origin)
+    m = random_module(rng, win, p, max_summands=summands)
+    idx = win.id_of_coord()
+    ints = list(enumerate_grid_intervals(win))
+    members = data.draw(st.lists(st.sampled_from(ints), min_size=1, max_size=30))
+    members += [random_grid_interval(rng, (ox - 2, oy - 2, ox + 5, oy + 5)) for _ in range(6)]
+    members += [[idx[pt] for pt in gi.points()] for gi in data.draw(
+        st.lists(st.sampled_from(ints), max_size=3))]
+    members = data.draw(st.permutations(members + members[: len(members) // 3]))
+    want = [generalized_rank(m, r) for r in members]
+
+    def key(r):
+        return frozenset(r) if isinstance(r, list) else r
+
+    fresh = PModule(m.poset, m.dims, m.maps, p, validate=False)
+    cache = RankCache(fresh)
+    assert cache.ranks(members) == want
+    assert cache.queries == len({key(r) for r in members})
+    assert cache.ranks(members) == want and cache.queries == len({key(r) for r in members})
+
+    # partly warm: a prefix one by one, a sample in bulk, then everything
+    cut = data.draw(st.integers(0, len(members)))
+    part = RankCache(m)
+    assert [part.rank(r) for r in members[:cut]] == want[:cut]
+    some = data.draw(st.lists(st.sampled_from(members), max_size=10))
+    assert part.ranks(some) == [generalized_rank(m, r) for r in some]
+    assert part.ranks(members) == want
+    assert part.queries == cache.queries
+
+    # a cleared module is as cold as a new one, and refills its memos as a fresh copy does
+    m._clear_memos()
+    new = PModule(m.poset, m.dims, m.maps, p, validate=False)
+    assert all(getattr(m, slot) == getattr(new, slot) for slot in memo_sizes(m))
+    again = RankCache(m)
+    assert again.ranks(members) == want
+    assert memo_sizes(m) == memo_sizes(fresh)
+
+    # a raising kernel files nothing
+    before = (dict(again._index), list(again._ranks))
+    extra = [gi for gi in ints if gi not in again._index]
+    assume(extra)
+
+    def broken(module, grid):
+        raise RuntimeError("kernel failed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv_module, "generalized_ranks_fast", broken)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            again.ranks(members + extra)
+    assert (again._index, again._ranks) == before
+    assert again.ranks(extra) == [generalized_rank(m, gi) for gi in extra]
 
 
 def test_gpd_of_a_table_out_of_canonical_order(rng, grid33):

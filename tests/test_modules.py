@@ -574,16 +574,19 @@ def test_turning_point_sweep_matches_a_unit_step_sweep(p, origin, summands, seed
         generalized_rank_fast(m, gi)
     mins = {gi.minimal_points() for gi in ints if m.contains_interval(gi)}
     assert {ext for lower, ext in m._fences if lower} == mins
-    for (lower, ext), (last, basis) in m._fences.items():
-        assert (last, basis) == unit_step_fence(m, ext, lower)
+    bases = m._bases  # subspace id -> reduced basis, read through the intern table
+    assert m._sids == {basis: sid for sid, basis in enumerate(bases)}
+    for (lower, ext), (last, sid) in m._fences.items():
+        assert (last, bases[sid]) == unit_step_fence(m, ext, lower)
     for gi in ints:
         if m.contains_interval(gi):
             a, e = m._fences[True, gi.minimal_points()]
             b = m._fences[False, gi.maximal_points()][0]
-            assert m._moves[False, a, b, e] == _basis(mul_rows(e, m.transition(a, b), p),
-                                                       m.dims[b], p)
-    for (dual, a, b, basis), moved in m._moves.items():
-        assert moved == _basis(sweep_step(m, a, b, [list(v) for v in basis], dual), m.dims[b], p)
+            assert bases[m._moves[False, a, b, e]] == _basis(
+                mul_rows(bases[e], m.transition(a, b), p), m.dims[b], p)
+    for (dual, a, b, sid), moved in m._moves.items():
+        assert bases[moved] == _basis(sweep_step(m, a, b, [list(v) for v in bases[sid]], dual),
+                                      m.dims[b], p)
 
 
 def dense_5x5_module():
@@ -598,19 +601,25 @@ def dense_5x5_module():
 def test_fast_path_work_counts_on_a_dense_5x5_module(monkeypatch):
     """gri over int:2,2 sweeps each distinct minimal and maximal antichain
     once, one move per fence leg, pushes E to b by one move per interval,
-    takes one step and one reduction per distinct move and never lists
-    fences per interval.  These counts do not depend on the machine."""
+    takes one step and one reduction per distinct move, eliminates once
+    per distinct (E, Q) pair that no full space settles, never lists
+    fences per interval and makes no per-member ``RankCache.rank`` call.
+    These counts do not depend on the machine."""
     import grinv.modules as modules_mod
     import grinv.posets as posets_mod
-    from grinv.invariants import gri
+    from grinv.invariants import RankCache, gri
 
     def forbidden(gi):
         raise AssertionError("the fast path listed a fence per interval")
 
+    def per_member(self, region):
+        raise AssertionError("gri ranked a member by RankCache.rank")
+
     for ns in (posets_mod, modules_mod):
         monkeypatch.setattr(ns, "lower_fence", forbidden, raising=False)
         monkeypatch.setattr(ns, "upper_fence", forbidden, raising=False)
-    calls = {"fence_turns": 0, "_basis": 0, "sweep_step": 0, "pull_rows": 0}
+    monkeypatch.setattr(RankCache, "rank", per_member)
+    calls = {"fence_turns": 0, "_basis": 0, "sweep_step": 0, "pull_rows": 0, "rref_rows": 0}
     for name in calls:
         def counted(*args, _f=getattr(modules_mod, name), _name=name):
             calls[_name] += 1
@@ -620,23 +629,70 @@ def test_fast_path_work_counts_on_a_dense_5x5_module(monkeypatch):
     coll = enumerate_grid_intervals(win, 2, 2)
     table = gri(m, coll)
     # one fence listing per sweep; one step and one basis per distinct
-    # move, fence legs and pushes together
-    assert calls == {"fence_turns": 250, "_basis": 387, "sweep_step": 387, "pull_rows": 98}
+    # move, fence legs and pushes together; every rref_rows call beyond
+    # the 387 of _basis is a final-step elimination (42 before the pair memo)
+    assert calls == {"fence_turns": 250, "_basis": 387, "sweep_step": 387, "pull_rows": 98,
+                     "rref_rows": 387 + 13}
     assert len(m._moves) == 387
+    # 20 nonzero subspaces and the zero subspace (id 0); 32 (E, Q) pairs
+    assert (len(m._bases), len(m._sids), len(m._pair_ranks)) == (21, 21, 32)
     assert min(table.ranks) >= 1 and len(set(table.ranks)) > 2
     idx = win.id_of_coord()
     mins = {gi.minimal_points() for gi in coll}
     maxs = {gi.maximal_points() for gi in coll}
     lows = {ext: hit for (lower, ext), hit in m._fences.items() if lower}
-    ups = {ext for (lower, ext) in m._fences if not lower}
-    assert lows.keys() == mins and ups == maxs
-    pushes = set()
+    ups = {ext: hit for (lower, ext), hit in m._fences.items() if not lower}
+    assert lows.keys() == mins and ups.keys() == maxs
+    pushes, pairs = set(), set()
     for gi in coll:
         a, e = lows[gi.minimal_points()]
-        pushes.add((False, a, idx[gi.maximal_points()[-1]], e))
+        b, q = ups[gi.maximal_points()]
+        assert b == idx[gi.maximal_points()[-1]]
+        pushes.add((False, a, b, e))
+        pairs.add((m._moves[False, a, b, e], q))
     # 825 (minimal antichain, b) pairs reach 249 distinct (a, b, E) pushes
     assert (len(coll), len(mins), len(maxs), len(pushes)) == (2300, 125, 125, 249)
     assert pushes <= m._moves.keys()
+    assert pairs == m._pair_ranks.keys()
+
+
+# the state a module is built with; every other slot is a memo
+BUILT_SLOTS = {"poset", "dims", "maps", "p", "_window_idx"}
+
+
+def test_clear_memos_resets_every_memo_slot():
+    """After ranks, path barcodes and barcode bounds have filled every memo
+    slot of ``PModule.__slots__`` (transitions, window geometry, fences,
+    moves, the intern table, pair ranks and exact spans), ``_clear_memos``
+    leaves each as a new module has it.  Two cold ``timed_distance`` runs
+    report equal ``queries`` and refill equal memo sizes."""
+    from grinv.erosion import ThickeningFamily, timed_distance, union_bbox
+    from grinv.zigzag import gri_bounds_from_zib
+
+    win, m = dense_5x5_module()
+    memos = [slot for slot in PModule.__slots__ if slot not in BUILT_SLOTS]
+    assert memos == ["_trans", "_window_geom", "_fences", "_moves", "_sids", "_bases",
+                     "_pair_ranks", "_spans", "_span_candidates"]
+    new = PModule(m.poset, m.dims, m.maps, m.p, validate=False)
+    # neither thin nor solid, so its lower bound scans the window's intervals
+    gri_bounds_from_zib(m, GridInterval(0, ((1, 2), (0, 2), (0, 1))))
+    zigzag_barcode(m, ZigzagPath(((0, 0), (1, 0), (1, 1), (0, 1))))
+    for gi in enumerate_grid_intervals(win, 1, 2):
+        generalized_rank_fast(m, gi)
+    assert [slot for slot in memos if getattr(m, slot) == getattr(new, slot)] == []
+    m._clear_memos()
+    assert all(getattr(m, slot) == getattr(new, slot) for slot in memos)
+
+    def sizes(module):
+        return [len(getattr(module, slot) or ()) for slot in memos]
+
+    shifted = shift_module(m, 1)
+    coll = ThickeningFamily(2, 2).members_within(union_bbox(m, shifted))
+    runs = []
+    for _ in range(2):
+        witnesses, caches, _ = timed_distance(m, shifted, coll)
+        runs.append((witnesses, [c.queries for c in caches], sizes(m), sizes(shifted)))
+    assert runs[0] == runs[1] and all(runs[0][1])
 
 
 def test_functoriality_check_work_counts(monkeypatch):

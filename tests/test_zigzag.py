@@ -772,6 +772,35 @@ def test_gri_bounds_thin_and_solid_exact(rng, grid33):
         assert lo == hi == generalized_rank_fast(m, rect)
 
 
+def test_gri_bounds_memo_one_exact_span_per_interval_and_one_enumeration(monkeypatch):
+    """Bounding many intervals of one module runs ``_exactly_spanned`` once
+    per distinct interval and enumerates the window's candidates once
+    (the memos of ``PModule._spans`` and ``_span_candidates``); the bounds
+    equal those of a module whose memos are cleared before every call."""
+    import grinv.zigzag as zigzag_mod
+
+    win = grid_poset(4, 4, (0, 0))
+    m = random_module(np.random.default_rng(3), win, 3)
+    hard = [gi for gi in enumerate_grid_intervals(win)
+            if not is_thin(gi) and simple_tame_path(gi) is None][:24]
+    cold = []
+    for gi in hard:
+        m._clear_memos()
+        cold.append(gri_bounds_from_zib(m, gi))
+    m._clear_memos()
+    spanned, enumerations = [], []
+    real_span, real_enum = zigzag_mod._exactly_spanned, zigzag_mod.canonical_grid_intervals
+    monkeypatch.setattr(zigzag_mod, "_exactly_spanned",
+                        lambda module, gi: spanned.append(gi) or real_span(module, gi))
+    monkeypatch.setattr(zigzag_mod, "canonical_grid_intervals",
+                        lambda *args: enumerations.append(args) or real_enum(*args))
+    assert [gri_bounds_from_zib(m, gi) for gi in hard] == cold
+    assert len(spanned) == len(set(spanned)) == len(m._spans) > len(hard)
+    assert len(enumerations) == 1
+    assert [gri_bounds_from_zib(m, gi) for gi in hard] == cold
+    assert len(spanned) == len(m._spans) and len(enumerations) == 1
+
+
 def test_gri_bounds_staircase_straddle():
     fx = build_fixture("staircase-zz-pair")
     stair = fx.intervals["I"]
