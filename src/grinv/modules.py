@@ -94,11 +94,10 @@ def _rank_forced_zero(geom, gi: GridInterval) -> bool:
     if not _window_holds(geom, gi):
         return True
     ox, oy, _, _, zeros = geom
-    if zeros is not None:
-        for y, (a, b) in enumerate(gi.rows, gi.y0 - oy):
-            pre = zeros[y]
-            if pre[b - ox + 1] != pre[a - ox]:
-                return True
+    for y, (a, b) in enumerate(gi.rows, gi.y0 - oy):
+        pre = zeros[y]
+        if pre[b - ox + 1] != pre[a - ox]:
+            return True
     return False
 
 
@@ -247,8 +246,7 @@ class PModule:
 
     def _window_geometry(self):
         """(x origin, y origin, width, height, zero prefix counts per window
-        row), built once; the counts are None when every point of the
-        window's bounding box carries a nonzero space.
+        row), built once.
 
         ``zeros[y - oy][k]`` counts the zero-dimensional points among the
         first k points of window row y, so the row segment from x = a to
@@ -264,7 +262,7 @@ class PModule:
             is_zero = [[1] * (max(xs) - ox + 1) for _ in range(max(ys) - oy + 1)]
             for i, (x, y) in enumerate(coords):
                 is_zero[y - oy][x - ox] = int(self.dims[i] == 0)
-            zeros = [[0, *accumulate(row)] for row in is_zero] if any(map(any, is_zero)) else None
+            zeros = [[0, *accumulate(row)] for row in is_zero]
             self._window_geom = (ox, oy, len(is_zero[0]), len(is_zero), zeros)
         return self._window_geom
 
