@@ -65,14 +65,20 @@ def _default_field() -> int:
     return p
 
 
+def _read(path: str, what: str) -> str:
+    """The text of an input file; one that cannot be opened or decoded is
+    an input error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CliError(f"cannot read {what} file: {e}")
+
+
 def _load_module(path: str, args) -> PModule:
     """Parse a module file.  The file's `field p` line is authoritative; an
     explicitly given --field (or env default) must agree with it."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise CliError(f"cannot read module file: {e}")
+    text = _read(path, "module")
     try:
         module = PModule.from_text(text)
     except (ValueError, IndexError) as e:
@@ -147,11 +153,8 @@ def _parse_members(module: PModule, tokens: list[str], kind: str | None = None):
 
 
 def _read_collection_file(module: PModule, path: str):
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except OSError as e:
-        raise CliError(f"cannot read collection file: {e}")
+    text = _read(path, "collection")
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip() and not ln.startswith("#")]
     out = []
     for ln in lines:
         tokens = ln.split()
@@ -271,11 +274,8 @@ def cmd_zib(args) -> int:
 
 
 def _read_paths(path: str) -> list[ZigzagPath]:
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except OSError as e:
-        raise CliError(f"cannot read path file: {e}")
+    text = _read(path, "path")
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip() and not ln.startswith("#")]
     chunks = []  # each path's header line and the point lines after it
     for ln in lines:
         if ln.split()[0] == "path" or not chunks:
@@ -343,11 +343,9 @@ def cmd_erosion(args) -> int:
 
 def cmd_enumerate(args) -> int:
     # a module file starts with its poset block, so parsing the poset works for both
+    text = _read(args.module, "poset")
     try:
-        with open(args.module) as fh:
-            poset = FinitePoset.from_text(fh.read())
-    except OSError as e:
-        raise CliError(f"cannot read poset file: {e}")
+        poset = FinitePoset.from_text(text)
     except (ValueError, IndexError) as e:
         raise CliError(f"cannot parse poset: {e}")
     if args.what == "intervals":

@@ -726,7 +726,8 @@ class _Steps(dict):
     Going up, a drop of the row start adds a minimal point and a drop of
     the row end a maximal point; ``drop_a``/``drop_b`` say whether the
     budgets still allow each.  Entries are built on first use, so the
-    table never holds more rows than the walk pushes.
+    table never holds more rows than the walk pushes or the count
+    (:func:`count_grid_intervals`) reaches.
     """
 
     __slots__ = ("x0", "drop_a", "drop_b")
@@ -761,11 +762,8 @@ def _keyed_walk(bbox, max_min_pts, max_max_pts) -> tuple[list[GridInterval], lis
     """The members of :func:`canonical_grid_intervals` and their keys, in
     walk order.  The row memos go with this frame, before the sort."""
     x0, y0, x1, y1 = bbox
-    mmin = max_min_pts if max_min_pts is not None else (x1 - x0 + y1 - y0 + 2)
-    mmax = max_max_pts if max_max_pts is not None else (x1 - x0 + y1 - y0 + 2)
-    if mmin < 1 or mmax < 1:
-        raise ValueError("min/max point budgets must be >= 1")
     h = y1 - y0 + 1
+    mmin, mmax = _budgets(x1 - x0 + 1, h, max_min_pts, max_max_pts)
     n_bits = (x1 - x0 + 1) * h
     terms = [_RowTerms(n_bits, h, x0, n_bits - 1 - i) for i in range(h)]
     full = (1 << n_bits) - 1
@@ -797,40 +795,44 @@ def _keyed_walk(bbox, max_min_pts, max_max_pts) -> tuple[list[GridInterval], lis
     return items, keys
 
 
-def count_grid_intervals(width: int, height: int, max_min_pts=None, max_max_pts=None) -> int:
-    """Interval count of a width x height window without enumeration (row DP)."""
+def _budgets(width: int, height: int, max_min_pts, max_max_pts) -> tuple[int, int]:
+    """The min/max point budgets of a width x height box: a given budget
+    must be >= 1, and a missing one becomes width + height, which no
+    interval of the box reaches."""
     mmin = max_min_pts if max_min_pts is not None else width + height
     mmax = max_max_pts if max_max_pts is not None else width + height
-    ranges = list(_iter_row_ranges(0, width - 1))
-    total = 0
-    for band in range(1, height + 1):
-        n_bands = height - band + 1
-        if band == 1:
-            total += n_bands * len(ranges)
-            continue
-        # state: (range, mins_used, maxs_used) after the bottom row
-        state = {(r, 1, 1): 1 for r in ranges}
-        for _ in range(band - 1):
-            nxt: dict = {}
-            for ((a, b), mu, xu), cnt in state.items():
-                for a2 in range(0, a + 1):
-                    mu2 = mu + (1 if a2 < a else 0)
-                    if mu2 > mmin:
-                        continue
-                    for b2 in range(max(a2, a), b + 1):
-                        xu2 = xu + (1 if b2 < b else 0)
-                        if xu2 > mmax:
-                            continue
-                        key = ((a2, b2), mu2, xu2)
-                        nxt[key] = nxt.get(key, 0) + cnt
-            state = nxt
-        total += n_bands * sum(state.values())
+    if mmin < 1 or mmax < 1:
+        raise ValueError("min/max point budgets must be >= 1")
+    return mmin, mmax
+
+
+def count_grid_intervals(width: int, height: int, max_min_pts=None, max_max_pts=None) -> int:
+    """Interval count of a width x height window without enumeration.
+
+    A DP up the rows over (top row, minimal points, maximal points), one
+    layer per height, that steps through the :class:`_Steps` tables of
+    :func:`canonical_grid_intervals`'s walk; an interval of k rows has
+    height - k + 1 places to stand.
+    """
+    mmin, mmax = _budgets(width, height, max_min_pts, max_max_pts)
+    steps = [[_Steps(0, drop_a, drop_b) for drop_b in (False, True)] for drop_a in (False, True)]
+    layer = {(row, 1, 1): 1 for row in _iter_row_ranges(0, width - 1)}
+    total = height * len(layer)
+    for places in range(height - 1, 0, -1):
+        nxt: dict = {}
+        for (row, mins, maxs), n in layer.items():
+            for row2, new_min, new_max in steps[mins < mmin][maxs < mmax][row]:
+                key = (row2, mins + new_min, maxs + new_max)
+                nxt[key] = nxt.get(key, 0) + n
+        layer = nxt
+        total += places * sum(layer.values())
     return total
 
 
 def check_interval_cap(width: int, height: int, max_min_pts, max_max_pts, cap: int) -> None:
     """Raise EnumerationCapError when a width x height window has more than
-    ``cap`` intervals within the budgets, counted by the row DP."""
+    ``cap`` intervals within the budgets, counted by :func:`count_grid_intervals`'s
+    step-table DP."""
     n = count_grid_intervals(width, height, max_min_pts, max_max_pts)
     if n > cap:
         raise EnumerationCapError(
@@ -875,14 +877,13 @@ def enumerate_intervals(
         )
     if 2**poset.n - 1 > cap:
         raise EnumerationCapError(f"2^{poset.n} subsets exceed the cap of {cap}")
-    return CanonicalMembers(
-        SubposetId("interval", ms)
-        for size in range(1, poset.n + 1)
-        for ms in combinations(range(poset.n), size)
-        if poset.is_interval_subset(ms)
-        and (max_min_pts is None or len(poset.minimal_of(ms)) <= max_min_pts)
-        and (max_max_pts is None or len(poset.maximal_of(ms)) <= max_max_pts)
-    )
+
+    def keep(ms):
+        return (poset.is_interval_subset(ms)
+                and (max_min_pts is None or len(poset.minimal_of(ms)) <= max_min_pts)
+                and (max_max_pts is None or len(poset.maximal_of(ms)) <= max_max_pts))
+
+    return _subsets(poset, "interval", keep)
 
 
 def enumerate_connected(poset: FinitePoset, cap: int = DEFAULT_CONNECTED_CAP) -> CanonicalMembers:
@@ -891,12 +892,16 @@ def enumerate_connected(poset: FinitePoset, cap: int = DEFAULT_CONNECTED_CAP) ->
         raise EnumerationCapError(
             f"connected-subset enumeration over {poset.n} > {cap} elements refused"
         )
-    return CanonicalMembers(
-        SubposetId("connected", ms)
-        for size in range(1, poset.n + 1)
-        for ms in combinations(range(poset.n), size)
-        if poset.is_connected_subset(ms)
-    )
+    return _subsets(poset, "connected", poset.is_connected_subset)
+
+
+def _subsets(poset: FinitePoset, kind: str, keep) -> CanonicalMembers:
+    """The nonempty subsets that ``keep`` accepts, as SubposetIds of the
+    kind, by size and then lexicographically: canonical order."""
+    return CanonicalMembers(SubposetId(kind, ms)
+                            for size in range(1, poset.n + 1)
+                            for ms in combinations(range(poset.n), size)
+                            if keep(ms))
 
 
 def enumerate_segments(poset: FinitePoset) -> CanonicalMembers:
@@ -923,19 +928,34 @@ def fence_turns(ext, lower: bool) -> tuple[tuple[int, int], ...]:
     return tuple(pts)
 
 
+def straight_path(turns) -> tuple[tuple[int, int], ...]:
+    """The unit-step path through the turns, each consecutive pair joined
+    by a straight leg (they share a row or a column); a repeated turn
+    adds no point."""
+    x, y = turns[0]
+    pts = [(x, y)]
+    for x1, y1 in turns[1:]:
+        if y1 == y:
+            step = 1 if x1 > x else -1
+            while x != x1:
+                x += step
+                pts.append((x, y))
+        elif x1 == x:
+            step = 1 if y1 > y else -1
+            while y != y1:
+                y += step
+                pts.append((x, y))
+        else:
+            raise ValueError(f"turns {(x, y)} and {(x1, y1)} share no row or column")
+    return tuple(pts)
+
+
 def fence_points(ext, lower: bool) -> tuple[tuple[int, int], ...]:
     """The shortest faithful path threading an antichain via its joins or
-    meets: the unit-step legs between its :func:`fence_turns`.  A lower
-    leg runs right to a join and then down; an upper leg runs down to a
-    meet and then right.  One point gives the one-point path."""
-    turns = fence_turns(ext, lower)
-    pts = [turns[0]]
-    for (x0, y0), (x1, y1) in zip(turns, turns[1:]):
-        if y0 == y1:
-            pts += [(x, y0) for x in range(x0 + 1, x1 + 1)]
-        else:
-            pts += [(x0, y) for y in range(y0 - 1, y1 - 1, -1)]
-    return tuple(pts)
+    meets: :func:`straight_path` through its :func:`fence_turns`.  A
+    lower leg runs right to a join and then down; an upper leg runs down
+    to a meet and then right.  One point gives the one-point path."""
+    return straight_path(fence_turns(ext, lower))
 
 
 def lower_fence(gi: GridInterval) -> tuple[tuple[int, int], ...]:

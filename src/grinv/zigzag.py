@@ -42,7 +42,9 @@ from .posets import (
     _staircase,
     canonical_grid_intervals,
     count_grid_intervals,
+    fence_turns,
     lower_fence,
+    straight_path,
     upper_fence,
 )
 
@@ -185,39 +187,21 @@ def max_zz(gi: GridInterval) -> ZigzagPath:
     return ZigzagPath(upper_fence(gi))
 
 
-def _connector(gi: GridInterval) -> tuple[tuple[int, int], ...]:
-    """Canonical monotone unit path inside gi from the first minimal point
-    to the first maximal point (up the column, then along the top row)."""
-    p0 = gi.minimal_points()[0]
-    q0 = gi.maximal_points()[0]
-    pts = [p0]
-    x, y = p0
-    while y < q0[1]:
-        y += 1
-        pts.append((x, y))
-    while x < q0[0]:
-        x += 1
-        pts.append((x, y))
-    if pts[-1] != q0:
-        raise AssertionError("connector failed to reach the first maximal point")
-    return tuple(pts)
-
-
 def boundary_cap(gi: GridInterval) -> ZigzagPath:
     """Reversed lower fence, a monotone connector, then the upper fence.
 
-    Always a faithful tame path with interval hull gi; not simple in
-    general.
+    One :func:`straight_path` through the lower fence's turns backwards,
+    the corner (x of the first minimal point, y of the first maximal
+    point) and the upper fence's turns: the connector runs up the column
+    of the first minimal point, then right along the top row.  The first
+    minimal point lies below the first maximal point, so by convexity the
+    corner is inside.  Always a faithful tame path with interval hull gi;
+    not simple in general.
     """
-    low = list(reversed(lower_fence(gi)))
-    conn = list(_connector(gi))
-    up = list(upper_fence(gi))
-    pts = low + conn[1:]
-    if pts[-1] == up[0]:
-        pts += up[1:]
-    else:
-        pts += up
-    return ZigzagPath(tuple(pts))
+    mins, maxs = gi.antichains()
+    corner = (mins[0][0], maxs[0][1])
+    return ZigzagPath(straight_path(fence_turns(mins, True)[::-1] + (corner,)
+                                    + fence_turns(maxs, False)))
 
 
 def is_tame(path: ZigzagPath) -> bool:
@@ -263,15 +247,10 @@ def negative_cover_path(gi: GridInterval) -> ZigzagPath:
     """The negative path tracing a thin interval (right-to-left, bottom-to-top)."""
     if not is_thin(gi):
         raise ValueError("interval is not thin")
-    pts = []
-    for i, (a, b) in enumerate(gi.rows):
-        start = b if i == 0 else a  # a == previous row's b when thin
-        if i > 0:
-            pts.append((gi.rows[i - 1][0], gi.y0 + i))
-            start = gi.rows[i - 1][0] - 1
-        for x in range(start, a - 1, -1):
-            pts.append((x, gi.y0 + i))
-    path = ZigzagPath(tuple(pts))
+    # row by row, right end then left end; the right end of a row is the
+    # left end of the row below
+    path = ZigzagPath(straight_path([pt for y, (a, b) in enumerate(gi.rows, gi.y0)
+                                     for pt in ((b, y), (a, y))]))
     if not path.negative or interval_hull(path).member_set != gi.member_set:
         raise AssertionError("negative cover construction failed")
     return path
@@ -333,15 +312,14 @@ def _bfs_connector(src, dst, inside, blocked):
 
 
 def is_solid(gi: GridInterval) -> bool:
-    """Disjoint fences and a simple tame spanning path.
+    """More than one point and a simple tame spanning path, which needs
+    disjoint fences (:func:`simple_tame_path` tests them first).
 
     Disjointness alone is not enough: a staircase can have disjoint
     fences that exhaust the interval, leaving no room for a simple
     connector, and no simple tame path then spans it.
     """
-    if set(lower_fence(gi)) & set(upper_fence(gi)):
-        return False
-    return simple_tame_path(gi) is not None
+    return len(gi) > 1 and simple_tame_path(gi) is not None
 
 
 # -- zigzag modules and barcodes -------------------------------------------------
@@ -645,14 +623,6 @@ def maximal_simple_paths(points):
     return out
 
 
-def _monotone_path_inside(gi: GridInterval, src, dst) -> ZigzagPath | None:
-    """A monotone unit-step path src -> dst inside the interval, if src <= dst."""
-    if not (src[0] <= dst[0] and src[1] <= dst[1]):
-        return None
-    conn = _bfs_connector(src, dst, gi.member_set, set())
-    return ZigzagPath(conn) if conn is not None else None
-
-
 def _exactly_spanned(module: PModule, gi: GridInterval) -> int | None:
     """Full-bar multiplicity over a spanning negative or simple tame path."""
     if is_thin(gi):
@@ -685,8 +655,11 @@ def gri_bounds_from_zib(module: PModule, gi: GridInterval) -> tuple[int, int]:
     spanned supersets inside the module's window.  Every simple path
     inside and every spanned superset gives a sound bound, so above
     ``EXHAUSTIVE_CAP`` points the exponential families are replaced by
-    small sound ones: min-to-max monotone paths inside, and
-    window-clipped thickenings outside.  Exact spans are memoised per
+    small sound ones: for each minimal p <= maximal q, the path up from
+    p and then right to q, and window-clipped thickenings outside.  The
+    interval holds the rectangle between p and q, and every monotone
+    p -> q path has the rank of the map from p to q, so one such path per
+    pair gives the bound of them all.  Exact spans are memoised per
     module, and so is the list of a small window's intervals.
     """
     exact = _exact_span(module, gi)
@@ -695,12 +668,9 @@ def gri_bounds_from_zib(module: PModule, gi: GridInterval) -> tuple[int, int]:
     if len(gi) <= EXHAUSTIVE_CAP:
         inside = maximal_simple_paths(gi.points())
     else:
-        inside = []
-        for p in gi.minimal_points():
-            for q in gi.maximal_points():
-                path = _monotone_path_inside(gi, p, q)
-                if path is not None:
-                    inside.append(path)
+        mins, maxs = gi.antichains()
+        inside = [ZigzagPath(straight_path((p, (p[0], q[1]), q)))
+                  for p in mins for q in maxs if p[0] <= q[0] and p[1] <= q[1]]
     upper = min(zigzag_rank(module, path) for path in inside)
 
     (x0, y0), (w, h) = module.window_origin_size()

@@ -506,6 +506,38 @@ def test_missing_file_exit_code(capsys):
     assert code == EXIT_INPUT
 
 
+# each input file each subcommand reads, as BAD beside good files
+_INPUT_FILES = [
+    *((command, "BAD") for command in ("gri", "gpd", "decompose", "invertible", "enumerate")),
+    *((command, "MODULE", "--collection", "file:BAD")
+      for command in ("gri", "gpd", "decompose", "invertible")),
+    ("invertible", "MODULE", "--support", "BAD"),
+    *((command, "BAD", "--paths", "PATHS") for command in ("zib", "bounds")),
+    *((command, "MODULE", "--paths", "BAD") for command in ("zib", "bounds")),
+    ("erosion", "BAD", "MODULE"),
+    ("erosion", "MODULE", "BAD"),
+]
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory", "undecodable"])
+@pytest.mark.parametrize("argv", _INPUT_FILES, ids="-".join)
+def test_unreadable_input_file_is_an_input_error(capsys, tmp_path, square_module_file, argv, bad):
+    target = tmp_path / bad
+    if bad == "directory":
+        target.mkdir()
+    elif bad == "undecodable":
+        target.write_bytes(b"grid 2 2 0 0\n\xff\xfe\n")  # not UTF-8
+    paths = tmp_path / "p.txt"
+    paths.write_text("path 2\n0 0\n1 0\n")
+    files = {"BAD": str(target), "file:BAD": f"file:{target}",
+             "MODULE": square_module_file, "PATHS": str(paths)}
+    argv = [files.get(t, t) for t in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: cannot read ") and "Traceback" not in err
+
+
 def test_field_mismatch_rejected(capsys, square_module_file):
     code, _, err = run(capsys, "--field", "3", "gri", square_module_file)
     assert code == EXIT_INPUT

@@ -148,14 +148,21 @@ def test_connected_cap():
 
 
 def test_interval_count_dp_matches_enumeration():
-    for w, h in ((2, 2), (3, 3), (4, 2), (3, 4)):
-        assert count_grid_intervals(w, h) == len(
-            enumerate_grid_intervals(grid_poset(w, h))
-        )
-    for budget in ((1, 1), (2, 1), (2, 2)):
-        assert count_grid_intervals(3, 3, *budget) == len(
-            enumerate_grid_intervals(grid_poset(3, 3), *budget)
-        )
+    # every box of at most 20 points, off the origin, budgets None and 1-4 on each side
+    budgets = (None, 1, 2, 3, 4)
+    for w in range(1, 6):
+        for h in range(1, 6):
+            if w * h > 20:
+                continue
+            bbox = (w - 3, 2 - h, 2 * w - 4, 1)
+            for mm in budgets:
+                for xx in budgets:
+                    n = count_grid_intervals(w, h, mm, xx)
+                    assert n == len(canonical_grid_intervals(bbox, mm, xx)), (w, h, mm, xx)
+                    assert n == sum(1 for _ in iter_grid_intervals(bbox, mm, xx)), (w, h, mm, xx)
+    for mm, xx in ((0, None), (None, 0), (0, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="budgets must be >= 1"):
+            count_grid_intervals(3, 3, mm, xx)
 
 
 def test_ten_by_ten_guard_refuses_by_default():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +8,15 @@ from grinv.fixtures import build_fixture
 from grinv.gf import rref_rows
 from grinv.invariants import RankCache, gri
 from grinv.modules import PModule, generalized_rank, generalized_rank_fast, grid_interval_module
-from grinv.posets import GridInterval, enumerate_grid_intervals, grid_poset, lower_fence, upper_fence
+from grinv.posets import (
+    GridInterval,
+    canonical_grid_intervals,
+    enumerate_grid_intervals,
+    grid_poset,
+    lower_fence,
+    straight_path,
+    upper_fence,
+)
 from grinv.sampling import (
     random_faithful_path,
     random_grid_interval,
@@ -14,7 +24,9 @@ from grinv.sampling import (
     random_module,
 )
 from grinv.zigzag import (
+    EXHAUSTIVE_CAP,
     ZigzagPath,
+    _exact_span,
     _span_ranks,
     boundary_cap,
     enumerate_simple_paths,
@@ -823,6 +835,103 @@ def test_gri_bounds_scale_to_larger_windows(rng):
     assert time.perf_counter() - t0 < 5
     true = generalized_rank_fast(m, fat)
     assert lo <= true <= hi
+
+
+def draw_interval(data, origin, side=5):
+    """A staircase inside the side x side box at ``origin``, drawn row by row upwards."""
+    x0, y0 = origin
+    x1, y1 = x0 + side - 1, y0 + side - 1
+    y = data.draw(st.integers(y0, y1), label="y0")
+    a = data.draw(st.integers(x0, x1), label="a")
+    rows = [(a, data.draw(st.integers(a, x1), label="b"))]
+    for _ in range(data.draw(st.integers(0, y1 - y), label="rows")):
+        a, b = rows[-1]
+        rows.append((data.draw(st.integers(x0, a)), data.draw(st.integers(a, b))))
+    return GridInterval(y, tuple(rows))
+
+
+def up_then_right(p, q):
+    """The monotone unit-step path from p up its column, then right to q."""
+    (x, y), (x1, y1) = p, q
+    return tuple((x, t) for t in range(y, y1 + 1)) + tuple((t, y1) for t in range(x + 1, x1 + 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(OFF_ZERO, st.data())
+def test_straight_leg_paths_are_faithful_paths_inside_the_interval(origin, data):
+    """Fences, boundary caps, negative cover paths and the up-then-right
+    min-to-max paths are unit-step paths inside the interval from and to
+    the right points; a cap's connector runs up, then right."""
+    gi = draw_interval(data, origin)
+    mins, maxs = gi.antichains()
+
+    def check(pts, start, end):
+        assert ZigzagPath(pts).faithful and gi.member_set.issuperset(pts)
+        assert (pts[0], pts[-1]) == (start, end)
+
+    low, up = lower_fence(gi), upper_fence(gi)
+    check(low, mins[0], mins[-1])
+    check(up, maxs[0], maxs[-1])
+    cap = boundary_cap(gi)
+    check(cap.points, mins[-1], maxs[-1])
+    assert cap.points == low[::-1] + up_then_right(mins[0], maxs[0])[1:] + up[1:]
+    assert interval_hull(cap) == gi
+    if is_thin(gi):
+        check(negative_cover_path(gi).points, (gi.rows[0][1], gi.y0), (gi.rows[-1][0], gi.y1))
+    for p in mins:
+        for q in maxs:
+            if p[0] <= q[0] and p[1] <= q[1]:
+                pts = straight_path((p, (p[0], q[1]), q))
+                check(pts, p, q)
+                assert pts == up_then_right(p, q)
+
+
+def bfs_monotone_path(gi, src, dst):
+    """A shortest unit-step path src -> dst inside the interval, by
+    breadth-first search: monotone when src <= dst, as the rectangle
+    between them lies inside."""
+    prev = {src: None}
+    frontier = [src]
+    while dst not in prev:
+        nxt = []
+        for x, y in frontier:
+            for q in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                if q not in prev and q in gi:
+                    prev[q] = (x, y)
+                    nxt.append(q)
+        frontier = nxt
+    out = [dst]
+    while prev[out[-1]] is not None:
+        out.append(prev[out[-1]])
+    return ZigzagPath(tuple(reversed(out)))
+
+
+@functools.cache
+def hard_intervals():
+    """The intervals of the 5x5 box at the origin above ``EXHAUSTIVE_CAP``
+    points that are neither thin nor solid: no path spans them exactly."""
+    return [gi for gi in canonical_grid_intervals((0, 0, 4, 4))
+            if len(gi) > EXHAUSTIVE_CAP and not is_thin(gi) and simple_tame_path(gi) is None]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(OFF_ZERO, st.sampled_from([2, 3]), st.integers(0, 10**9), st.data())
+def test_gri_bounds_above_the_exhaustive_cap_match_bfs_monotone_paths(origin, field, seed, data):
+    """Above the cap the upper bound is the least rank over min-to-max
+    monotone paths, whichever monotone path joins each pair, and the
+    lower bound the largest exact span over the window's supersets."""
+    ox, oy = origin
+    hard = hard_intervals()
+    base = hard[data.draw(st.integers(0, len(hard) - 1), label="interval")]
+    gi = GridInterval(base.y0 + oy, tuple((a + ox, b + ox) for a, b in base.rows))
+    m = random_module(np.random.default_rng(seed), grid_poset(5, 5, origin), field)
+    mins, maxs = gi.antichains()
+    upper = min(zigzag_rank(m, bfs_monotone_path(gi, p, q))
+                for p in mins for q in maxs if p[0] <= q[0] and p[1] <= q[1])
+    spans = [_exact_span(m, cand) for cand in canonical_grid_intervals((ox, oy, ox + 4, oy + 4))
+             if cand.issuperset(gi)]
+    lower = max((v for v in spans if v is not None), default=0)
+    assert gri_bounds_from_zib(m, gi) == (lower, upper)
 
 
 def test_enumerate_simple_paths_small():
