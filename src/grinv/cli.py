@@ -33,6 +33,7 @@ from .posets import (
     GridInterval,
     check_interval_cap,
     containment_poset,
+    count_grid_intervals,
     enumerate_connected,
     enumerate_intervals,
     enumerate_segments,
@@ -154,7 +155,7 @@ def _parse_members(module: PModule, tokens: list[str], kind: str | None = None):
 
 def _read_collection_file(module: PModule, path: str):
     text = _read(path, "collection")
-    lines = [ln.strip() for ln in text.split("\n") if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.split("\n")) if ln and not ln.startswith("#")]
     out = []
     for ln in lines:
         tokens = ln.split()
@@ -275,7 +276,7 @@ def cmd_zib(args) -> int:
 
 def _read_paths(path: str) -> list[ZigzagPath]:
     text = _read(path, "path")
-    lines = [ln.strip() for ln in text.split("\n") if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.split("\n")) if ln and not ln.startswith("#")]
     chunks = []  # each path's header line and the point lines after it
     for ln in lines:
         if ln.split()[0] == "path" or not chunks:
@@ -322,17 +323,19 @@ def cmd_erosion(args) -> int:
             raise CliError(f"bad --mn value {spec!r}; expected M,N")
         _check_budgets(mm, nn, f"--mn value {spec!r}")
         budgets.append((mm, nn))
-    bbox = union_bbox(m1, m2)
+    x0, y0, x1, y1 = union_bbox(m1, m2)
     for mm, nn in budgets:
-        check_interval_cap(bbox[2] - bbox[0] + 1, bbox[3] - bbox[1] + 1, mm, nn, args.cap)
+        check_interval_cap(x1 - x0 + 1, y1 - y0 + 1, mm, nn, args.cap)
     # wall time is printed only on request, so default output is byte-reproducible
     head = "min_pts\tmax_pts\tcollection\tdistance\trank_queries"
     print(head + "\tseconds" if args.timing else head)
     for mm, nn in budgets:
-        family = ThickeningFamily(mm, nn)
-        collection = family.members_within(bbox)
+        # the walk needs only the members inside a window; the column
+        # counts the family over the union box
+        collection = ThickeningFamily(mm, nn).members_near(m1, m2)
         witnesses, caches, dt = timed_distance(m1, m2, collection)
-        row = (f"{mm}\t{nn}\t{len(collection)}\t{len(witnesses)}\t"
+        size = count_grid_intervals(x1 - x0 + 1, y1 - y0 + 1, mm, nn)
+        row = (f"{mm}\t{nn}\t{size}\t{len(witnesses)}\t"
                f"{caches[0].queries + caches[1].queries}")
         print(row + f"\t{dt:.4f}" if args.timing else row)
         if args.witness:

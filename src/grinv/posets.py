@@ -302,7 +302,7 @@ class FinitePoset:
 
     @classmethod
     def from_text(cls, text: str) -> "FinitePoset":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
         return cls._from_lines(lines, 0)[0]
 
     @classmethod

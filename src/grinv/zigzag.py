@@ -136,7 +136,7 @@ class ZigzagPath:
     @classmethod
     def from_text(cls, text: str) -> "ZigzagPath":
         """Parse a `path <n>` line followed by exactly n `x y` point lines."""
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
         head = lines[0].split() if lines else []
         if len(head) != 2 or head[0] != "path" or not head[1].isdigit():
             raise ValueError(f"expected 'path <n>', got {lines[0] if lines else ''!r}")

@@ -363,6 +363,30 @@ def test_duplicate_collection_line_is_an_input_error(capsys, tmp_path, square_mo
     assert err.startswith("error: ") and "'1,0 0,0'" in err
 
 
+@pytest.mark.parametrize("command, flag, entries", [
+    ("gri", "--collection", ["0,0", "interval 0,0 0,1", "0,0 1,0 0,1 1,1"]),
+    ("invertible", "--support", ["0,0", "0,0 0,1"]),
+    ("bounds", "--paths", ["path 2\n0 0\n1 0", "path 3\n0 0\n1 0\n1 1"]),
+    ("enumerate", None, None),
+])
+def test_indented_comment_lines_are_comments(capsys, tmp_path, square_module_file, command, flag, entries):
+    """A comment line may be indented, as the first line of a file and
+    between its entries."""
+    results = []
+    for comment in ("# note", "  # note", "\t# note"):
+        f = tmp_path / "in.txt"
+        if entries is None:  # the module file itself
+            f.write_text(f"{comment}\n{Path(square_module_file).read_text()}")
+            argv = (command, str(f))
+        else:
+            f.write_text(f"{comment}\n" + f"\n{comment}\n".join(entries) + "\n")
+            value = f"file:{f}" if flag == "--collection" else str(f)
+            argv = (command, square_module_file, flag, value)
+        results.append(run(capsys, *argv))
+    assert results[0][0] == EXIT_OK and results[0][1]
+    assert results[1:] == [results[0]] * 2
+
+
 def test_enumerate_segments(capsys, tmp_path):
     f = tmp_path / "p.txt"
     f.write_text("grid 2 2 0 0\n")

@@ -16,9 +16,10 @@ from grinv.erosion import (
     union_bbox,
     verify_erosion,
 )
+from grinv.fixtures import build_fixture
 from grinv.invariants import RankCache
 from grinv.modules import generalized_rank_fast, grid_interval_module, zero_module
-from grinv.posets import GridInterval, grid_poset
+from grinv.posets import CanonicalMembers, GridInterval, grid_poset
 from grinv.sampling import random_interval_decomposable, random_module
 
 
@@ -264,3 +265,138 @@ def test_erosion_witnesses_are_the_first_failures_at_each_radius(rng):
             assert verify_erosion(m1, m2, coll, d) is None
             distances.append(d)
     assert max(distances) >= 2, distances
+
+
+def all_members_walk(m1, m2, collection):
+    """Oracle: the walk that ranks every member against both modules, one
+    fresh ``RankCache.rank`` per member, then raises the running radius."""
+    c1, c2 = RankCache(m1), RankCache(m2)
+    eps, witnesses = 0, []
+    for gi in collection:
+        r1, r2 = c1.rank(gi), c2.rank(gi)
+        if r1 == r2:
+            continue
+        small, big = (r1, c2) if r1 < r2 else (r2, c1)
+        while big.rank(gi.thicken(eps)) > small:
+            witnesses.append(gi)
+            eps += 1
+    return witnesses
+
+
+def draw_window(data, label):
+    """A window of side 1-3 inside the box [-1, 2]^2, so any two windows'
+    union box has at most 4 x 4 points."""
+    w = data.draw(st.integers(1, 3), label=f"{label} width")
+    h = data.draw(st.integers(1, 3), label=f"{label} height")
+    origin = (data.draw(st.integers(-1, 3 - w), label=f"{label} x0"),
+              data.draw(st.integers(-1, 3 - h), label=f"{label} y0"))
+    return grid_poset(w, h, origin)
+
+
+def block_module(win, p):
+    """The interval module of the whole window: deep members push distances up."""
+    return grid_interval_module(win, GridInterval.from_points(win.grid_coords), p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_window_split_walk_matches_the_all_members_walk(data):
+    p = data.draw(st.sampled_from((2, 3)), label="p")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    win1 = draw_window(data, "m1")
+    kind = data.draw(st.sampled_from(("random", "block")), label="m1 kind")
+    m1 = random_module(rng, win1, p) if kind == "random" else block_module(win1, p)
+    partner = data.draw(st.sampled_from(("shift", "random", "block", "zero")), label="partner")
+    if partner == "shift":
+        (ox, oy), (w, h) = m1.window_origin_size()
+        # the shift moves the window down-left; keep the union box within 4 x 4
+        delta = data.draw(st.integers(0, min(3, 4 - w, 4 - h)), label="delta")
+        m2 = shift_module(m1, delta)
+    else:
+        win2 = draw_window(data, "m2")
+        m2 = {"random": lambda: random_module(rng, win2, p), "block": lambda: block_module(win2, p),
+              "zero": lambda: zero_module(win2, p)}[partner]()
+    if data.draw(st.booleans(), label="swap"):
+        m1, m2 = m2, m1
+    budget = st.sampled_from((None, 1, 2, 3))
+    family = ThickeningFamily(data.draw(budget, label="min budget"), data.draw(budget, label="max budget"))
+    coll = family.members_within(union_bbox(m1, m2))
+    want = all_members_walk(m1, m2, coll)
+    assert list(erosion_witnesses(m1, m2, coll)) == want
+    assert list(erosion_witnesses(m1, m2, family.members_near(m1, m2))) == want
+    caches = (RankCache(m1), RankCache(m2))
+    for eps in range(len(want) + 1):
+        assert verify_erosion(m1, m2, coll, eps, *caches) == (want[eps] if eps < len(want) else None)
+
+
+def test_hand_built_pairs_reach_distance_two_and_more():
+    """Blocks against zero and smaller blocks: witness lists longer than
+    one, off the origin, with windows disjoint, nested and overlapping."""
+    distances = []
+    for p in (2, 3):
+        big = block_module(grid_poset(5, 5, (-1, -1)), p)
+        block4 = block_module(grid_poset(4, 4, (-1, -1)), p)
+        # union boxes of 5 x 5 and 4 x 4 points from (-1, -1)
+        pairs = [
+            (big, zero_module(grid_poset(5, 5, (-1, -1)), p)),
+            (block4, block_module(grid_poset(2, 2, (0, 0)), p)),     # nested
+            (block4, block_module(grid_poset(3, 2, (1, 2)), p)),     # overlapping
+            (block_module(grid_poset(3, 3, (-1, -1)), p),
+             block_module(grid_poset(2, 3, (2, 1)), p)),             # disjoint
+            (shift_module(block4, 1), block4),
+        ]
+        for budget in ((None, None), (2, 2), (3, 1)):
+            family = ThickeningFamily(*budget)
+            for m1, m2 in pairs:
+                coll = family.members_within(union_bbox(m1, m2))
+                want = all_members_walk(m1, m2, coll)
+                assert list(erosion_witnesses(m1, m2, coll)) == want
+                assert list(erosion_witnesses(m2, m1, family.members_near(m2, m1))) == want
+                assert [verify_erosion(m1, m2, coll, eps) for eps in range(len(want) + 1)] == [*want, None]
+                distances.append(len(want))
+    assert max(distances) >= 3, distances
+
+
+WINDOW_PAIRS = {
+    "overlapping": ((3, 3, (0, 0)), (3, 2, (1, 2))),
+    "nested": ((4, 4, (-1, 0)), (2, 2, (0, 1))),
+    "equal": ((3, 3, (1, -1)), (3, 3, (1, -1))),
+    "disjoint": ((2, 3, (-1, 0)), (2, 2, (2, 1))),
+    "corners": ((2, 2, (0, 0)), (2, 2, (2, 2))),
+}
+
+
+@pytest.mark.parametrize("budget", [(None, None), (1, 1), (2, 1), (1, 3), (2, 2)])
+@pytest.mark.parametrize("windows", sorted(WINDOW_PAIRS))
+def test_members_near_are_the_union_box_members_inside_a_window(windows, budget):
+    w1, w2 = (zero_module(grid_poset(*spec)) for spec in WINDOW_PAIRS[windows])
+    family = ThickeningFamily(*budget)
+    want = tuple(gi for gi in family.members_within(union_bbox(w1, w2))
+                 if w1.contains_interval(gi) or w2.contains_interval(gi))
+    for m1, m2 in ((w1, w2), (w2, w1)):
+        near = family.members_near(m1, m2)
+        assert type(near) is CanonicalMembers
+        assert near == want
+
+
+def test_each_module_ranks_only_its_own_window_members(monkeypatch):
+    """The work count of one fixture pair: each cache files the family's
+    members inside its module's window and the thickenings it ranked,
+    and nothing else."""
+    m1 = build_fixture("anti-diagonal").modules["m"]
+    m2 = build_fixture("center-double").modules["m"]
+    coll = ThickeningFamily(2, 2).members_within(union_bbox(m1, m2))
+    caches = (RankCache(m1), RankCache(m2))
+    thickened = ([], [])
+    for cache, seen in zip(caches, thickened):
+        real = cache.rank
+        monkeypatch.setattr(cache, "rank", lambda gi, real=real, seen=seen: seen.append(gi) or real(gi))
+    witnesses = list(erosion_witnesses(m1, m2, coll, caches))
+    assert len(witnesses) == 1
+    for module, cache, seen in zip((m1, m2), caches, thickened):
+        inside = [gi for gi in coll if module.contains_interval(gi)]
+        assert cache.queries == len(set(inside) | set(seen))
+    # 9,016 members in the union box; 475 and 79 of them inside the windows
+    assert len(coll) == 9016
+    assert [sum(map(m.contains_interval, coll)) for m in (m1, m2)] == [475, 79]
+    assert [c.queries for c in caches] == [500, 130]

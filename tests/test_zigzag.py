@@ -133,6 +133,9 @@ def test_hull_matches_brute_scan(rng, grid33):
 def test_path_text_round_trip():
     p = ZigzagPath(((0, 0), (1, 0), (1, 1), (1, 2)))
     assert ZigzagPath.from_text(p.to_text()) == p
+    # comment lines may be indented, the first one too
+    head, *points = p.to_text().splitlines()
+    assert ZigzagPath.from_text("\n".join(["  # note", head, "\t# note", *points])) == p
 
 
 # -- fences, tameness, thin/solid ----------------------------------------------------
