@@ -31,6 +31,7 @@ from .posets import (
     EnumerationCapError,
     FinitePoset,
     GridInterval,
+    check_ids,
     check_interval_cap,
     containment_poset,
     count_grid_intervals,
@@ -149,6 +150,7 @@ def _parse_members(module: PModule, tokens: list[str], kind: str | None = None):
         return GridInterval.from_points(pts)
     ids = tuple(int(t) for t in tokens)
     if module.poset.grid_coords is not None and kind != "connected":
+        check_ids(ids, module.poset.n)
         return GridInterval.from_points(module.poset.grid_coords[i] for i in ids)
     return subposet(module.poset, ids, kind=kind)
 

@@ -37,10 +37,10 @@ def chain4_pair(p: int = DEFAULT_P, **_) -> FixtureBundle:
     the three smaller segments but different ranks on the full chain."""
     poset = FinitePoset.chain(4)
     seg = {
-        "[1,4]": SubposetId("segment", (0, 1, 2, 3)),
-        "[1,3]": SubposetId("segment", (0, 1, 2)),
-        "[2,4]": SubposetId("segment", (1, 2, 3)),
-        "[2,3]": SubposetId("segment", (1, 2)),
+        "[1,4]": SubposetId((0, 1, 2, 3)),
+        "[1,3]": SubposetId((0, 1, 2)),
+        "[2,4]": SubposetId((1, 2, 3)),
+        "[2,3]": SubposetId((1, 2)),
     }
     plus = direct_sum(
         interval_module(poset, seg["[1,4]"].members, p),

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from .gf import (DEFAULT_P, MAX_DIM, check_modulus, kernel_rows, mul_rows, pull_rows,
                  random_invertible, rows_from_lines, rows_to_text, rref_rows)
-from .posets import FinitePoset, GridInterval, SubposetId, fence_turns
+from .posets import FinitePoset, GridInterval, SubposetId, check_ids, fence_turns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -266,11 +266,6 @@ class PModule:
             self._window_geom = (ox, oy, len(is_zero[0]), len(is_zero), zeros)
         return self._window_geom
 
-    def _interval_rank_trivial(self, gi: GridInterval) -> bool:
-        """True when the rank over gi is forced to 0: the interval leaves the
-        window or touches a zero-dimensional point."""
-        return _rank_forced_zero(self._window_geometry(), gi)
-
     # -- derived modules -------------------------------------------------------
 
     def restrict(self, members) -> "PModule":
@@ -478,9 +473,9 @@ def _members_of(module: PModule, region) -> list[int] | None:
             raise ValueError("grid interval given for a module without coordinates")
         ids = [idx.get(pt) for pt in region.points()]
         return None if None in ids else ids
-    if isinstance(region, SubposetId):
-        return list(region.members)
-    return [int(i) for i in region]
+    ids = list(region.members) if isinstance(region, SubposetId) else [int(i) for i in region]
+    check_ids(ids, module.poset.n)
+    return ids
 
 
 def generalized_rank(module: PModule, region) -> int:

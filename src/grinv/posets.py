@@ -5,8 +5,13 @@ Two representations coexist:
 * ``FinitePoset`` — an abstract finite poset on ids 0..n-1 (up-set and
   down-set int bitsets + Hasse cover list), optionally carrying grid
   coordinates when the poset is a product-order window of the integer
-  plane.  Its boolean ``leq`` matrix is built with numpy on first use,
-  for oracles and tests; nothing else here imports numpy.
+  plane.  One constructor takes the bitsets as they are, and
+  ``from_covers`` closes and checks a relation from outside.  Its
+  boolean ``leq`` matrix is built with numpy on first use, for oracles;
+  nothing else here imports numpy.
+* ``SubposetId`` — the sorted member ids of a subset of a FinitePoset.
+  :func:`subposet` checks a subset against a kind (interval, segment,
+  connected) on the way in.
 * ``GridInterval`` — an interval of the integer plane, stored as
   a staircase of per-row x-ranges.  This is the working representation
   for thickenings and fence constructions, which must not be clipped to
@@ -38,6 +43,8 @@ from itertools import combinations
 
 DEFAULT_INTERVAL_CAP = 5_000_000
 DEFAULT_CONNECTED_CAP = 16
+# a poset's bitsets take about n**2 / 4 bytes, 64 MiB at this many elements
+MAX_FILE_ELEMENTS = 2 ** 14
 
 
 class EnumerationCapError(Exception):
@@ -48,37 +55,16 @@ class FinitePoset:
     """A finite poset on elements 0..n-1, as up-set and down-set int bitsets.
 
     Bit b of ``up[a]`` is set iff a <= b, and bit a of ``down[b]`` iff
-    a <= b.  ``covers`` is the transitive reduction; ``leq``, the boolean
-    matrix, is built on first use for oracles and tests.  Instances are
-    immutable and safe to share.
+    a <= b.  The constructor takes both bitset lists as they are, with
+    the covers when known; a relation from outside goes through
+    :meth:`from_covers`, which closes and checks it.  ``covers`` is the
+    transitive reduction; ``leq``, the boolean matrix, is built on first
+    use for oracles.  Instances are immutable and safe to share.
     """
 
     __slots__ = ("n", "up", "down", "grid_coords", "_covers", "_lower_covers", "_topo", "_leq")
 
-    def __init__(self, leq, grid_coords: tuple | None = None, validate: bool = True):
-        """From a square boolean matrix (nested lists or a numpy array),
-        validated as reflexive, antisymmetric and transitive."""
-        import numpy as np
-
-        leq = np.array(leq, dtype=bool)
-        n = leq.shape[0]
-        if leq.shape != (n, n):
-            raise ValueError("leq must be square")
-        if validate:
-            if not leq.diagonal().all():
-                raise ValueError("leq is not reflexive")
-            if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
-                raise ValueError("leq is not antisymmetric")
-            closure = leq @ leq
-            if not np.array_equal(closure | leq, leq):
-                raise ValueError("leq is not transitive")
-        up, down = ([int.from_bytes(row.tobytes(), "little")
-                     for row in np.packbits(m, axis=1, bitorder="little")] for m in (leq, leq.T))
-        self._set(up, down, grid_coords)
-        leq.setflags(write=False)
-        self._leq = leq
-
-    def _set(self, up, down, grid_coords, covers=None) -> None:
+    def __init__(self, up, down, grid_coords=None, covers=None):
         self.n = len(up)
         self.up = tuple(up)
         self.down = tuple(down)
@@ -87,13 +73,6 @@ class FinitePoset:
         self._lower_covers = None
         self._topo = None
         self._leq = None
-
-    @classmethod
-    def _of(cls, up, down, grid_coords=None, covers=None) -> "FinitePoset":
-        """The poset with these up-set and down-set bitsets (and covers, when known)."""
-        poset = object.__new__(cls)
-        poset._set(up, down, grid_coords, covers)
-        return poset
 
     # -- constructors ---------------------------------------------------
 
@@ -130,17 +109,17 @@ class FinitePoset:
         for a in reversed(order):
             for b in succ[a]:
                 up[a] |= up[b]
-        return cls._of(up, down, grid_coords)
+        return cls(up, down, grid_coords)
 
     @classmethod
     def chain(cls, n: int) -> "FinitePoset":
         full = (1 << n) - 1
-        return cls._of([full >> a << a for a in range(n)], [(2 << a) - 1 for a in range(n)],
-                       covers=tuple((a, a + 1) for a in range(n - 1)))
+        return cls([full >> a << a for a in range(n)], [(2 << a) - 1 for a in range(n)],
+                   covers=tuple((a, a + 1) for a in range(n - 1)))
 
     def with_coords(self, grid_coords) -> "FinitePoset":
         """The same order with other grid coordinates."""
-        return self._of(self.up, self.down, grid_coords, self._covers)
+        return FinitePoset(self.up, self.down, grid_coords, self._covers)
 
     def induced(self, members) -> "FinitePoset":
         """The subposet on the given ids, relabelled 0..k-1 in ascending id
@@ -151,7 +130,7 @@ class FinitePoset:
             return bitset([k for k, b in enumerate(ms) if mask >> b & 1], len(ms))
 
         coords = None if self.grid_coords is None else [self.grid_coords[m] for m in ms]
-        return self._of([pack(self.up[m]) for m in ms], [pack(self.down[m]) for m in ms], coords)
+        return FinitePoset([pack(self.up[m]) for m in ms], [pack(self.down[m]) for m in ms], coords)
 
     # -- structure -------------------------------------------------------
 
@@ -230,12 +209,12 @@ class FinitePoset:
 
     def minimal_of(self, members) -> tuple[int, ...]:
         ms = sorted(int(m) for m in members)
-        mask = _mask(ms)
+        mask = bitset(ms, self.n)
         return tuple(a for a in ms if self.down[a] & mask == 1 << a)
 
     def maximal_of(self, members) -> tuple[int, ...]:
         ms = sorted(int(m) for m in members)
-        mask = _mask(ms)
+        mask = bitset(ms, self.n)
         return tuple(a for a in ms if self.up[a] & mask == 1 << a)
 
     # -- subset predicates -------------------------------------------------
@@ -247,7 +226,7 @@ class FinitePoset:
         ``up[a] | down[a]`` is set, and each round adds every member
         comparable to the frontier.  The empty set is not connected.
         """
-        mask = _mask(members)
+        mask = bitset(members, self.n)
         if not mask:
             return False
         up, down = self.up, self.down
@@ -310,12 +289,14 @@ class FinitePoset:
         head = lines[start].split()
         if head[0] == "grid":
             w, h, ox, oy = (int(t) for t in head[1:5])
+            _check_declared(max(w, 0) * max(h, 0), lines[start])  # grid_poset rejects w, h < 1
             return grid_poset(w, h, (ox, oy)), start + 1
         if head[0] != "poset":
             raise ValueError(f"expected 'poset <n>' or 'grid w h ox oy', got {lines[start]!r}")
         n = int(head[1])
         if n < 1:
             raise ValueError(f"a poset needs at least one element: {lines[start]!r}")
+        _check_declared(n, lines[start])
         i = start + 1
         pairs = []
         while i < len(lines) and lines[i].startswith("cover "):
@@ -323,6 +304,12 @@ class FinitePoset:
             pairs.append((int(a), int(b)))
             i += 1
         return cls.from_covers(n, pairs), i
+
+
+def _check_declared(n: int, header: str) -> None:
+    """Refuse a file header that declares more than MAX_FILE_ELEMENTS elements."""
+    if n > MAX_FILE_ELEMENTS:
+        raise ValueError(f"{header!r} declares {n} elements, more than {MAX_FILE_ELEMENTS}")
 
 
 def grid_poset(width: int, height: int, origin: tuple[int, int] = (0, 0)) -> FinitePoset:
@@ -353,14 +340,7 @@ def grid_poset(width: int, height: int, origin: tuple[int, int] = (0, 0)) -> Fin
                 covers.append((a, a + 1))
             if i + 1 < width:
                 covers.append((a, a + h))
-    return FinitePoset._of(up, down, coords, tuple(covers))
-
-
-def _mask(ids) -> int:
-    mask = 0
-    for a in ids:
-        mask |= 1 << int(a)
-    return mask
+    return FinitePoset(up, down, coords, tuple(covers))
 
 
 # -- subposet identifiers ---------------------------------------------------
@@ -368,9 +348,8 @@ def _mask(ids) -> int:
 
 @dataclass(frozen=True)
 class SubposetId:
-    """A named subset of a FinitePoset: kind + sorted member ids; equal by the ids alone."""
+    """A subset of a FinitePoset as its sorted member ids, equal by them."""
 
-    kind: str = field(compare=False)  # "interval" | "connected" | "segment" | "path"
     members: tuple[int, ...]
 
     def __post_init__(self):
@@ -391,26 +370,29 @@ class SubposetId:
 
 
 def subposet(poset: FinitePoset, members, kind: str | None = None) -> SubposetId:
-    """Build a SubposetId, inferring and validating the kind."""
+    """The SubposetId of members of the poset, checked against the kind:
+    "interval" and "segment" must be intervals, "connected" and the
+    default None connected."""
     ms = tuple(sorted(set(members)))
     if not ms:
         raise ValueError("empty subposet")
-    connected = poset.is_connected_subset(ms)
-    if kind is None:
-        if connected and poset.is_convex_subset(ms):
-            mins = poset.minimal_of(ms)
-            maxs = poset.maximal_of(ms)
-            kind = "segment" if len(mins) == 1 and len(maxs) == 1 else "interval"
-        elif connected:
-            kind = "connected"
-        else:
-            raise ValueError("subset is not connected; pass kind explicitly to allow")
-    else:
-        if kind in ("interval", "segment") and not poset.is_interval_subset(ms):
+    check_ids(ms, poset.n)
+    if kind in ("interval", "segment"):
+        if not poset.is_interval_subset(ms):
             raise ValueError(f"subset is not an interval: {ms}")
-        if kind == "connected" and not connected:
-            raise ValueError("subset is not connected")
-    return SubposetId(kind, ms)
+    elif kind not in (None, "connected"):
+        raise ValueError(f"unknown subposet kind {kind!r}")
+    elif not poset.is_connected_subset(ms):
+        raise ValueError("subset is not connected" if kind
+                         else "subset is not connected; pass kind explicitly to allow")
+    return SubposetId(ms)
+
+
+def check_ids(ids, n: int) -> None:
+    """Raise ValueError unless every id lies in 0..n-1."""
+    for i in ids:
+        if not 0 <= i < n:
+            raise ValueError(f"element id {i} is not in 0..{n - 1}")
 
 
 # -- plane grid intervals ----------------------------------------------------
@@ -519,14 +501,6 @@ class GridInterval:
             a, b = a2, b2
         maxs.append((b, y))
         return tuple(reversed(mins)), tuple(reversed(maxs))
-
-    def minimal_points(self) -> tuple[tuple[int, int], ...]:
-        """The minimal antichain in ascending x (descending y)."""
-        return self.antichains()[0]
-
-    def maximal_points(self) -> tuple[tuple[int, int], ...]:
-        """The maximal antichain in ascending x (descending y)."""
-        return self.antichains()[1]
 
     # -- constructions --------------------------------------------------------
 
@@ -691,10 +665,7 @@ def iter_grid_intervals(bbox, max_min_pts=None, max_max_pts=None):
     row end adds a maximal point to the row below.
     """
     x0, y0, x1, y1 = bbox
-    mmin = max_min_pts if max_min_pts is not None else (x1 - x0 + y1 - y0 + 2)
-    mmax = max_max_pts if max_max_pts is not None else (x1 - x0 + y1 - y0 + 2)
-    if mmin < 1 or mmax < 1:
-        raise ValueError("min/max point budgets must be >= 1")
+    mmin, mmax = _budgets(x1 - x0 + 1, y1 - y0 + 1, max_min_pts, max_max_pts)
 
     def extend(ybase, rows, mins_used, maxs_used):
         yield _staircase(ybase, tuple(rows))
@@ -883,7 +854,7 @@ def enumerate_intervals(
                 and (max_min_pts is None or len(poset.minimal_of(ms)) <= max_min_pts)
                 and (max_max_pts is None or len(poset.maximal_of(ms)) <= max_max_pts))
 
-    return _subsets(poset, "interval", keep)
+    return _subsets(poset, keep)
 
 
 def enumerate_connected(poset: FinitePoset, cap: int = DEFAULT_CONNECTED_CAP) -> CanonicalMembers:
@@ -892,13 +863,13 @@ def enumerate_connected(poset: FinitePoset, cap: int = DEFAULT_CONNECTED_CAP) ->
         raise EnumerationCapError(
             f"connected-subset enumeration over {poset.n} > {cap} elements refused"
         )
-    return _subsets(poset, "connected", poset.is_connected_subset)
+    return _subsets(poset, poset.is_connected_subset)
 
 
-def _subsets(poset: FinitePoset, kind: str, keep) -> CanonicalMembers:
-    """The nonempty subsets that ``keep`` accepts, as SubposetIds of the
-    kind, by size and then lexicographically: canonical order."""
-    return CanonicalMembers(SubposetId(kind, ms)
+def _subsets(poset: FinitePoset, keep) -> CanonicalMembers:
+    """The nonempty subsets that ``keep`` accepts, as SubposetIds, by size
+    and then lexicographically: canonical order."""
+    return CanonicalMembers(SubposetId(ms)
                             for size in range(1, poset.n + 1)
                             for ms in combinations(range(poset.n), size)
                             if keep(ms))
@@ -907,7 +878,7 @@ def _subsets(poset: FinitePoset, kind: str, keep) -> CanonicalMembers:
 def enumerate_segments(poset: FinitePoset) -> CanonicalMembers:
     """Segments [p, q] for p <= q, canonical order.  [p, q] has p as its
     unique minimum and q as its unique maximum, so no two coincide as sets."""
-    return canonical_members(SubposetId("segment", poset.segment(a, b))
+    return canonical_members(SubposetId(poset.segment(a, b))
                              for a in range(poset.n) for b in poset.up_ids(a))
 
 
@@ -950,22 +921,18 @@ def straight_path(turns) -> tuple[tuple[int, int], ...]:
     return tuple(pts)
 
 
-def fence_points(ext, lower: bool) -> tuple[tuple[int, int], ...]:
-    """The shortest faithful path threading an antichain via its joins or
-    meets: :func:`straight_path` through its :func:`fence_turns`.  A
-    lower leg runs right to a join and then down; an upper leg runs down
-    to a meet and then right.  One point gives the one-point path."""
-    return straight_path(fence_turns(ext, lower))
-
-
 def lower_fence(gi: GridInterval) -> tuple[tuple[int, int], ...]:
-    """The lower fence of ``gi``, through its minimal points; it stays inside ``gi``."""
-    return fence_points(gi.antichains()[0], lower=True)
+    """The lower fence of ``gi``: the shortest faithful path through its
+    minimal points, each leg running right to a join and then down.  It
+    stays inside ``gi``."""
+    return straight_path(fence_turns(gi.antichains()[0], lower=True))
 
 
 def upper_fence(gi: GridInterval) -> tuple[tuple[int, int], ...]:
-    """The upper fence of ``gi``, through its maximal points; it stays inside ``gi``."""
-    return fence_points(gi.antichains()[1], lower=False)
+    """The upper fence of ``gi``: the shortest faithful path through its
+    maximal points, each leg running down to a meet and then right.  It
+    stays inside ``gi``."""
+    return straight_path(fence_turns(gi.antichains()[1], lower=False))
 
 
 # -- the containment poset -----------------------------------------------------
@@ -1085,5 +1052,5 @@ def containment_poset(items) -> ContainmentPoset:
     """
     items = canonical_members(items)
     sup = Supersets(items)
-    return ContainmentPoset(items, FinitePoset._of([sup.within(it) for it in items],
+    return ContainmentPoset(items, FinitePoset([sup.within(it) for it in items],
                                                    [sup.containing(it) for it in items]))

@@ -25,6 +25,16 @@ def chain4():
     return FinitePoset.chain(4)
 
 
+def matrix_poset(leq, grid_coords=None):
+    """The poset of a boolean order matrix, closed from its comparable
+    pairs by ``FinitePoset.from_covers``; the matrix must be that order."""
+    leq = np.asarray(leq, dtype=bool)
+    pairs = zip(*np.nonzero(leq & ~np.eye(len(leq), dtype=bool)))
+    poset = FinitePoset.from_covers(len(leq), pairs, grid_coords)
+    assert np.array_equal(poset.leq, leq), "not a partial order"
+    return poset
+
+
 def brute_force_intervals(poset):
     """Independent oracle: filter all nonempty subsets by the definition."""
     from itertools import combinations

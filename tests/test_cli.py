@@ -274,6 +274,69 @@ def test_collection_file_with_connected_subsets(capsys, tmp_path, square_module_
     assert len(out.strip().splitlines()) == 3
 
 
+def test_keyword_and_bare_id_lines_on_an_abstract_poset(capsys, tmp_path):
+    """On the 4-chain every subset is connected: a bare-id line may be any
+    of them, an interval or segment line must be convex."""
+    module = tmp_path / "plus.txt"
+    module.write_text(build_fixture("chain4-pair").modules["plus"].to_text())
+    coll = tmp_path / "c.txt"
+    coll.write_text("interval 0 1\nsegment 1 2\n0 1 2\nconnected 2 3\n1\n")
+    code, out, err = run(capsys, "gri", str(module), "--collection", f"file:{coll}")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "1\t2\n0 1\t1\n1 2\t2\n2 3\t1\n0 1 2\t1\n"
+    coll.write_text("0 2\n")  # connected, not convex
+    assert run(capsys, "gri", str(module), "--collection", f"file:{coll}")[:2] == (
+        EXIT_OK, "0 2\t1\n")
+    coll.write_text("interval 0 2\n")
+    code, out, err = run(capsys, "gri", str(module), "--collection", f"file:{coll}")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: bad collection line 'interval 0 2': subset is not an interval: (0, 2)\n"
+
+
+@pytest.mark.parametrize("fixture, name", [("chain4-pair", "plus"), ("ex-2x2-indicator", "m")])
+@pytest.mark.parametrize("line", ["0 99", "interval 0 99", "segment 0 99", "connected 0 99",
+                                  "-1 0", "interval -1 0"])
+def test_out_of_range_ids_are_one_input_error(capsys, tmp_path, fixture, name, line):
+    """An id outside 0..n-1 on a bare, interval, segment or connected line
+    of a collection or support file, over an abstract poset or a grid
+    window, gets the same message."""
+    module = tmp_path / "m.txt"
+    module.write_text(build_fixture(fixture).modules[name].to_text())
+    coll = tmp_path / "c.txt"
+    coll.write_text(f"0\n{line}\n")
+    bad = "-1" if "-1" in line else "99"
+    want = f"error: bad collection line {line!r}: element id {bad} is not in 0..3\n"
+    for argv in (("gri", str(module), "--collection", f"file:{coll}"),
+                 ("invertible", str(module), "--support", str(coll))):
+        assert run(capsys, *argv) == (EXIT_INPUT, "", want)
+
+
+def test_oversized_poset_header_is_refused_before_it_is_built(tmp_path):
+    """A two-line module file whose header declares more than 2**14
+    elements is an input error, found before the poset's bitsets (about
+    n**2 / 4 bytes) are built: in a fresh interpreter it exits quickly and
+    small."""
+    env = dict(os.environ, PYTHONPATH=str(Path(grinv.__file__).resolve().parents[1]))
+    env.pop("GRINV_FIELD", None)
+    f = tmp_path / "big.txt"
+    for header, n in (("grid 180 180 0 0", 32400), ("poset 40000", 40000)):
+        f.write_text(f"{header}\nfield 2\n")
+        for argv in (["gri", str(f), "--collection", "int:1,1"], ["enumerate", str(f)]):
+            # VmHWM is the peak RSS of this process image; ru_maxrss would
+            # also count the forking test process
+            code = ("import re, time\nfrom grinv.cli import main\n"
+                    f"t = time.perf_counter()\ncode = main({argv!r})\n"
+                    "print(code, time.perf_counter() - t, re.search(r'VmHWM:\\s*(\\d+)',"
+                    " open('/proc/self/status').read())[1])\n")
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            exit_code, seconds, rss_kib = proc.stdout.split()
+            assert int(exit_code) == EXIT_INPUT, proc.stderr
+            assert f"{header!r} declares {n} elements, more than 16384" in proc.stderr
+            assert float(seconds) < 1.0
+            assert int(rss_kib) < 64 * 1024  # the 180 x 180 grid alone took 377 MiB
+
+
 def test_invertible_with_support_file(capsys, tmp_path, square_module_file):
     support = tmp_path / "s.txt"
     support.write_text("0,0\n")  # the corner alone cannot explain the table

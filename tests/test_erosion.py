@@ -175,8 +175,9 @@ def test_family_closed_under_thickenings(rng):
     for gi in coll[::7]:
         for eps in (1, 2):
             fat = gi.thicken(eps)
-            assert len(fat.minimal_points()) <= 2
-            assert len(fat.maximal_points()) <= 2
+            mins, maxs = fat.antichains()
+            assert len(mins) <= 2
+            assert len(maxs) <= 2
 
 
 def test_timed_distance_repeats_from_cold_state(rng, monkeypatch):

@@ -16,6 +16,8 @@ from grinv.mobius import (
 from grinv.posets import FinitePoset, containment_poset, enumerate_grid_intervals, grid_poset, subposet
 from grinv.sampling import random_poset
 
+from conftest import matrix_poset
+
 
 def test_delta_is_idempotent(chain4):
     d = delta(chain4)
@@ -52,7 +54,7 @@ def test_mobius_on_boolean_lattice():
     for i, a in enumerate(subsets):
         for j, b in enumerate(subsets):
             leq[i, j] = a <= b
-    lattice = FinitePoset(leq)
+    lattice = matrix_poset(leq)
     mu = mobius_function(lattice)
     for i, a in enumerate(subsets):
         for j, b in enumerate(subsets):

@@ -8,6 +8,7 @@ from grinv.gf import MAX_P, is_prime, kernel_rows, mul_rows, random_invertible, 
 from grinv.modules import (
     PModule,
     _basis,
+    _rank_forced_zero,
     colimit,
     direct_sum,
     generalized_rank,
@@ -22,12 +23,14 @@ from grinv.modules import (
 from grinv.posets import (
     FinitePoset,
     GridInterval,
+    SubposetId,
     _staircase,
     enumerate_grid_intervals,
-    fence_points,
+    fence_turns,
     grid_poset,
     iter_grid_intervals,
     lower_fence,
+    straight_path,
     upper_fence,
 )
 from grinv.sampling import (
@@ -38,6 +41,8 @@ from grinv.sampling import (
     random_poset,
 )
 from grinv.zigzag import ZigzagPath, zigzag_barcode
+
+from conftest import matrix_poset
 
 
 LARGEST_P = next(q for q in range(MAX_P, 2, -1) if is_prime(q))
@@ -179,8 +184,8 @@ def holed_window(w, h, hole, origin=(0, 0)):
     """The w x h window at origin without the point hole (box coordinates)."""
     coords = tuple((origin[0] + x, origin[1] + y) for y in range(h) for x in range(w)
                    if (x, y) != hole)
-    return FinitePoset(np.array([[a[0] <= b[0] and a[1] <= b[1] for b in coords]
-                                 for a in coords]), grid_coords=coords)
+    return matrix_poset([[a[0] <= b[0] and a[1] <= b[1] for b in coords] for a in coords],
+                        grid_coords=coords)
 
 
 def test_functoriality_check_off_full_grid_windows():
@@ -457,6 +462,15 @@ def test_generalized_rank_matches_all_pairs_oracle_on_connected_grid_subsets(fie
     assert generalized_rank(m, ms) == all_pairs_generalized_rank(m, ms)
 
 
+def test_generalized_rank_rejects_ids_outside_the_poset():
+    """An id outside 0..n-1 is refused with one message before a bitset
+    is built from it; on an 8-chain, bit -1 would land on the top."""
+    m = interval_module(FinitePoset.chain(8), range(8))
+    for region, bad in (([-1], -1), ([6, 7, 8], 8), (SubposetId((7, 9)), 9)):
+        with pytest.raises(ValueError, match=rf"^element id {bad} is not in 0\.\.7$"):
+            generalized_rank(m, region)
+
+
 def test_fast_equals_slow_on_all_intervals(rng):
     win = grid_poset(3, 3, (0, 0))
     ints = enumerate_grid_intervals(win)
@@ -539,7 +553,7 @@ def test_antichain_memos_match_oracle_cold_and_warm(p, origin, summands, seed, d
 def unit_step_fence(module, ext, lower):
     """Oracle: (last id, basis) of a fence swept one unit step at a time
     through every fence point."""
-    ids = [module._window_idx[pt] for pt in fence_points(ext, lower)]
+    ids = [module._window_idx[pt] for pt in straight_path(fence_turns(ext, lower))]
     d = module.dims[ids[0]]
     rows = [[int(r == c) for r in range(d)] for c in range(d)]
     for a, b in zip(ids, ids[1:]):
@@ -572,7 +586,7 @@ def test_turning_point_sweep_matches_a_unit_step_sweep(p, origin, summands, seed
     ints += [random_grid_interval(rng, (ox - 1, oy - 1, ox + 4, oy + 4)) for _ in range(8)]
     for gi in ints:
         generalized_rank_fast(m, gi)
-    mins = {gi.minimal_points() for gi in ints if m.contains_interval(gi)}
+    mins = {gi.antichains()[0] for gi in ints if m.contains_interval(gi)}
     assert {ext for lower, ext in m._fences if lower} == mins
     bases = m._bases  # subspace id -> reduced basis, read through the intern table
     assert m._sids == {basis: sid for sid, basis in enumerate(bases)}
@@ -580,8 +594,9 @@ def test_turning_point_sweep_matches_a_unit_step_sweep(p, origin, summands, seed
         assert (last, bases[sid]) == unit_step_fence(m, ext, lower)
     for gi in ints:
         if m.contains_interval(gi):
-            a, e = m._fences[True, gi.minimal_points()]
-            b = m._fences[False, gi.maximal_points()][0]
+            low, high = gi.antichains()
+            a, e = m._fences[True, low]
+            b = m._fences[False, high][0]
             assert bases[m._moves[False, a, b, e]] == _basis(
                 mul_rows(bases[e], m.transition(a, b), p), m.dims[b], p)
     for (dual, a, b, sid), moved in m._moves.items():
@@ -638,16 +653,17 @@ def test_fast_path_work_counts_on_a_dense_5x5_module(monkeypatch):
     assert (len(m._bases), len(m._sids), len(m._pair_ranks)) == (21, 21, 32)
     assert min(table.ranks) >= 1 and len(set(table.ranks)) > 2
     idx = win.id_of_coord()
-    mins = {gi.minimal_points() for gi in coll}
-    maxs = {gi.maximal_points() for gi in coll}
+    mins = {gi.antichains()[0] for gi in coll}
+    maxs = {gi.antichains()[1] for gi in coll}
     lows = {ext: hit for (lower, ext), hit in m._fences.items() if lower}
     ups = {ext: hit for (lower, ext), hit in m._fences.items() if not lower}
     assert lows.keys() == mins and ups.keys() == maxs
     pushes, pairs = set(), set()
     for gi in coll:
-        a, e = lows[gi.minimal_points()]
-        b, q = ups[gi.maximal_points()]
-        assert b == idx[gi.maximal_points()[-1]]
+        low, high = gi.antichains()
+        a, e = lows[low]
+        b, q = ups[high]
+        assert b == idx[high[-1]]
         pushes.add((False, a, b, e))
         pairs.add((m._moves[False, a, b, e], q))
     # 825 (minimal antichain, b) pairs reach 249 distinct (a, b, E) pushes
@@ -739,7 +755,7 @@ def test_lower_fence_ends_below_the_upper_fence_end():
     for gi in iter_grid_intervals((0, 0, 5, 5)):
         a, b = lower_fence(gi)[-1], upper_fence(gi)[-1]
         x0, x1 = gi.rows[0]
-        assert a == (x0, gi.y0) and b[0] == x1 and b == gi.maximal_points()[-1]
+        assert a == (x0, gi.y0) and b[0] == x1 and b == gi.antichains()[1][-1]
         assert a[0] <= b[0] and a[1] <= b[1]
 
 
@@ -769,7 +785,7 @@ def test_trivial_zero_filter_matches_grid_slices(dims, origin):
         grid[y - oy, x - ox] = dims[i]
     # every interval of a fixed 4x4 box that the shifted window only partly covers
     for gi in iter_grid_intervals((0, 0, 3, 3)):
-        assert m._interval_rank_trivial(gi) == grid_slice_trivial(m, grid, gi)
+        assert _rank_forced_zero(m._window_geometry(), gi) == grid_slice_trivial(m, grid, gi)
 
 
 def test_rectangle_rank_equals_corner_map_rank(rng):
@@ -844,7 +860,7 @@ def draw_module(data, field, seed):
                                                             max_size=2 * n))).leq
         # relabel, so that ids are not always a linear extension of the order
         perm = data.draw(st.permutations(range(n)))
-        poset = FinitePoset(leq[np.ix_(perm, perm)])
+        poset = matrix_poset(leq[np.ix_(perm, perm)])
     from conftest import brute_force_intervals
 
     supports = data.draw(st.lists(st.sampled_from(brute_force_intervals(poset)), min_size=1,

@@ -21,17 +21,17 @@ from grinv.posets import (
     enumerate_grid_intervals,
     enumerate_intervals,
     enumerate_segments,
-    fence_points,
     fence_turns,
     grid_poset,
     iter_grid_intervals,
     lower_fence,
+    straight_path,
     subposet,
     upper_fence,
 )
 from grinv.sampling import random_grid_interval, random_poset
 
-from conftest import brute_force_connected, brute_force_intervals, member_ids
+from conftest import brute_force_connected, brute_force_intervals, matrix_poset, member_ids
 
 
 # -- grid construction -------------------------------------------------------
@@ -244,7 +244,7 @@ def test_covers_match_the_dense_rule(n, data):
     # relabel, so that ids are not always a linear extension of the order
     perm = data.draw(st.permutations(range(n)))
     closed = FinitePoset.from_covers(n, edges).leq
-    poset = FinitePoset(closed[np.ix_(perm, perm)], validate=False)
+    poset = matrix_poset(closed[np.ix_(perm, perm)])
     assert poset.covers == dense_covers(poset)
 
 
@@ -306,7 +306,6 @@ def test_bitset_poset_matches_matrix_oracles_on_random_posets(n, seed, density, 
     relabelled = FinitePoset.from_covers(n, [(perm[a], perm[b]) for a, b in pairs])
     inv = np.argsort(perm)
     assert_matches_matrix(relabelled, leq[np.ix_(inv, inv)], data)
-    assert_matches_matrix(FinitePoset(leq), leq, data)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -349,7 +348,7 @@ def test_connected_subset_matches_the_bfs(n, data):
     edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
     perm = data.draw(st.permutations(range(n)))
     closed = FinitePoset.from_covers(n, edges).leq
-    poset = FinitePoset(closed[np.ix_(perm, perm)], validate=False)
+    poset = matrix_poset(closed[np.ix_(perm, perm)])
     for _ in range(8):
         # near one element, to reach connected sets that are not singletons
         a = data.draw(st.integers(0, n - 1))
@@ -423,8 +422,7 @@ def test_thicken_superlinear_equality(rng):
 
 def test_min_max_points_rectangle():
     sq = GridInterval.rectangle((2, 3), (5, 6))
-    assert sq.minimal_points() == ((2, 3),)
-    assert sq.maximal_points() == ((5, 6),)
+    assert sq.antichains() == (((2, 3),), ((5, 6),))
 
 
 def test_min_max_points_staircase_brute(rng):
@@ -433,14 +431,15 @@ def test_min_max_points_staircase_brute(rng):
         pts = set(gi.points())
         mins = {p for p in pts if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)}
         maxs = {p for p in pts if not any(q != p and p[0] <= q[0] and p[1] <= q[1] for q in pts)}
-        assert set(gi.minimal_points()) == mins
-        assert set(gi.maximal_points()) == maxs
+        low, high = gi.antichains()
+        assert set(low) == mins
+        assert set(high) == maxs
 
 
 def test_staircase_k_steps_has_k_minimal_points():
     # a 4-step descending staircase
     gi = GridInterval(0, ((3, 4), (2, 4), (1, 4), (0, 4)))
-    assert len(gi.minimal_points()) == 4
+    assert len(gi.antichains()[0]) == 4
 
 
 # -- fences ----------------------------------------------------------------------
@@ -465,8 +464,9 @@ def test_fences_stay_inside_and_are_faithful(rng):
             assert all(pt in gi for pt in fence)
             for p, q in zip(fence, fence[1:]):
                 assert abs(p[0] - q[0]) + abs(p[1] - q[1]) == 1
-        assert set(gi.minimal_points()) <= set(lower_fence(gi))
-        assert set(gi.maximal_points()) <= set(upper_fence(gi))
+        mins, maxs = gi.antichains()
+        assert set(mins) <= set(lower_fence(gi))
+        assert set(maxs) <= set(upper_fence(gi))
 
 
 def cover_antichains(gi):
@@ -503,10 +503,10 @@ def test_antichains_and_fences_match_oracles_on_a_6x6_window():
     count = 0
     for gi in iter_grid_intervals((0, 0, 5, 5)):
         mins, maxs = cover_antichains(gi)
-        assert gi.antichains() == (gi.minimal_points(), gi.maximal_points()) == (mins, maxs), gi
+        assert gi.antichains() == (mins, maxs), gi
         low, up = staircase_fence(mins, True), staircase_fence(maxs, False)
-        assert lower_fence(gi) == fence_points(mins, True) == low
-        assert upper_fence(gi) == fence_points(maxs, False) == up
+        assert lower_fence(gi) == straight_path(fence_turns(mins, True)) == low
+        assert upper_fence(gi) == straight_path(fence_turns(maxs, False)) == up
         for ext, fence, lower in ((mins, low, True), (maxs, up, False)):
             turns = fence_turns(ext, lower)
             assert turns[::2] == ext and len(turns) == 2 * len(ext) - 1
@@ -552,9 +552,36 @@ def test_grid_text_round_trip():
     assert back.grid_coords == p.grid_coords
 
 
+@pytest.mark.parametrize("kind, accepted, rejected, message", [
+    # grid22 ids: 0 = (0, 0), 1 = (0, 1), 2 = (1, 0), 3 = (1, 1)
+    (None, [(0,), (0, 1, 2), (0, 3)], [(1, 2)],
+     "subset is not connected; pass kind explicitly to allow"),
+    ("connected", [(0,), (0, 3), (1, 3)], [(1, 2)], "subset is not connected"),
+    ("interval", [(0,), (0, 1, 2), (0, 1, 2, 3)], [(0, 3), (1, 2)], "subset is not an interval: {}"),
+    # a segment line is checked as an interval, unique ends or not
+    ("segment", [(0, 1), (0, 1, 2)], [(0, 3), (1, 2)], "subset is not an interval: {}"),
+])
+def test_subposet_checks_each_kind(grid22, kind, accepted, rejected, message):
+    for ms in accepted:
+        assert subposet(grid22, reversed(ms), kind) == SubposetId(ms)
+        assert subposet(grid22, ms, kind).members == ms
+    for ms in rejected:
+        with pytest.raises(ValueError) as err:
+            subposet(grid22, ms, kind)
+        assert str(err.value) == message.format(ms)
+    for ms, bad in (((0, 4), 4), ((-1, 0), -1), ((7,), 7)):
+        with pytest.raises(ValueError, match=rf"^element id {bad} is not in 0\.\.3$"):
+            subposet(grid22, ms, kind)
+    with pytest.raises(ValueError, match="^empty subposet$"):
+        subposet(grid22, (), kind)
+
+
+def test_subposet_rejects_an_unknown_kind(grid22):
+    with pytest.raises(ValueError, match="^unknown subposet kind 'path'$"):
+        subposet(grid22, (0,), "path")
+
+
 def test_subposet_kind_inference(grid22):
-    assert subposet(grid22, (0,)).kind == "segment"
-    assert subposet(grid22, (0, 1, 2)).kind == "interval"
     with pytest.raises(ValueError):
         subposet(grid22, (1, 2))  # disconnected
     with pytest.raises(ValueError):
@@ -626,11 +653,11 @@ def test_canonical_order_matches_sort_key_across_frames(data, spread):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(st.frozensets(st.integers(0, 15), min_size=1), unique=True, max_size=30))
 def test_canonical_order_matches_sort_key_on_subposet_ids(sets):
-    items = [SubposetId("connected", tuple(s)) for s in sets]
+    items = [SubposetId(tuple(s)) for s in sets]
     assert same_objects(canonical_members(items), by_sort_key(items))
-    if items:  # the same set under another kind is the same member
+    if items:  # an equal, distinct object is the same member
         with pytest.raises(ValueError, match="duplicate items"):
-            canonical_members(items + [SubposetId("segment", items[0].members)])
+            canonical_members(items + [SubposetId(items[0].members)])
 
 
 def test_canonical_order_far_apart_members_stay_small():
