@@ -33,6 +33,7 @@ from .posets import (
     GridInterval,
     check_ids,
     check_interval_cap,
+    check_segment,
     containment_poset,
     count_grid_intervals,
     enumerate_connected,
@@ -147,12 +148,22 @@ def _parse_members(module: PModule, tokens: list[str], kind: str | None = None):
         if kind == "connected":
             idx = module.poset.id_of_coord()
             return subposet(module.poset, (idx[pt] for pt in pts), kind="connected")
-        return GridInterval.from_points(pts)
+        return _plane_member(pts, kind)
     ids = tuple(int(t) for t in tokens)
     if module.poset.grid_coords is not None and kind != "connected":
         check_ids(ids, module.poset.n)
-        return GridInterval.from_points(module.poset.grid_coords[i] for i in ids)
+        return _plane_member((module.poset.grid_coords[i] for i in ids), kind)
     return subposet(module.poset, ids, kind=kind)
+
+
+def _plane_member(pts, kind: str | None) -> GridInterval:
+    """The plane interval on the points; a segment line must have one
+    minimal and one maximal point."""
+    gi = GridInterval.from_points(pts)
+    if kind == "segment":
+        mins, maxs = gi.antichains()
+        check_segment(len(mins), len(maxs))
+    return gi
 
 
 def _read_collection_file(module: PModule, path: str):

@@ -45,13 +45,16 @@ class ThickeningFamily:
         These are the members of ``members_within(union_bbox(m1, m2))``
         whose rank can be non-zero for one of the modules, in the same
         order.  When one window holds the other, its members are the
-        answer; otherwise m2's window adds the members that leave m1's.
+        answer, copied without the full-box label of ``members_within``
+        (``CanonicalMembers.box``), so the result is the same kind of
+        collection in every case; otherwise m2's window adds the members
+        that leave m1's.
         """
         box1, box2 = _window_bbox(m1), _window_bbox(m2)
         if _box_holds(box1, box2):
-            return self.members_within(box1)
+            return CanonicalMembers(self.members_within(box1))
         if _box_holds(box2, box1):
-            return self.members_within(box2)
+            return CanonicalMembers(self.members_within(box2))
         geom1 = m1._window_geometry()
         rest = [gi for gi in self.members_within(box2) if not _window_holds(geom1, gi)]
         return canonical_members([*self.members_within(box1), *rest])

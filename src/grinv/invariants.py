@@ -44,24 +44,36 @@ class RankCache:
     collection: its warm path is one list comprehension, and its misses
     are filed from one pass of the loop kernel
     (``modules.generalized_ranks_fast``); ``rank`` serves one member.
-    ``queries`` counts distinct misses, the deterministic work measure
-    used by the erosion trade-off instrumentation.
+    A full box (``posets.CanonicalMembers.box``) given to an empty cache
+    is ranked by the kernel's one walk of the box and filed in bulk: its
+    ranks in canonical order, and its member index built only when a
+    later call looks a member up.  ``queries`` counts distinct misses,
+    the deterministic work measure used by the erosion trade-off
+    instrumentation.
     """
 
     def __init__(self, module: PModule):
         self.module = module
         self._index: dict = {}  # member -> its position in _ranks
         self._ranks: list[int] = []
+        self._box = None  # a full box filed in _ranks whose members _index lacks
 
     @property
     def queries(self) -> int:
         return len(self._ranks)
+
+    def _index_box(self) -> None:
+        """Index the members of the full box filed by ``ranks``, in order."""
+        self._index = dict(zip(self._box, range(len(self._box))))
+        self._box = None
 
     def rank(self, region) -> int:
         """The rank over the region, with one dict operation (one hash) per
         call: a miss files the next free position before it is filled."""
         key = _cache_key(region)
         ranks = self._ranks
+        if self._box is not None:
+            self._index_box()
         i = self._index.setdefault(key, len(ranks))
         if i < len(ranks):
             return ranks[i]
@@ -86,6 +98,12 @@ class RankCache:
         """
         if not isinstance(members, (list, tuple)):
             members = list(members)
+        if not self._ranks and getattr(members, "box", None) is not None:
+            self._ranks = generalized_ranks_fast(self.module, members)
+            self._box = members
+            return self._ranks.copy()
+        if self._box is not None:
+            self._index_box()
         index, ranks = self._index, self._ranks
         try:
             return [ranks[index[m]] for m in members]
@@ -155,25 +173,33 @@ class GriTable:
     def check_monotone(self) -> tuple | None:
         """First violating pair (I, J) with I contained in J but rank(I) < rank(J).
 
-        All ordered pairs, in collection order: for each I, the members
-        containing I (a bitset AND over I's points) meet the members of
-        greater rank, and the lowest common bit is the first such J.
+        All ordered pairs, in collection order.  A violating J has a rank
+        above the table's least one (0 wherever a rank vanishes), so the
+        containment index holds only those members, in collection order:
+        the support of a table with a zero.  For each I, the indexed
+        members containing I (a bitset AND over I's points) meet those of
+        greater rank, all of them for the least rank, and the lowest
+        common bit is the first such J.
         """
+        if not self.ranks:
+            return None
+        least = min(self.ranks)
+        support = [j for j, r in enumerate(self.ranks) if r > least]
         by_rank: dict = {}
-        for j, r in enumerate(self.ranks):
-            by_rank.setdefault(r, []).append(j)
-        n = len(self.ranks)
+        for k, j in enumerate(support):
+            by_rank.setdefault(self.ranks[j], []).append(k)
         above, greater = {}, 0
         for r in sorted(by_rank, reverse=True):
             above[r] = greater
-            greater |= bitset(by_rank[r], n)
-        sup = Supersets(self.collection)
+            greater |= bitset(by_rank[r], len(support))
+        above[least] = greater
+        sup = Supersets([self.collection[j] for j in support])
         for it, r in zip(self.collection, self.ranks):
             hit = above[r]
             if hit:
                 hit &= sup.containing(it)
             if hit:
-                return (it, self.collection[(hit & -hit).bit_length() - 1])
+                return (it, self.collection[support[(hit & -hit).bit_length() - 1]])
         return None
 
     def to_tsv(self) -> str:

@@ -17,7 +17,9 @@ each interval's two boundary fences with the zigzag sweep step
 (`sweep_step`, shared with path barcodes), one step per fence leg
 between its turning points, memoised per module by the interval's
 minimal and maximal antichains (see `generalized_ranks_fast`, the loop
-that ranks a whole collection).  Each module interns the reduced bases
+that ranks a whole collection; a full box feeds it from one walk of the
+box, `posets.box_antichains`, instead of member by member).  Each
+module interns the reduced bases
 it reaches (`_intern`), so its memos key on small subspace ids: the
 fences, one memo of subspace moves that every sweep step goes through
 (`_move`) and one memo of rank(Q E) per pair of ids (`_pair_rank`).
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING
 
 from .gf import (DEFAULT_P, MAX_DIM, check_modulus, kernel_rows, mul_rows, pull_rows,
                  random_invertible, rows_from_lines, rows_to_text, rref_rows)
-from .posets import FinitePoset, GridInterval, SubposetId, check_ids, fence_turns
+from .posets import FinitePoset, GridInterval, SubposetId, box_antichains, check_ids, fence_turns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -620,23 +622,54 @@ def generalized_ranks_fast(module: PModule, members) -> list[int]:
     more memoised move (`_move`), and rank(Q E) one entry of the memo of
     (E, Q) subspace-id pairs (`_pair_rank`).  The memos are bounded by
     those counts, not by the number of intervals, and exact: an entry is
-    a deterministic function of its key and the module alone.  Per member
-    the loop runs the trivial-zero filter (`_rank_forced_zero`), one walk
-    up the rows (`GridInterval.antichains`) that finds both antichains and
-    checks that the fences stay inside the interval at their corners, and
-    four memo lookups; a miss falls through to the solving helper.
+    a deterministic function of its key and the module alone.
+
+    One loop (`_fence_ranks`) makes the four memo lookups per member; a
+    miss falls through to the solving helper.  It has two feeders.  A
+    plain member list runs, per member, the trivial-zero filter
+    (`_rank_forced_zero`) and one walk up the rows
+    (`GridInterval.antichains`) that finds both antichains and checks
+    that the fences stay inside the interval at their corners.  A full
+    box (``members.box``, see ``posets.canonical_grid_intervals``) is
+    walked once instead (`posets.box_antichains`), carrying both
+    antichains and the zero filter up the rows, so no member's rows are
+    read; the ranks come out in walk order and are put in canonical
+    order by the box's permutation.  Both feeders give each member the
+    same keys, so the memos and the ranks are the same either way.
     """
     if module._window_idx is None:
         raise ValueError("fast path needs a grid module")
     geom = module._window_geometry()
+    box = getattr(members, "box", None)
+    if box is None:
+        return _fence_ranks(module, (None if _rank_forced_zero(geom, gi) else gi.antichains()
+                                     for gi in members))
+    walked = _fence_ranks(module, box_antichains(box, _live_rows(geom, box.bbox)))
+    return list(map(walked.__getitem__, box.order))
+
+
+def _live_rows(geom, bbox) -> list[set]:
+    """Per height y0..y1 of the box, the rows (a, b) in x0..x1 that pass
+    the trivial-zero filter as one-row intervals: inside the window and
+    clear of zero-dimensional points.  An interval passes it iff each
+    of its rows does."""
+    x0, y0, x1, y1 = bbox
+    rows = [(a, b) for a in range(x0, x1 + 1) for b in range(a, x1 + 1)]
+    return [{row for row in rows if not _rank_forced_zero(geom, GridInterval(y, (row,)))}
+            for y in range(y0, y1 + 1)]
+
+
+def _fence_ranks(module: PModule, antichains) -> list[int]:
+    """The rank per (minimal antichain, maximal antichain) pair, 0 per None:
+    two fence lookups, the push of E to b and the pair rank."""
     fence, move, pair = module._fences.get, module._moves.get, module._pair_ranks.get
     out = []
     append = out.append
-    for gi in members:
-        if _rank_forced_zero(geom, gi):
+    for ext in antichains:
+        if ext is None:
             append(0)
             continue
-        mins, maxs = gi.antichains()
+        mins, maxs = ext
         a, e = fence((True, mins)) or _fence_solve(module, mins, True)
         if not e:  # id 0 is the zero subspace
             append(0)

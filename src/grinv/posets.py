@@ -27,7 +27,11 @@ return too and the gate passes through.  The intervals of a box are
 enumerated straight into that order by :func:`canonical_grid_intervals`,
 which sums each member's int key while it builds the member and ends
 with one int sort.  The unsorted generator :func:`iter_grid_intervals`
-is its test oracle and nothing else.
+is its test oracle and nothing else.  Such a full box is labelled with
+its :class:`GridBox` (box, budgets, sort permutation), so a layer knows
+it in O(1) and can walk it again (:func:`box_antichains`: every
+member's minimal and maximal antichains, carried up the rows) instead
+of reading its members one by one.
 
 Members are their own keys, equal exactly when equal as sets, and a
 plane interval hashes once.  Containment has one index,
@@ -37,9 +41,10 @@ structure (n bitsets of n bits each way).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 
 DEFAULT_INTERVAL_CAP = 5_000_000
 DEFAULT_CONNECTED_CAP = 16
@@ -209,11 +214,13 @@ class FinitePoset:
 
     def minimal_of(self, members) -> tuple[int, ...]:
         ms = sorted(int(m) for m in members)
+        check_ids(ms, self.n)
         mask = bitset(ms, self.n)
         return tuple(a for a in ms if self.down[a] & mask == 1 << a)
 
     def maximal_of(self, members) -> tuple[int, ...]:
         ms = sorted(int(m) for m in members)
+        check_ids(ms, self.n)
         mask = bitset(ms, self.n)
         return tuple(a for a in ms if self.up[a] & mask == 1 << a)
 
@@ -226,6 +233,8 @@ class FinitePoset:
         ``up[a] | down[a]`` is set, and each round adds every member
         comparable to the frontier.  The empty set is not connected.
         """
+        members = tuple(members)
+        check_ids(members, self.n)
         mask = bitset(members, self.n)
         if not mask:
             return False
@@ -371,8 +380,9 @@ class SubposetId:
 
 def subposet(poset: FinitePoset, members, kind: str | None = None) -> SubposetId:
     """The SubposetId of members of the poset, checked against the kind:
-    "interval" and "segment" must be intervals, "connected" and the
-    default None connected."""
+    "interval" must be an interval, "segment" an interval with one
+    minimal and one maximal element, "connected" and the default None
+    connected."""
     ms = tuple(sorted(set(members)))
     if not ms:
         raise ValueError("empty subposet")
@@ -380,12 +390,21 @@ def subposet(poset: FinitePoset, members, kind: str | None = None) -> SubposetId
     if kind in ("interval", "segment"):
         if not poset.is_interval_subset(ms):
             raise ValueError(f"subset is not an interval: {ms}")
+        if kind == "segment":
+            check_segment(len(poset.minimal_of(ms)), len(poset.maximal_of(ms)))
     elif kind not in (None, "connected"):
         raise ValueError(f"unknown subposet kind {kind!r}")
     elif not poset.is_connected_subset(ms):
-        raise ValueError("subset is not connected" if kind
-                         else "subset is not connected; pass kind explicitly to allow")
+        raise ValueError("subset is not connected")
     return SubposetId(ms)
+
+
+def check_segment(n_min: int, n_max: int) -> None:
+    """Raise ValueError unless an interval with n_min minimal and n_max
+    maximal points is a segment: one of each."""
+    if n_min != 1 or n_max != 1:
+        raise ValueError(f"subset is not a segment: it has {n_min} minimal "
+                         f"and {n_max} maximal points")
 
 
 def check_ids(ids, n: int) -> None:
@@ -547,9 +566,30 @@ class GridInterval:
 class CanonicalMembers(tuple):
     """Distinct members in canonical order, built only by
     :func:`canonical_members` and the enumerators; being a tuple, it
-    stays so."""
+    stays so.
 
-    __slots__ = ()
+    ``box`` is the :class:`GridBox` of the collection when it is every
+    interval of a box within budgets, as :func:`canonical_grid_intervals`
+    lists it, and None otherwise: a new tuple built from the members
+    (a slice, a subsequence) carries no label.
+    """
+
+    box: "GridBox | None" = None
+
+
+class GridBox:
+    """Every interval of ``bbox`` = (x0, y0, x1, y1) within ``budgets`` =
+    (minimal points, maximal points), as resolved by :func:`_budgets`.
+
+    ``order[i]`` is the position in :func:`_keyed_walk`'s visit order of
+    canonical member i, so a table filled in walk order (as
+    :func:`box_antichains` feeds it) reads in canonical order through it.
+    """
+
+    __slots__ = ("bbox", "budgets", "order")
+
+    def __init__(self, bbox: tuple[int, int, int, int], budgets: tuple[int, int], order: array):
+        self.bbox, self.budgets, self.order = bbox, budgets, order
 
 
 def canonical_members(items) -> CanonicalMembers:
@@ -724,23 +764,38 @@ def canonical_grid_intervals(bbox, max_min_pts=None, max_max_pts=None) -> Canoni
     :func:`_frame_keys` key over the box as a running sum of memoised row
     terms, so one int sort puts the members in ``sort_key`` order without
     listing any points.  The members are distinct sets, so no keys tie.
+
+    The result is labelled with its :class:`GridBox` (``box``): the box,
+    the budgets and the sort permutation, so a layer recognises a full
+    box in O(1) and can walk it again in the same order
+    (:func:`box_antichains`) instead of reading its members one by one.
     """
-    items, keys = _keyed_walk(bbox, max_min_pts, max_max_pts)
-    return CanonicalMembers(map(items.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
+    x0, y0, x1, y1 = bbox = tuple(bbox)
+    budgets = _budgets(x1 - x0 + 1, y1 - y0 + 1, max_min_pts, max_max_pts)
+    items, keys = _keyed_walk(bbox, *budgets)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    out = CanonicalMembers(map(items.__getitem__, order))
+    out.box = GridBox(bbox, budgets, array("q", order))
+    return out
 
 
-def _keyed_walk(bbox, max_min_pts, max_max_pts) -> tuple[list[GridInterval], list[int]]:
+def _box_steps(x0: int) -> list[list[_Steps]]:
+    """The step tables of a walk over a box starting at x0, by whether the
+    start and the end may still drop; with neither, the one step repeats
+    the row."""
+    return [[_Steps(x0, drop_a, drop_b) for drop_b in (False, True)] for drop_a in (False, True)]
+
+
+def _keyed_walk(bbox, mmin: int, mmax: int) -> tuple[list[GridInterval], list[int]]:
     """The members of :func:`canonical_grid_intervals` and their keys, in
     walk order.  The row memos go with this frame, before the sort."""
     x0, y0, x1, y1 = bbox
     h = y1 - y0 + 1
-    mmin, mmax = _budgets(x1 - x0 + 1, h, max_min_pts, max_max_pts)
     n_bits = (x1 - x0 + 1) * h
     terms = [_RowTerms(n_bits, h, x0, n_bits - 1 - i) for i in range(h)]
     full = (1 << n_bits) - 1
-    # steps[False][False] stays empty: a row whose start and end may not
-    # drop can only be repeated
-    steps = [[_Steps(x0, drop_a, drop_b) for drop_b in (False, True)] for drop_a in (False, True)]
+    # rows whose start and end may not drop are repeated without a lookup
+    steps = _box_steps(x0)
     items: list[GridInterval] = []
     keys: list[int] = []
     stack: list = []
@@ -766,6 +821,68 @@ def _keyed_walk(bbox, max_min_pts, max_max_pts) -> tuple[list[GridInterval], lis
     return items, keys
 
 
+def box_antichains(box: GridBox, live):
+    """Per member of the box, in :func:`_keyed_walk`'s visit order, its
+    ``GridInterval.antichains()``, or None when one of its rows is not
+    live: ``live[y - y0]`` holds the rows (a, b) allowed at height y.
+
+    The same depth-first walk up the rows over the same step tables, with
+    no member built.  A stack entry carries its top row's antichains:
+    going up to (a2, b2) from (a, b), a drop of the start prepends the
+    minimal point (a2, y), and the new top (b2, y) is prepended to the
+    maximal points, replacing the old top (b, y - 1) unless the end
+    dropped.  Where a point is added the walk checks the corner between
+    it and its neighbour, the join (a, y) or the meet (b2, y - 1), and
+    raises AssertionError if it leaves the interval, as ``antichains``
+    does.  A row that is not live makes its whole subtree dead: the walk
+    yields one None per member of it, counted, not walked.
+    """
+    x0, y0, x1, y1 = box.bbox
+    mmin, mmax = box.budgets
+    steps = _box_steps(x0)
+    sizes: dict = {}
+
+    def size(row, y, mins, maxs) -> int:
+        """The number of members of the subtree whose root has top row ``row`` at y."""
+        key = (row, y, mins, maxs)
+        n = sizes.get(key)
+        if n is None:
+            n = 1
+            if y < y1:
+                for row2, new_min, new_max in steps[mins < mmin][maxs < mmax][row]:
+                    n += size(row2, y + 1, mins + new_min, maxs + new_max)
+            sizes[key] = n
+        return n
+
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for base in range(y0, y1 + 1):
+        roots = live[base - y0]
+        for row in _iter_row_ranges(x0, x1):
+            push((row, base, 1, 1, (((row[0], base),), ((row[1], base),)) if row in roots else None))
+            while stack:
+                row, y, mins, maxs, ext = pop()
+                if ext is None:
+                    yield from repeat(None, size(row, y, mins, maxs))
+                    continue
+                yield ext
+                if y == y1:
+                    continue
+                a, up = row[0], y + 1
+                ok, (low, high) = live[up - y0], ext
+                for row2, new_min, new_max in steps[mins < mmin][maxs < mmax][row]:
+                    if row2 not in ok:
+                        push((row2, up, mins + new_min, maxs + new_max, None))
+                        continue
+                    a2, b2 = row2
+                    if b2 < a:
+                        corner = (a, up) if new_min else (b2, y)
+                        raise AssertionError(f"fence point {corner} escaped the interval")
+                    push((row2, up, mins + new_min, maxs + new_max,
+                          (((a2, up),) + low if new_min else low,
+                           ((b2, up),) + (high if new_max else high[1:]))))
+
+
 def _budgets(width: int, height: int, max_min_pts, max_max_pts) -> tuple[int, int]:
     """The min/max point budgets of a width x height box: a given budget
     must be >= 1, and a missing one becomes width + height, which no
@@ -786,7 +903,7 @@ def count_grid_intervals(width: int, height: int, max_min_pts=None, max_max_pts=
     height - k + 1 places to stand.
     """
     mmin, mmax = _budgets(width, height, max_min_pts, max_max_pts)
-    steps = [[_Steps(0, drop_a, drop_b) for drop_b in (False, True)] for drop_a in (False, True)]
+    steps = _box_steps(0)
     layer = {(row, 1, 1): 1 for row in _iter_row_ranges(0, width - 1)}
     total = height * len(layer)
     for places in range(height - 1, 0, -1):

@@ -80,3 +80,17 @@ def frame_key_calls(monkeypatch):
 
     monkeypatch.setattr(posets, "_frame_keys", counting)
     return calls
+
+
+@pytest.fixture
+def skewed_box_steps(monkeypatch):
+    """Step tables for the walks over a box that go from a row starting at
+    a > 0 to the single point (a - 1, a - 1): its start and end both drop
+    past the old start, so the join of the two minimal points leaves the
+    staircase.  The staircases of a box are then neither valid nor its own."""
+    class Skewed(dict):
+        def __missing__(self, row):
+            a = row[0]
+            return (((a - 1, a - 1), True, True),) if a > 0 else ()
+
+    monkeypatch.setattr(posets, "_box_steps", lambda x0: [[Skewed()] * 2] * 2)

@@ -293,6 +293,33 @@ def test_keyword_and_bare_id_lines_on_an_abstract_poset(capsys, tmp_path):
     assert err == "error: bad collection line 'interval 0 2': subset is not an interval: (0, 2)\n"
 
 
+@pytest.mark.parametrize("line, counts", [
+    ("segment 0 1 2", (1, 2)), ("segment 0,1 1,0 1,1", (2, 1)), ("segment 1,0 0,1 1,1", (2, 1)),
+])
+def test_segment_lines_need_one_minimal_and_one_maximal_point(capsys, tmp_path, square_module_file,
+                                                                line, counts):
+    """A segment line on a grid window is a plane interval with a unique
+    minimum and maximum, by ids or coordinates; otherwise an input error."""
+    coll = tmp_path / "c.txt"
+    coll.write_text(f"segment 0 1 2 3\nsegment 1,0 1,1\n{line}\n")
+    want = (f"error: bad collection line {line!r}: subset is not a segment: "
+            f"it has {counts[0]} minimal and {counts[1]} maximal points\n")
+    for argv in (("gri", square_module_file, "--collection", f"file:{coll}"),
+                 ("invertible", square_module_file, "--support", str(coll))):
+        assert run(capsys, *argv) == (EXIT_INPUT, "", want)
+    coll.write_text("segment 0 1 2 3\nsegment 1,0 1,1\n")
+    code, out, err = run(capsys, "gri", square_module_file, "--collection", f"file:{coll}")
+    assert (code, err) == (EXIT_OK, "") and len(out.splitlines()) == 2
+
+
+def test_fence_corner_alarm_of_a_box_exits_4(capsys, skewed_box_steps, square_module_file):
+    """Step tables that put a fence corner outside a staircase trip the
+    box walk's alarm, which the CLI reports as an invariant violation."""
+    code, out, err = run(capsys, "gri", square_module_file, "--collection", "intervals")
+    assert (code, out) == (4, "")
+    assert err == "invariant violation: fence point (1, 1) escaped the interval\n"
+
+
 @pytest.mark.parametrize("fixture, name", [("chain4-pair", "plus"), ("ex-2x2-indicator", "m")])
 @pytest.mark.parametrize("line", ["0 99", "interval 0 99", "segment 0 99", "connected 0 99",
                                   "-1 0", "interval -1 0"])

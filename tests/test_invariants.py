@@ -31,11 +31,14 @@ from grinv.posets import (
     GridInterval,
     SubposetId,
     canonical_members,
+    Supersets,
+    bitset,
     containment_poset,
     enumerate_grid_intervals,
+    enumerate_intervals,
     grid_poset,
 )
-from grinv.sampling import random_grid_interval, random_interval_decomposable, random_module
+from grinv.sampling import random_grid_interval, random_interval_decomposable, random_module, random_poset
 from grinv.zigzag import ZigzagPath, zigzag_barcode
 
 
@@ -193,6 +196,45 @@ def test_check_monotone_returns_the_first_all_pairs_violation(members):
         None,
     )
     assert GriTable(tuple(items), ranks).check_monotone() == want
+
+
+def full_index_check_monotone(table):
+    """The monotone alarm over a containment index of the whole collection
+    (the routine before the support-only index), as the oracle."""
+    by_rank: dict = {}
+    for j, r in enumerate(table.ranks):
+        by_rank.setdefault(r, []).append(j)
+    n = len(table.ranks)
+    above, greater = {}, 0
+    for r in sorted(by_rank, reverse=True):
+        above[r] = greater
+        greater |= bitset(by_rank[r], n)
+    sup = Supersets(table.collection)
+    for it, r in zip(table.collection, table.ranks):
+        hit = above[r] & sup.containing(it) if above[r] else 0
+        if hit:
+            return (it, table.collection[(hit & -hit).bit_length() - 1])
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(["grid", "ids"]), st.integers(0, 3), st.integers(0, 1), st.integers(0, 10 ** 9))
+def test_support_only_monotone_alarm_matches_the_full_index(kind, n_bad, floor, seed):
+    """Monotone tables (each rank counts the drawn sets holding the member,
+    plus a floor) over grid intervals or SubposetIds, with 0-3 injected
+    rank increases: the alarm indexing only the members above the least
+    rank names the first pair the whole-collection index names."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        items = enumerate_grid_intervals(grid_poset(3, 3), 2, 2)
+    else:
+        items = enumerate_intervals(random_poset(rng, 6))
+    sets = [items[int(k)].member_set for k in rng.integers(0, len(items), 4)]
+    ranks = [floor + sum(it.member_set <= s for s in sets) for it in items]
+    for k in rng.integers(0, len(items), n_bad):
+        ranks[k] += int(rng.integers(1, 3))
+    table = GriTable(items, tuple(ranks))
+    assert table.check_monotone() == full_index_check_monotone(table)
 
 
 def test_gri_of_interval_module_is_indicator(grid33, rng):
@@ -754,6 +796,9 @@ def test_restrict_keeps_the_canonical_type(rng, grid33):
     assert list(sub.collection) == list(picked)
     assert canonical_members(sub.collection) is sub.collection
     assert sub.ranks == tuple(table.rank_of(it) for it in picked)
+    # the full-box label stays with the listed box, not with its parts
+    assert table.collection.box is not None
+    assert sub.collection.box is None and table.restrict(table.collection).collection.box is None
     # a table built from a plain tuple promises no order
     plain = GriTable(tuple(table.collection), table.ranks)
     assert type(plain.restrict(picked).collection) is tuple

@@ -13,6 +13,7 @@ from grinv.modules import (
     direct_sum,
     generalized_rank,
     generalized_rank_fast,
+    generalized_ranks_fast,
     grid_interval_module,
     interval_module,
     limit,
@@ -25,6 +26,8 @@ from grinv.posets import (
     GridInterval,
     SubposetId,
     _staircase,
+    canonical_grid_intervals,
+    count_grid_intervals,
     enumerate_grid_intervals,
     fence_turns,
     grid_poset,
@@ -746,6 +749,79 @@ def test_fast_path_alarm_fires_when_a_fence_leaves_the_interval():
     with pytest.raises(AssertionError, match=r"fence point \(1, 1\) escaped the interval"):
         generalized_rank_fast(m, _staircase(0, ((1, 1), (0, 0))))
     assert not m._fences
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3]),
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    st.sampled_from([3, 4]),
+    st.integers(1, 4),
+    st.tuples(st.integers(-2, 1), st.integers(-2, 1), st.integers(1, 6), st.integers(1, 6)),
+    st.one_of(st.none(), st.integers(1, 3)),
+    st.one_of(st.none(), st.integers(1, 3)),
+    st.integers(0, 10 ** 9),
+)
+def test_box_walk_ranks_match_per_member_ranks(p, origin, side, summands, frame, mm, xx, seed):
+    """Ranks over a listed box, from one walk of it, equal each member's
+    own fast rank on a fresh copy of the module: boxes off the origin,
+    offset from the window or larger than it (a member leaving the window
+    reads 0), with budgets, and few summands, which leave points of the
+    window zero-dimensional."""
+    dx, dy, w, h = frame
+    assume(count_grid_intervals(w, h, mm, xx) <= 4_000)
+    rng = np.random.default_rng(seed)
+    ox, oy = origin
+    win = grid_poset(side, side, origin)
+    m = random_module(rng, win, p, max_summands=summands)
+    fresh = PModule(m.poset, m.dims, m.maps, p, validate=False)
+    coll = canonical_grid_intervals((ox + dx, oy + dy, ox + dx + w - 1, oy + dy + h - 1), mm, xx)
+    got = generalized_ranks_fast(m, coll)
+    assert got == [generalized_rank_fast(fresh, gi) for gi in coll]
+    assert not any(r for gi, r in zip(coll, got) if not m.contains_interval(gi))
+
+
+@pytest.mark.parametrize("build, budgets", [
+    (dense_5x5_module, (2, 2)),
+    (lambda: (grid_poset(4, 4), random_module(np.random.default_rng(7), grid_poset(4, 4), 3, 2)),
+     (None, None)),
+])
+def test_box_and_list_gri_fill_the_same_memos(build, budgets):
+    """gri over a listed box and gri over the same members as a plain list
+    give equal tables, equal fence keys, equal numbers of moves, pair ranks
+    and interned bases (their ids may be numbered differently) and equal
+    rank-cache queries; the box's cache then answers members one by one,
+    and as a list, as the list's does."""
+    from grinv.invariants import RankCache, gri
+
+    win, m = build()
+    coll = enumerate_grid_intervals(win, *budgets)
+    twin = PModule(m.poset, m.dims, m.maps, m.p, validate=False)
+    boxed, listed = RankCache(m), RankCache(twin)
+    table = gri(m, coll, boxed)
+    assert table.ranks == gri(twin, list(coll), listed).ranks
+    assert m._fences.keys() == twin._fences.keys()
+    sizes = [(len(mod._moves), len(mod._pair_ranks), len(mod._bases)) for mod in (m, twin)]
+    assert sizes[0] == sizes[1] and boxed.queries == listed.queries == len(coll)
+    sample = list(coll[::7]) + [GridInterval.rectangle((-1, 0), (0, 0))]
+    assert [boxed.rank(gi) for gi in sample] == [listed.rank(gi) for gi in sample]
+    assert boxed.ranks(list(reversed(coll))) == list(reversed(table.ranks))
+    assert boxed.queries == listed.queries == len(coll) + 1
+
+
+def test_box_on_a_filled_cache_takes_the_list_route(monkeypatch):
+    """Only an empty cache ranks a box by its walk: one that holds a member
+    ranks the rest of the box as plain misses."""
+    import grinv.posets as posets_mod
+    from grinv.invariants import RankCache
+
+    win, m = dense_5x5_module()
+    coll = enumerate_grid_intervals(win, 1, 1)
+    cache = RankCache(m)
+    first = cache.rank(coll[3])
+    monkeypatch.setattr(posets_mod, "_box_steps", None)  # the walk would fail at once
+    assert cache.ranks(coll) == [generalized_rank_fast(m, gi) for gi in coll]
+    assert cache.ranks(coll)[3] == first and cache.queries == len(coll)
 
 
 def test_lower_fence_ends_below_the_upper_fence_end():

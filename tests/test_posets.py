@@ -13,6 +13,7 @@ from grinv.posets import (
     GridInterval,
     SubposetId,
     _staircase,
+    box_antichains,
     canonical_grid_intervals,
     canonical_members,
     containment_poset,
@@ -554,12 +555,13 @@ def test_grid_text_round_trip():
 
 @pytest.mark.parametrize("kind, accepted, rejected, message", [
     # grid22 ids: 0 = (0, 0), 1 = (0, 1), 2 = (1, 0), 3 = (1, 1)
-    (None, [(0,), (0, 1, 2), (0, 3)], [(1, 2)],
-     "subset is not connected; pass kind explicitly to allow"),
+    (None, [(0,), (0, 1, 2), (0, 3)], [(1, 2)], "subset is not connected"),
     ("connected", [(0,), (0, 3), (1, 3)], [(1, 2)], "subset is not connected"),
     ("interval", [(0,), (0, 1, 2), (0, 1, 2, 3)], [(0, 3), (1, 2)], "subset is not an interval: {}"),
-    # a segment line is checked as an interval, unique ends or not
-    ("segment", [(0, 1), (0, 1, 2)], [(0, 3), (1, 2)], "subset is not an interval: {}"),
+    # a segment is an interval first, then one with a unique minimum and maximum
+    ("segment", [(0,), (0, 1), (0, 1, 2, 3)], [(0, 3), (1, 2)], "subset is not an interval: {}"),
+    ("segment", [(1, 3)], [(0, 1, 2)], "subset is not a segment: it has 1 minimal and 2 maximal points"),
+    ("segment", [(2, 3)], [(1, 2, 3)], "subset is not a segment: it has 2 minimal and 1 maximal points"),
 ])
 def test_subposet_checks_each_kind(grid22, kind, accepted, rejected, message):
     for ms in accepted:
@@ -747,6 +749,68 @@ def test_canonical_grid_intervals_list_no_points_and_skip_validation(monkeypatch
     monkeypatch.undo()
     assert len(members) == count_grid_intervals(6, 5, 2, 3)
     assert all(GridInterval(gi.y0, gi.rows) == gi for gi in members)
+
+
+def every_row(bbox):
+    """The live rows of box_antichains that keep every member alive."""
+    x0, y0, x1, y1 = bbox
+    return [{(a, b) for a in range(x0, x1 + 1) for b in range(a, x1 + 1)}] * (y1 - y0 + 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 5), st.integers(1, 5),
+       budgets, budgets, st.integers(0, 10 ** 9))
+@example(0, 0, 4, 4, None, None, 0)
+@example(-2, 1, 5, 3, 1, 1, 0)
+def test_box_walk_gives_each_member_its_antichains(x0, y0, w, h, mm, xx, seed):
+    """The walk of a listed box yields each member's antichains(), in walk
+    order, which the box's permutation maps to canonical order; with some
+    rows dead, a member gets None iff one of its rows is dead, and only
+    live members are walked."""
+    assume(count_grid_intervals(w, h, mm, xx) <= 6_000)
+    bbox = (x0, y0, x0 + w - 1, y0 + h - 1)
+    members = canonical_grid_intervals(bbox, mm, xx)
+    box = members.box
+    assert box.bbox == bbox and box.budgets == (mm or w + h, xx or w + h)
+    assert sorted(box.order) == list(range(len(members)))
+    walked = list(box_antichains(box, every_row(bbox)))
+    assert [walked[i] for i in box.order] == [gi.antichains() for gi in members]
+    rng = np.random.default_rng(seed)
+    live = [{row for row in rows if rng.random() < 0.8} for rows in every_row(bbox)]
+    walked = list(box_antichains(box, live))
+    want = [gi.antichains() if all(row in live[i] for i, row in enumerate(gi.rows, gi.y0 - y0))
+            else None for gi in members]
+    assert [walked[i] for i in box.order] == want
+
+
+def test_box_walk_checks_the_corner_where_a_point_is_added(skewed_box_steps):
+    """Steps that let a row start past the next row's end put a fence
+    corner outside the interval; the walk raises where it adds the point,
+    as antichains() does on the same staircase."""
+    box = canonical_grid_intervals((0, 0, 1, 1)).box
+    with pytest.raises(AssertionError, match=r"^fence point \(1, 1\) escaped the interval$"):
+        list(box_antichains(box, every_row((0, 0, 1, 1))))
+    with pytest.raises(AssertionError, match=r"^fence point \(1, 1\) escaped the interval$"):
+        _staircase(0, ((1, 1), (0, 0))).antichains()
+
+
+def test_only_a_listed_box_carries_its_label(grid33):
+    members = canonical_grid_intervals((0, 0, 3, 2), 2, 2)
+    assert canonical_members(members) is members and members.box is not None
+    others = [members[1:], members[:], CanonicalMembers(members), canonical_members(list(members)),
+              enumerate_intervals(FinitePoset.chain(3)), enumerate_segments(grid33),
+              enumerate_connected(grid33)]
+    assert [getattr(items, "box", None) for items in others] == [None] * len(others)
+    assert enumerate_grid_intervals(grid33, 1, 2).box.bbox == (0, 0, 2, 2)
+
+
+def test_bitset_queries_check_their_ids():
+    chain = FinitePoset.chain(8)
+    for ms, bad in (([-1], -1), ([6, 7, 8], 8)):
+        for query in (chain.is_connected_subset, chain.minimal_of, chain.maximal_of):
+            with pytest.raises(ValueError, match=rf"^element id {bad} is not in 0\.\.7$"):
+                query(ms)
+    assert chain.is_connected_subset(range(8)) and chain.minimal_of([3, 5]) == (3,)
 
 
 def test_enumerations_carry_their_order_through_the_gate(grid33):
