@@ -35,6 +35,7 @@ from .posets import (
     check_interval_cap,
     check_segment,
     containment_poset,
+    content_lines,
     count_grid_intervals,
     enumerate_connected,
     enumerate_intervals,
@@ -167,8 +168,7 @@ def _plane_member(pts, kind: str | None) -> GridInterval:
 
 
 def _read_collection_file(module: PModule, path: str):
-    text = _read(path, "collection")
-    lines = [ln for ln in map(str.strip, text.split("\n")) if ln and not ln.startswith("#")]
+    lines = content_lines(_read(path, "collection"))
     out = []
     for ln in lines:
         tokens = ln.split()
@@ -288,8 +288,7 @@ def cmd_zib(args) -> int:
 
 
 def _read_paths(path: str) -> list[ZigzagPath]:
-    text = _read(path, "path")
-    lines = [ln for ln in map(str.strip, text.split("\n")) if ln and not ln.startswith("#")]
+    lines = content_lines(_read(path, "path"))
     chunks = []  # each path's header line and the point lines after it
     for ln in lines:
         if ln.split()[0] == "path" or not chunks:

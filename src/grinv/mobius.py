@@ -75,7 +75,7 @@ def mobius_function(poset: FinitePoset) -> IncidenceElement:
 
 def multiply(alpha: IncidenceElement, beta: IncidenceElement) -> IncidenceElement:
     """Convolution product (alpha beta)(p, r) = sum over q in [p, r]."""
-    if alpha.poset is not beta.poset and alpha.poset.n != beta.poset.n:
+    if alpha.poset is not beta.poset and alpha.poset.up != beta.poset.up:
         raise ValueError("poset mismatch")
     poset = alpha.poset
     vals: dict[tuple[int, int], int] = {}
@@ -109,7 +109,7 @@ class PosetFunction:
 
 def convolve(f: PosetFunction, alpha: IncidenceElement) -> PosetFunction:
     """Right action (f * alpha)(q) = sum over p <= q of f(p) alpha(p, q)."""
-    if f.poset is not alpha.poset and f.poset.n != alpha.poset.n:
+    if f.poset is not alpha.poset and f.poset.up != alpha.poset.up:
         raise ValueError("poset mismatch")
     poset = f.poset
     out = []

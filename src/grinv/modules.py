@@ -40,7 +40,8 @@ from typing import TYPE_CHECKING
 
 from .gf import (DEFAULT_P, MAX_DIM, check_modulus, kernel_rows, mul_rows, pull_rows,
                  random_invertible, rows_from_lines, rows_to_text, rref_rows)
-from .posets import FinitePoset, GridInterval, SubposetId, box_antichains, check_ids, fence_turns
+from .posets import (FinitePoset, GridInterval, SubposetId, box_antichains, check_ids, content_lines,
+                     fence_turns)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -322,8 +323,7 @@ class PModule:
 
     @classmethod
     def from_text(cls, text: str) -> "PModule":
-        lines = [ln.rstrip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+        lines = content_lines(text)
         poset, i = FinitePoset._from_lines(lines, 0)
         p = None
         dims, maps, widths = {}, {}, {}

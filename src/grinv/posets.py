@@ -31,7 +31,9 @@ is its test oracle and nothing else.  Such a full box is labelled with
 its :class:`GridBox` (box, budgets, sort permutation), so a layer knows
 it in O(1) and can walk it again (:func:`box_antichains`: every
 member's minimal and maximal antichains, carried up the rows) instead
-of reading its members one by one.
+of reading its members one by one.  One table of the walk's subtree
+sizes counts a box, stops a cap check at the cap and skips the walk's
+dead subtrees; a missing min/max point budget is ``inf``.
 
 Members are their own keys, equal exactly when equal as sets, and a
 plane interval hashes once.  Containment has one index,
@@ -45,6 +47,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, repeat
+from math import inf
 
 DEFAULT_INTERVAL_CAP = 5_000_000
 DEFAULT_CONNECTED_CAP = 16
@@ -290,14 +293,15 @@ class FinitePoset:
 
     @classmethod
     def from_text(cls, text: str) -> "FinitePoset":
-        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
-        return cls._from_lines(lines, 0)[0]
+        return cls._from_lines(content_lines(text), 0)[0]
 
     @classmethod
     def _from_lines(cls, lines: list[str], start: int) -> tuple["FinitePoset", int]:
         head = lines[start].split()
+        if len(head) != {"grid": 5, "poset": 2}.get(head[0], len(head)):
+            raise ValueError(f"malformed {head[0]} line: {lines[start]!r}")
         if head[0] == "grid":
-            w, h, ox, oy = (int(t) for t in head[1:5])
+            w, h, ox, oy = map(int, head[1:])
             _check_declared(max(w, 0) * max(h, 0), lines[start])  # grid_poset rejects w, h < 1
             return grid_poset(w, h, (ox, oy)), start + 1
         if head[0] != "poset":
@@ -313,6 +317,12 @@ class FinitePoset:
             pairs.append((int(a), int(b)))
             i += 1
         return cls.from_covers(n, pairs), i
+
+
+def content_lines(text: str) -> list[str]:
+    """The lines of an input file (poset, module, path or collection) that
+    carry content: each line stripped, blank and ``#`` lines skipped."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
 
 
 def _check_declared(n: int, header: str) -> None:
@@ -705,7 +715,7 @@ def iter_grid_intervals(bbox, max_min_pts=None, max_max_pts=None):
     row end adds a maximal point to the row below.
     """
     x0, y0, x1, y1 = bbox
-    mmin, mmax = _budgets(x1 - x0 + 1, y1 - y0 + 1, max_min_pts, max_max_pts)
+    mmin, mmax = _budgets(max_min_pts, max_max_pts)
 
     def extend(ybase, rows, mins_used, maxs_used):
         yield _staircase(ybase, tuple(rows))
@@ -738,7 +748,7 @@ class _Steps(dict):
     the row end a maximal point; ``drop_a``/``drop_b`` say whether the
     budgets still allow each.  Entries are built on first use, so the
     table never holds more rows than the walk pushes or the count
-    (:func:`count_grid_intervals`) reaches.
+    (:func:`_subtree_size`) reaches.
     """
 
     __slots__ = ("x0", "drop_a", "drop_b")
@@ -753,6 +763,11 @@ class _Steps(dict):
                                 for a2 in (range(self.x0, a + 1) if self.drop_a else (a,))
                                 for b2 in (range(a, b + 1) if self.drop_b else (b,)))
         return out
+
+    def count(self, row) -> int:
+        """``len(self[row])``, without listing the rows."""
+        a, b = row
+        return (a - self.x0 + 1 if self.drop_a else 1) * (b - a + 1 if self.drop_b else 1)
 
 
 def canonical_grid_intervals(bbox, max_min_pts=None, max_max_pts=None) -> CanonicalMembers:
@@ -770,8 +785,8 @@ def canonical_grid_intervals(bbox, max_min_pts=None, max_max_pts=None) -> Canoni
     box in O(1) and can walk it again in the same order
     (:func:`box_antichains`) instead of reading its members one by one.
     """
-    x0, y0, x1, y1 = bbox = tuple(bbox)
-    budgets = _budgets(x1 - x0 + 1, y1 - y0 + 1, max_min_pts, max_max_pts)
+    bbox = tuple(bbox)
+    budgets = _budgets(max_min_pts, max_max_pts)
     items, keys = _keyed_walk(bbox, *budgets)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     out = CanonicalMembers(map(items.__getitem__, order))
@@ -786,7 +801,7 @@ def _box_steps(x0: int) -> list[list[_Steps]]:
     return [[_Steps(x0, drop_a, drop_b) for drop_b in (False, True)] for drop_a in (False, True)]
 
 
-def _keyed_walk(bbox, mmin: int, mmax: int) -> tuple[list[GridInterval], list[int]]:
+def _keyed_walk(bbox, mmin, mmax) -> tuple[list[GridInterval], list[int]]:
     """The members of :func:`canonical_grid_intervals` and their keys, in
     walk order.  The row memos go with this frame, before the sort."""
     x0, y0, x1, y1 = bbox
@@ -803,22 +818,57 @@ def _keyed_walk(bbox, mmin: int, mmax: int) -> tuple[list[GridInterval], list[in
     for base in range(h):
         y = y0 + base
         for row in _iter_row_ranges(x0, x1):
-            push(((row,), full + terms[base][row], 1, 1))
+            push(((row,), full + terms[base][row], mmin - 1, mmax - 1))
             while stack:
-                rows, key, mins, maxs = pop()
+                rows, key, left_min, left_max = pop()
                 items.append(_staircase(y, rows))
                 keys.append(key)
                 top = base + len(rows)
                 if top == h:
                     continue
                 term, row = terms[top], rows[-1]
-                drop_a, drop_b = mins < mmin, maxs < mmax
+                drop_a, drop_b = left_min > 0, left_max > 0
                 if drop_a or drop_b:
                     for row2, new_min, new_max in steps[drop_a][drop_b][row]:
-                        push((rows + (row2,), key + term[row2], mins + new_min, maxs + new_max))
+                        push((rows + (row2,), key + term[row2], left_min - new_min, left_max - new_max))
                 else:
-                    push((rows + (row,), key + term[row], mins, maxs))
+                    push((rows + (row,), key + term[row], left_min, left_max))
     return items, keys
+
+
+def _subtree_size(sizes: dict, steps, y1: int, root) -> int:
+    """The number of members in the walk's subtree at ``root`` = (top row,
+    height, minimal points left, maximal points left), up to height y1.
+
+    ``sizes`` is the one table of subtree sizes, filled on an explicit
+    stack, children first, so a box of any height takes no recursion.
+    With no budget the points left stay ``inf``: one state per (row,
+    height).  A state that can drop neither way heads a column, and one
+    just below y1 has a one-row child per step: both are counted, not
+    walked.
+    """
+    stack = [root]
+    while stack:
+        state = stack[-1]
+        if state in sizes:  # counted since it was pushed
+            stack.pop()
+            continue
+        row, y, left_min, left_max = state
+        drop_a, drop_b = left_min > 0, left_max > 0
+        if y == y1 or not (drop_a or drop_b):
+            sizes[state] = y1 - y + 1
+        elif y + 1 == y1:
+            sizes[state] = 1 + steps[drop_a][drop_b].count(row)
+        else:
+            kids = [(row2, y + 1, left_min - new_min, left_max - new_max)
+                    for row2, new_min, new_max in steps[drop_a][drop_b][row]]
+            todo = [kid for kid in kids if kid not in sizes]
+            if todo:
+                stack += todo
+                continue
+            sizes[state] = 1 + sum(map(sizes.__getitem__, kids))
+        stack.pop()
+    return sizes[root]
 
 
 def box_antichains(box: GridBox, live):
@@ -826,105 +876,87 @@ def box_antichains(box: GridBox, live):
     ``GridInterval.antichains()``, or None when one of its rows is not
     live: ``live[y - y0]`` holds the rows (a, b) allowed at height y.
 
-    The same depth-first walk up the rows over the same step tables, with
-    no member built.  A stack entry carries its top row's antichains:
-    going up to (a2, b2) from (a, b), a drop of the start prepends the
-    minimal point (a2, y), and the new top (b2, y) is prepended to the
-    maximal points, replacing the old top (b, y - 1) unless the end
-    dropped.  Where a point is added the walk checks the corner between
-    it and its neighbour, the join (a, y) or the meet (b2, y - 1), and
-    raises AssertionError if it leaves the interval, as ``antichains``
-    does.  A row that is not live makes its whole subtree dead: the walk
-    yields one None per member of it, counted, not walked.
+    The same depth-first walk up the rows over the same step tables and
+    budgets left, with no member built.  A stack entry carries its top
+    row's antichains: going up to (a2, b2) from (a, b), a drop of the
+    start prepends the minimal point (a2, y), and the new top (b2, y) is
+    prepended to the maximal points, replacing the old top (b, y - 1)
+    unless the end dropped.  Where a point is added the walk checks the
+    corner between it and its neighbour, the join (a, y) or the meet
+    (b2, y - 1), and raises AssertionError if it leaves the interval, as
+    ``antichains`` does.  A row that is not live makes its whole subtree
+    dead: the walk yields one None per member of it, counted
+    (:func:`_subtree_size`), not walked.
     """
     x0, y0, x1, y1 = box.bbox
     mmin, mmax = box.budgets
-    steps = _box_steps(x0)
-    sizes: dict = {}
-
-    def size(row, y, mins, maxs) -> int:
-        """The number of members of the subtree whose root has top row ``row`` at y."""
-        key = (row, y, mins, maxs)
-        n = sizes.get(key)
-        if n is None:
-            n = 1
-            if y < y1:
-                for row2, new_min, new_max in steps[mins < mmin][maxs < mmax][row]:
-                    n += size(row2, y + 1, mins + new_min, maxs + new_max)
-            sizes[key] = n
-        return n
-
-    stack: list = []
+    steps, sizes, stack = _box_steps(x0), {}, []
     push, pop = stack.append, stack.pop
     for base in range(y0, y1 + 1):
         roots = live[base - y0]
         for row in _iter_row_ranges(x0, x1):
-            push((row, base, 1, 1, (((row[0], base),), ((row[1], base),)) if row in roots else None))
+            push((row, base, mmin - 1, mmax - 1,
+                  (((row[0], base),), ((row[1], base),)) if row in roots else None))
             while stack:
-                row, y, mins, maxs, ext = pop()
+                row, y, left_min, left_max, ext = pop()
                 if ext is None:
-                    yield from repeat(None, size(row, y, mins, maxs))
+                    yield from repeat(None, _subtree_size(sizes, steps, y1, (row, y, left_min, left_max)))
                     continue
                 yield ext
                 if y == y1:
                     continue
                 a, up = row[0], y + 1
                 ok, (low, high) = live[up - y0], ext
-                for row2, new_min, new_max in steps[mins < mmin][maxs < mmax][row]:
+                for row2, new_min, new_max in steps[left_min > 0][left_max > 0][row]:
                     if row2 not in ok:
-                        push((row2, up, mins + new_min, maxs + new_max, None))
+                        push((row2, up, left_min - new_min, left_max - new_max, None))
                         continue
                     a2, b2 = row2
                     if b2 < a:
                         corner = (a, up) if new_min else (b2, y)
                         raise AssertionError(f"fence point {corner} escaped the interval")
-                    push((row2, up, mins + new_min, maxs + new_max,
+                    push((row2, up, left_min - new_min, left_max - new_max,
                           (((a2, up),) + low if new_min else low,
                            ((b2, up),) + (high if new_max else high[1:]))))
 
 
-def _budgets(width: int, height: int, max_min_pts, max_max_pts) -> tuple[int, int]:
-    """The min/max point budgets of a width x height box: a given budget
-    must be >= 1, and a missing one becomes width + height, which no
-    interval of the box reaches."""
-    mmin = max_min_pts if max_min_pts is not None else width + height
-    mmax = max_max_pts if max_max_pts is not None else width + height
-    if mmin < 1 or mmax < 1:
+def _budgets(max_min_pts, max_max_pts) -> tuple:
+    """The min/max point budgets: a given budget must be >= 1, and a
+    missing one is ``inf``, which the walks' drops never use up."""
+    budgets = tuple(inf if n is None else n for n in (max_min_pts, max_max_pts))
+    if min(budgets) < 1:
         raise ValueError("min/max point budgets must be >= 1")
-    return mmin, mmax
+    return budgets
+
+
+def _count_past(width: int, height: int, max_min_pts, max_max_pts, cap=inf) -> int:
+    """The number of intervals of a width x height window within the
+    budgets, or the running total once it passes ``cap``: the one-row
+    members of the top height, then the walk's subtree sizes at the roots
+    of each lower height, going down (:func:`_subtree_size`)."""
+    mmin, mmax = _budgets(max_min_pts, max_max_pts)
+    steps, sizes, top = _box_steps(0), {}, height - 1
+    total = width * (width + 1) // 2
+    for y in range(top - 1, -1, -1):
+        for row in _iter_row_ranges(0, width - 1):
+            if total > cap:
+                return total
+            total += _subtree_size(sizes, steps, top, (row, y, mmin - 1, mmax - 1))
+    return total
 
 
 def count_grid_intervals(width: int, height: int, max_min_pts=None, max_max_pts=None) -> int:
-    """Interval count of a width x height window without enumeration.
-
-    A DP up the rows over (top row, minimal points, maximal points), one
-    layer per height, that steps through the :class:`_Steps` tables of
-    :func:`canonical_grid_intervals`'s walk; an interval of k rows has
-    height - k + 1 places to stand.
-    """
-    mmin, mmax = _budgets(width, height, max_min_pts, max_max_pts)
-    steps = _box_steps(0)
-    layer = {(row, 1, 1): 1 for row in _iter_row_ranges(0, width - 1)}
-    total = height * len(layer)
-    for places in range(height - 1, 0, -1):
-        nxt: dict = {}
-        for (row, mins, maxs), n in layer.items():
-            for row2, new_min, new_max in steps[mins < mmin][maxs < mmax][row]:
-                key = (row2, mins + new_min, maxs + new_max)
-                nxt[key] = nxt.get(key, 0) + n
-        layer = nxt
-        total += places * sum(layer.values())
-    return total
+    """Interval count of a width x height window without enumeration,
+    from the subtree sizes of :func:`canonical_grid_intervals`'s walk."""
+    return _count_past(width, height, max_min_pts, max_max_pts)
 
 
 def check_interval_cap(width: int, height: int, max_min_pts, max_max_pts, cap: int) -> None:
     """Raise EnumerationCapError when a width x height window has more than
-    ``cap`` intervals within the budgets, counted by :func:`count_grid_intervals`'s
-    step-table DP."""
-    n = count_grid_intervals(width, height, max_min_pts, max_max_pts)
-    if n > cap:
+    ``cap`` intervals within the budgets, counted only that far."""
+    if _count_past(width, height, max_min_pts, max_max_pts, cap) > cap:
         raise EnumerationCapError(
-            f"{n} intervals exceed the cap of {cap}; raise the cap explicitly to proceed"
+            f"more than the cap of {cap} intervals; raise the cap explicitly to proceed"
         )
 
 
@@ -934,7 +966,7 @@ def enumerate_grid_intervals(
     max_max_pts=None,
     cap: int = DEFAULT_INTERVAL_CAP,
 ) -> CanonicalMembers:
-    """Intervals of a grid window, canonical order, guarded by a count DP."""
+    """Intervals of a grid window, canonical order, guarded by the cap."""
     if poset.grid_coords is None:
         raise ValueError("not a grid poset")
     xs = [x for x, _ in poset.grid_coords]

@@ -39,9 +39,10 @@ from .modules import PModule, _identity, _intern, _move, _pair_rank
 from .posets import (
     FinitePoset,
     GridInterval,
+    _count_past,
     _staircase,
     canonical_grid_intervals,
-    count_grid_intervals,
+    content_lines,
     fence_turns,
     lower_fence,
     straight_path,
@@ -136,18 +137,14 @@ class ZigzagPath:
     @classmethod
     def from_text(cls, text: str) -> "ZigzagPath":
         """Parse a `path <n>` line followed by exactly n `x y` point lines."""
-        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+        lines = content_lines(text)
         head = lines[0].split() if lines else []
         if len(head) != 2 or head[0] != "path" or not head[1].isdigit():
             raise ValueError(f"expected 'path <n>', got {lines[0] if lines else ''!r}")
         n = int(head[1])
         if len(lines) != n + 1:
             raise ValueError(f"'path {n}' is followed by {len(lines) - 1} point lines")
-        pts = []
-        for ln in lines[1:]:
-            x, y = ln.split()
-            pts.append((int(x), int(y)))
-        return cls(tuple(pts))
+        return cls(tuple((int(x), int(y)) for x, y in map(str.split, lines[1:])))
 
 
 def interval_hull(path: ZigzagPath) -> GridInterval:
@@ -676,7 +673,7 @@ def gri_bounds_from_zib(module: PModule, gi: GridInterval) -> tuple[int, int]:
     (x0, y0), (w, h) = module.window_origin_size()
     x1, y1 = x0 + w - 1, y0 + h - 1
     lower = 0
-    if count_grid_intervals(w, h) <= 20_000:
+    if _count_past(w, h, None, None, 20_000) <= 20_000:
         # only the max over the candidates is read, so their order does not matter
         if module._span_candidates is None:
             module._span_candidates = canonical_grid_intervals((x0, y0, x1, y1))

@@ -93,4 +93,7 @@ def skewed_box_steps(monkeypatch):
             a = row[0]
             return (((a - 1, a - 1), True, True),) if a > 0 else ()
 
+        def count(self, row):
+            return len(self[row])
+
     monkeypatch.setattr(posets, "_box_steps", lambda x0: [[Skewed()] * 2] * 2)

@@ -402,9 +402,42 @@ def test_erosion_checks_the_cap_before_printing(capsys, pair_files):
     a, b = pair_files
     code, out, err = run(capsys, "--cap", "10", "erosion", a, b, "--mn", "1,1", "2,2")
     assert code == EXIT_CAP and out == ""
-    assert err == "error: 11 intervals exceed the cap of 10; raise the cap explicitly to proceed\n"
+    assert err == "error: more than the cap of 10 intervals; raise the cap explicitly to proceed\n"
     code, out, _ = run(capsys, "--cap", "11", "erosion", a, b, "--mn", "1,1", "2,2")
     assert code == EXIT_OK and out.splitlines()[2].startswith("2\t2\t11\t")
+
+
+ABSTRACT_MODULE = ("poset 3\ncover 0 1\ncover 0 2\nfield 2\ndims 0 1\ndims 1 1\ndims 2 1\n"
+                   "map 0 1\n1 1\n1\nmap 0 2\n1 1\n1\n")
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_an_indented_module_file_reads_as_the_flat_one(capsys, tmp_path, square_module_file, grid):
+    """Module files take the line rule of every input file: each line
+    stripped, blank and '#' lines skipped, indented cover lines too."""
+    flat = tmp_path / "flat.txt"
+    flat.write_text(open(square_module_file).read() if grid else ABSTRACT_MODULE)
+    indented = tmp_path / "indented.txt"
+    indented.write_text("# indented\n" + "".join(f"{'  ' * (i % 3)}{ln}\t\n\n"
+                                                    for i, ln in enumerate(flat.read_text().splitlines())))
+    if not grid:
+        assert "  cover 0 1" in indented.read_text()
+    want = run(capsys, "gri", str(flat), "--collection", "intervals")
+    assert want[0] == EXIT_OK and want[1]
+    assert run(capsys, "gri", str(indented), "--collection", "intervals") == want
+
+
+@pytest.mark.parametrize("command", ["gri", "enumerate"])
+@pytest.mark.parametrize("header", ["grid 2 2 0 0 junk", "grid 2 2 0", "poset 3 junk"])
+def test_a_poset_header_with_a_token_too_many_or_few_is_an_input_error(capsys, tmp_path, command, header):
+    """Poset headers are checked for their token count as module headers are."""
+    module = tmp_path / "m.txt"
+    body = ABSTRACT_MODULE if header.startswith("poset") else "grid 2 2 0 0\nfield 2\ndims 0 1\n"
+    module.write_text(header + body[body.index("\n"):])
+    code, out, err = run(capsys, command, str(module))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: cannot parse ")
+    assert err.endswith(f"malformed {header.split()[0]} line: {header!r}\n")
 
 
 def test_erosion_on_an_abstract_poset_is_an_input_error(capsys, tmp_path):

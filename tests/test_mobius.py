@@ -162,3 +162,16 @@ def test_incidence_element_rejects_incomparable(grid22):
     z = zeta(grid22)
     with pytest.raises(KeyError):
         z(1, 2)
+
+
+def test_products_refuse_posets_of_another_order():
+    """Equal sizes are not enough: multiply and convolve compare the orders."""
+    chain, antichain = FinitePoset.chain(3), FinitePoset([1, 2, 4], [1, 2, 4])
+    with pytest.raises(ValueError, match="poset mismatch"):
+        multiply(zeta(chain), zeta(antichain))
+    with pytest.raises(ValueError, match="poset mismatch"):
+        convolve(PosetFunction(antichain, (1, 0, 0)), zeta(chain))
+    # an equal order held by another object is the same poset
+    twin = FinitePoset(chain.up, chain.down)
+    assert multiply(zeta(chain), delta(twin)).values == zeta(chain).values
+    assert convolve(PosetFunction(twin, (1, 0, 0)), zeta(chain)).values == (1, 1, 1)

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from math import inf
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from grinv.posets import (
     CanonicalMembers,
     EnumerationCapError,
     FinitePoset,
+    GridBox,
     GridInterval,
     SubposetId,
     _staircase,
     box_antichains,
     canonical_grid_intervals,
     canonical_members,
+    check_interval_cap,
     containment_poset,
     count_grid_intervals,
     enumerate_connected,
@@ -164,6 +167,28 @@ def test_interval_count_dp_matches_enumeration():
     for mm, xx in ((0, None), (None, 0), (0, 0), (-1, 2)):
         with pytest.raises(ValueError, match="budgets must be >= 1"):
             count_grid_intervals(3, 3, mm, xx)
+
+
+def test_counts_and_cap_checks_take_no_recursion_and_stop_at_the_cap():
+    """The subtree-size table is filled on an explicit stack, so a tall box
+    is counted like any other, and a cap check stops summing its roots
+    once the total passes the cap: a window far too big to count exactly
+    is refused at once, on either side.  The members of a row just below
+    the top are counted without listing the steps up to them, so a wide
+    window two rows high is refused in little memory too."""
+    assert count_grid_intervals(24, 24) == 17833645614877371226163992
+    assert count_grid_intervals(1, 1100) == 605_550
+    tracemalloc.start()
+    try:
+        for w, h in ((256, 256), (128, 128), (16384, 1), (1, 16384), (8192, 2), (2000, 2)):
+            with pytest.raises(EnumerationCapError, match=r"^more than the cap of 5000000 intervals; "):
+                check_interval_cap(w, h, None, None, 5_000_000)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 22, (w, h)
+    finally:
+        tracemalloc.stop()
+    check_interval_cap(1, 3161, None, None, 5_000_000)  # 4,997,541 intervals
+    with pytest.raises(EnumerationCapError):
+        check_interval_cap(1, 3162, None, None, 5_000_000)
 
 
 def test_ten_by_ten_guard_refuses_by_default():
@@ -771,7 +796,7 @@ def test_box_walk_gives_each_member_its_antichains(x0, y0, w, h, mm, xx, seed):
     bbox = (x0, y0, x0 + w - 1, y0 + h - 1)
     members = canonical_grid_intervals(bbox, mm, xx)
     box = members.box
-    assert box.bbox == bbox and box.budgets == (mm or w + h, xx or w + h)
+    assert box.bbox == bbox and box.budgets == (mm or inf, xx or inf)
     assert sorted(box.order) == list(range(len(members)))
     walked = list(box_antichains(box, every_row(bbox)))
     assert [walked[i] for i in box.order] == [gi.antichains() for gi in members]
@@ -781,6 +806,18 @@ def test_box_walk_gives_each_member_its_antichains(x0, y0, w, h, mm, xx, seed):
     want = [gi.antichains() if all(row in live[i] for i, row in enumerate(gi.rows, gi.y0 - y0))
             else None for gi in members]
     assert [walked[i] for i in box.order] == want
+
+
+def test_box_walk_counts_a_dead_subtree_of_any_height():
+    """A 1 x 1100 column whose row at height 1 is not live: the walk yields
+    one None for every member through that row, 1099 above the bottom
+    point and 1099 standing on it, without walking them."""
+    box = GridBox((0, 0, 0, 1099), (inf, inf), None)
+    live = [{(0, 0)}] * 1100
+    live[1] = set()
+    walked = list(box_antichains(box, live))
+    assert len(walked) == 605_550 and walked.count(None) == 2 * 1099
+    assert walked[:3] == [(((0, 0),), ((0, 0),)), None, None]
 
 
 def test_box_walk_checks_the_corner_where_a_point_is_added(skewed_box_steps):
