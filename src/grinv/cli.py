@@ -5,6 +5,10 @@ enumerate, fixtures.  Exit codes: 0 ok, 2 input error, 3 enumeration cap
 exceeded, 4 invariant violation detected (an internal-consistency alarm,
 e.g. a non-monotone rank table).  Identical inputs and options produce
 byte-identical output.
+
+The posets, gf, modules and invariants layers load with this module;
+zib and bounds load grinv.zigzag when they run, erosion grinv.erosion,
+and fixtures grinv.fixtures (with zigzag).
 """
 
 from __future__ import annotations
@@ -13,9 +17,8 @@ import argparse
 import os
 import sys
 from functools import cache
+from typing import TYPE_CHECKING
 
-from .erosion import ThickeningFamily, timed_distance, union_bbox
-from .fixtures import FIXTURES, build_fixture
 from .gf import check_modulus
 from .invariants import (
     RankCache,
@@ -42,7 +45,9 @@ from .posets import (
     enumerate_segments,
     subposet,
 )
-from .zigzag import ZigzagPath, multiplicity_bounds, rank_bounds_from_gri, zigzag_barcode
+
+if TYPE_CHECKING:
+    from .zigzag import ZigzagPath
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -275,6 +280,8 @@ def cmd_invertible(args) -> int:
 
 
 def cmd_zib(args) -> int:
+    from .zigzag import zigzag_barcode
+
     module = _load_module(args.module, args)
     if module.poset.grid_coords is None:
         raise CliError("zib needs modules on grid windows")
@@ -296,6 +303,8 @@ def _read_paths(path: str) -> list[ZigzagPath]:
         chunks[-1].append(ln)
     if not chunks:
         raise CliError("path file is empty")
+    from .zigzag import ZigzagPath
+
     try:
         return [ZigzagPath.from_text("\n".join(chunk)) for chunk in chunks]
     except ValueError as e:
@@ -303,6 +312,8 @@ def _read_paths(path: str) -> list[ZigzagPath]:
 
 
 def cmd_bounds(args) -> int:
+    from .zigzag import multiplicity_bounds, rank_bounds_from_gri
+
     module = _load_module(args.module, args)
     if module.poset.grid_coords is None:
         raise CliError("bounds needs modules on grid windows")
@@ -321,6 +332,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_erosion(args) -> int:
+    from .erosion import ThickeningFamily, timed_distance, union_bbox
+
     m1 = _load_module(args.module, args)
     m2 = _load_module(args.other, args)
     if m1.p != m2.p:
@@ -371,6 +384,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from .fixtures import FIXTURES, build_fixture
+
     if args.action == "list":
         for name in sorted(FIXTURES):
             print(name)
@@ -399,14 +414,15 @@ def cmd_fixtures(args) -> int:
 
 
 def _run_fixture(bundle, args) -> int:
+    from .fixtures import claim2_supersets
+    from .zigzag import zigzag_barcode
+
     print(f"fixture {bundle.name}")
     if bundle.name == "thm-tame-counterexample":
         module = bundle.modules["m"]
         cache = RankCache(module)
         for label, gi in sorted(bundle.intervals.items()):
             print(f"rank {label} = {cache.rank(gi)}")
-        from .fixtures import claim2_supersets
-
         import numpy as np
 
         rng = np.random.default_rng(7)

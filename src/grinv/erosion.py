@@ -18,23 +18,24 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 from .invariants import RankCache
 from .modules import PModule, _window_holds
-from .posets import CanonicalMembers, canonical_grid_intervals, canonical_members, count_grid_intervals
+from .posets import CanonicalMembers, Frozen, canonical_grid_intervals, canonical_members, count_grid_intervals
 
 
-@dataclass(frozen=True)
-class ThickeningFamily:
+class ThickeningFamily(Frozen):
     """Finite plane intervals with bounded minimal/maximal point counts.
 
     Closed under thickenings: dilation only merges extreme points, so
     the budgets cannot grow.  (1, 1) is the family of rectangles.
     """
 
-    max_min_pts: int | None = None
-    max_max_pts: int | None = None
+    __slots__ = _fields = ("max_min_pts", "max_max_pts")
+
+    def __init__(self, max_min_pts: int | None = None, max_max_pts: int | None = None):
+        object.__setattr__(self, "max_min_pts", max_min_pts)
+        object.__setattr__(self, "max_max_pts", max_max_pts)
 
     def members_within(self, bbox) -> CanonicalMembers:
         return canonical_grid_intervals(bbox, self.max_min_pts, self.max_max_pts)
@@ -182,15 +183,15 @@ def shift_module(module: PModule, delta: int) -> PModule:
     return PModule(shifted, module.dims, module.maps, module.p, validate=False)
 
 
-@dataclass(frozen=True)
-class ErosionStudyRow:
-    side: int
-    max_min_pts: int
-    max_max_pts: int
-    collection_size: int
-    distance: int
-    rank_queries: int
-    wall_seconds: float
+class ErosionStudyRow(Frozen):
+    __slots__ = _fields = ("side", "max_min_pts", "max_max_pts", "collection_size", "distance",
+                           "rank_queries", "wall_seconds")
+
+    def __init__(self, side: int, max_min_pts: int, max_max_pts: int, collection_size: int,
+                 distance: int, rank_queries: int, wall_seconds: float):
+        for name, value in zip(self._fields, (side, max_min_pts, max_max_pts, collection_size,
+                                              distance, rank_queries, wall_seconds)):
+            object.__setattr__(self, name, value)
 
 
 STUDY_REPEATS = 5

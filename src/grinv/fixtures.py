@@ -9,27 +9,27 @@ fixture level.  ``FIXTURES`` maps names to builders; builders return a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .gf import DEFAULT_P
 from .modules import PModule, direct_sum, grid_interval_module, interval_module, pullback
-from .posets import FinitePoset, GridInterval, SubposetId, grid_poset
+from .posets import FinitePoset, Frozen, GridInterval, SubposetId, grid_poset
 from .zigzag import ZigzagPath
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class FixtureBundle:
-    name: str
-    description: str
-    poset: FinitePoset
-    modules: dict = field(default_factory=dict)
-    intervals: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
+class FixtureBundle(Frozen):
+    __slots__ = _fields = ("name", "description", "poset", "modules", "intervals", "paths", "extras")
+
+    def __init__(self, name: str, description: str, poset: FinitePoset, modules: dict | None = None,
+                 intervals: dict | None = None, paths: dict | None = None, extras: dict | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "poset", poset)
+        for field, value in zip(self._fields[3:], (modules, intervals, paths, extras)):
+            object.__setattr__(self, field, {} if value is None else value)
 
 
 def chain4_pair(p: int = DEFAULT_P, **_) -> FixtureBundle:

@@ -19,12 +19,12 @@ general API and the test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .modules import (PModule, direct_sum, generalized_rank, generalized_rank_fast, generalized_ranks_fast,
                       grid_interval_module, interval_module, zero_module)
-from .posets import CanonicalMembers, ContainmentPoset, GridInterval, SubposetId, Supersets, bitset, canonical_members, iter_bits
+from .posets import (CanonicalMembers, ContainmentPoset, Frozen, GridInterval, SubposetId, Supersets, bitset,
+                     canonical_members, iter_bits)
 
 
 def _cache_key(region):
@@ -132,16 +132,16 @@ class RankCache:
         return filled if len(misses) == len(members) else [ranks[i] for i in pos]
 
 
-@dataclass(frozen=True)
-class GriTable:
+class GriTable(Frozen):
     """Generalized rank invariant of a module over a fixed collection."""
 
-    collection: tuple
-    ranks: tuple[int, ...]
+    _fields = ("collection", "ranks")
 
-    def __post_init__(self):
-        if len(self.collection) != len(self.ranks):
+    def __init__(self, collection: tuple, ranks: tuple[int, ...]):
+        if len(collection) != len(ranks):
             raise ValueError("one rank per collection member")
+        object.__setattr__(self, "collection", collection)
+        object.__setattr__(self, "ranks", ranks)
 
     @cached_property
     def _rank_by_item(self) -> dict:
@@ -208,11 +208,14 @@ class GriTable:
         )
 
 
-@dataclass(frozen=True)
-class SignedDiagram:
+class SignedDiagram(Frozen):
     """Finitely supported integer multiplicities on a collection of subsets."""
 
-    support: tuple  # ((item, value), ...) with nonzero values, canonical order
+    _fields = ("support",)
+
+    def __init__(self, support: tuple):
+        # ((item, value), ...) with nonzero values, canonical order
+        object.__setattr__(self, "support", support)
 
     def items(self):
         return self.support
@@ -316,11 +319,13 @@ def reconstruct_table(diagram: SignedDiagram, collection) -> GriTable:
     return GriTable(items, ranks)
 
 
-@dataclass(frozen=True)
-class InvertibilityReport:
-    ok: bool
-    diagram: SignedDiagram | None
-    witness: object | None = None
+class InvertibilityReport(Frozen):
+    __slots__ = _fields = ("ok", "diagram", "witness")
+
+    def __init__(self, ok: bool, diagram: SignedDiagram | None, witness: object | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "witness", witness)
 
 
 def verify_invertibility(table: GriTable, candidate_support) -> InvertibilityReport:

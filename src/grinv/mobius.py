@@ -8,17 +8,49 @@ no predicate checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .posets import FinitePoset
+if TYPE_CHECKING:
+    from .posets import FinitePoset
 
 
-@dataclass(frozen=True)
-class IncidenceElement:
-    """A function on the comparable pairs (p <= q) of a finite poset."""
+class _OnPoset:
+    """A poset and values on it, equal to an instance of the same class
+    with equal both, hashed by both, shown by both, and immutable: the
+    value semantics of ``posets.Frozen``, which this layer does not import."""
 
-    poset: FinitePoset
-    values: dict = field(default_factory=dict)
+    __slots__ = ("poset", "values")
+
+    def __init__(self, poset: FinitePoset, values):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.poset, self.values) == (other.poset, other.values)
+
+    def __hash__(self):
+        return hash((self.poset, self.values))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(poset={self.poset!r}, values={self.values!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IncidenceElement(_OnPoset):
+    """A function on the comparable pairs (p <= q) of a finite poset, as a
+    dict from pairs to values; a pair left out is 0."""
+
+    __slots__ = ()
+
+    def __init__(self, poset: FinitePoset, values: dict | None = None):
+        super().__init__(poset, {} if values is None else values)
 
     def __call__(self, p: int, q: int) -> int:
         if not self.poset.le(p, q):
@@ -89,12 +121,11 @@ def multiply(alpha: IncidenceElement, beta: IncidenceElement) -> IncidenceElemen
     return IncidenceElement(poset, vals)
 
 
-@dataclass(frozen=True)
-class PosetFunction:
-    """An integer-valued function on the elements of a finite poset."""
+class PosetFunction(_OnPoset):
+    """An integer-valued function on the elements of a finite poset, as a
+    tuple of its values in id order."""
 
-    poset: FinitePoset
-    values: tuple
+    __slots__ = ()
 
     def __call__(self, q: int) -> int:
         return self.values[q]

@@ -33,22 +33,20 @@ infinite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
 from typing import TYPE_CHECKING
 
 from .gf import (DEFAULT_P, MAX_DIM, check_modulus, kernel_rows, mul_rows, pull_rows,
                  random_invertible, rows_from_lines, rows_to_text, rref_rows)
-from .posets import (FinitePoset, GridInterval, SubposetId, box_antichains, check_ids, content_lines,
-                     fence_turns)
+from .posets import (FinitePoset, Frozen, GridInterval, SubposetId, box_antichains, check_ids,
+                     content_lines, fence_turns)
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class SectionSpace:
+class SectionSpace(Frozen):
     """Basis of the space of sections (the limit) of a module.
 
     ``vectors`` are the sections, one int row each; coordinates are
@@ -56,8 +54,11 @@ class SectionSpace:
     the first coordinate of element i.
     """
 
-    vectors: list[list[int]]
-    offsets: tuple[int, ...]
+    __slots__ = _fields = ("vectors", "offsets")
+
+    def __init__(self, vectors: list[list[int]], offsets: tuple[int, ...]):
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def dim(self) -> int:

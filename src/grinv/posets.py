@@ -44,7 +44,6 @@ structure (n bitsets of n bits each way).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, repeat
 from math import inf
@@ -57,6 +56,39 @@ MAX_FILE_ELEMENTS = 2 ** 14
 
 class EnumerationCapError(Exception):
     """Raised when an enumeration would exceed its configured guard."""
+
+
+class Frozen:
+    """An immutable value made of its ``_fields``: equal to an instance of
+    its own class with equal fields, hashed by them, shown as
+    ``Class(field=value, ...)``, and refusing assignment and deletion.
+    Constructors set the fields with ``object.__setattr__``.  SubposetId
+    and GridInterval, dict keys everywhere, spell out ``__eq__`` and
+    ``__hash__`` on their fields directly."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class FinitePoset:
@@ -365,16 +397,24 @@ def grid_poset(width: int, height: int, origin: tuple[int, int] = (0, 0)) -> Fin
 # -- subposet identifiers ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubposetId:
-    """A subset of a FinitePoset as its sorted member ids, equal by them."""
+class SubposetId(Frozen):
+    """A subset of a FinitePoset as its sorted distinct member ids, equal by them."""
 
-    members: tuple[int, ...]
+    __slots__ = _fields = ("members",)
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members: tuple[int, ...]):
+        members = tuple(sorted(set(members)))
+        if not members:
             raise ValueError("empty subposet")
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self):
+        return hash((self.members,))
 
     @property
     def member_set(self) -> frozenset:
@@ -427,8 +467,7 @@ def check_ids(ids, n: int) -> None:
 # -- plane grid intervals ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridInterval:
+class GridInterval(Frozen):
     """A finite interval of the integer plane as a staircase of rows.
 
     ``rows[i]`` is the inclusive x-range (a, b) of row y0 + i.  Validity
@@ -439,20 +478,25 @@ class GridInterval:
     construction, and takes no part in equality.
     """
 
-    y0: int
-    rows: tuple[tuple[int, int], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    _fields = ("y0", "rows")
 
-    def __post_init__(self):
-        if not self.rows:
+    def __init__(self, y0: int, rows: tuple[tuple[int, int], ...]):
+        if not rows:
             raise ValueError("empty interval")
-        for a, b in self.rows:
+        for a, b in rows:
             if a > b:
                 raise ValueError("empty row in interval")
-        for (a, b), (a2, b2) in zip(self.rows, self.rows[1:]):
+        for (a, b), (a2, b2) in zip(rows, rows[1:]):
             if not (a2 <= a and b2 <= b and a <= b2):
                 raise ValueError(f"rows {(a, b)} -> {(a2, b2)} do not form an interval")
-        object.__setattr__(self, "_hash", hash((self.y0, self.rows)))
+        object.__setattr__(self, "y0", y0)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", hash((y0, rows)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.y0 == other.y0 and self.rows == other.rows
 
     def __hash__(self) -> int:
         return self._hash
@@ -1180,16 +1224,18 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class ContainmentPoset:
+class ContainmentPoset(Frozen):
     """A collection of subsets ordered by reverse inclusion: I <= J iff I >= J.
 
     ``poset`` is the abstract FinitePoset on indices into ``items``; the
     zeta/mobius machinery applies to it directly.
     """
 
-    items: tuple
-    poset: FinitePoset
+    __slots__ = _fields = ("items", "poset")
+
+    def __init__(self, items: tuple, poset: FinitePoset):
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "poset", poset)
 
 
 def containment_poset(items) -> ContainmentPoset:

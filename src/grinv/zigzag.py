@@ -30,7 +30,6 @@ span of an n-point path take O(n^2) interval-rank lookups between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import inf
@@ -38,6 +37,7 @@ from math import inf
 from .modules import PModule, _identity, _intern, _move, _pair_rank
 from .posets import (
     FinitePoset,
+    Frozen,
     GridInterval,
     _count_past,
     _staircase,
@@ -60,16 +60,15 @@ def _is_unit_step(p, q) -> bool:
     return abs(p[0] - q[0]) + abs(p[1] - q[1]) == 1 and _comparable(p, q)
 
 
-@dataclass(frozen=True)
-class ZigzagPath:
+class ZigzagPath(Frozen):
     """A path in the plane: consecutive points distinct and comparable."""
 
-    points: tuple[tuple[int, int], ...]
+    _fields = ("points",)
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points: tuple[tuple[int, int], ...]):
+        if not points:
             raise ValueError("empty path")
-        pts = tuple((int(x), int(y)) for x, y in self.points)
+        pts = tuple((int(x), int(y)) for x, y in points)
         object.__setattr__(self, "points", pts)
         for p, q in zip(pts, pts[1:]):
             if p == q:
@@ -389,13 +388,15 @@ def zigzag_rank(module: PModule, path: ZigzagPath) -> int:
     return _span_ranks(module, path, [0])[0][-1]
 
 
-@dataclass(frozen=True)
-class Barcode:
+class Barcode(Frozen):
     """Multiset of subpath supports: bars[(i, j)] = multiplicity of the bar
     spanning path indices i..j (inclusive)."""
 
-    path: ZigzagPath
-    bars: tuple[tuple[tuple[int, int], int], ...]
+    _fields = ("path", "bars")
+
+    def __init__(self, path: ZigzagPath, bars: tuple[tuple[tuple[int, int], int], ...]):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "bars", bars)
 
     @cached_property
     def _multiplicity_by_span(self) -> dict:

@@ -612,7 +612,10 @@ def test_huge_map_entries_read_as_their_residues(capsys, tmp_path):
 def test_numpy_stays_off_the_import_and_cli_paths(capsys, tmp_path):
     """`import grinv` and CLI runs on module files, each in a fresh
     interpreter, leave numpy unloaded, and nothing loads the exact
-    rational or decimal types."""
+    rational or decimal types.  `import grinv` loads grinv.mobius and no
+    other layer, the table subcommands leave the zigzag, erosion,
+    fixtures and sampling layers unloaded, and no path imports
+    dataclasses (stdlib imports made at startup do not count)."""
     emit = tmp_path / "emit"
     assert main(["fixtures", "run", "ex-2x2-indicator", "--emit", str(emit)]) == EXIT_OK
     capsys.readouterr()
@@ -621,12 +624,19 @@ def test_numpy_stays_off_the_import_and_cli_paths(capsys, tmp_path):
     paths.write_text("path 3\n0 0\n1 0\n1 1\n")
     env = dict(os.environ, PYTHONPATH=str(Path(grinv.__file__).resolve().parents[1]))
     env.pop("GRINV_FIELD", None)
-    for argv in (None, ["gri", m, "--collection", "intervals"], ["gpd", m],
-                 ["erosion", m, n], ["zib", m, "--paths", str(paths)],
-                 ["bounds", m, "--paths", str(paths)]):
-        code = "import sys\nimport grinv, grinv.cli\n"
+    unused = {"grinv.zigzag", "grinv.erosion", "grinv.fixtures", "grinv.sampling"}
+    for argv in (None, ["gri", m, "--collection", "intervals"], ["gpd", m], ["decompose", m],
+                 ["invertible", m], ["erosion", m, n], ["zib", m, "--paths", str(paths)],
+                 ["bounds", m, "--paths", str(paths)], ["fixtures", "list"]):
+        code = "import sys\nbefore = set(sys.modules)\nimport grinv\n"
+        code += ("assert {name for name in sys.modules if name.startswith('grinv')}"
+                 " == {'grinv', 'grinv.mobius'}, sorted(sys.modules)\n")
+        code += "import grinv.cli\n"
         if argv:
             code += f"assert grinv.cli.main({argv!r}) == 0\n"
+        if argv is None or argv[0] in ("gri", "gpd", "decompose", "invertible"):
+            code += f"assert not {unused!r} & set(sys.modules), sorted(sys.modules)\n"
+        code += "assert 'dataclasses' not in set(sys.modules) - before, 'dataclasses loaded'\n"
         code += "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
         code += "assert not {'fractions', 'decimal'} & set(sys.modules), 'fractions loaded'\n"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -769,7 +769,7 @@ def test_canonical_grid_intervals_list_no_points_and_skip_validation(monkeypatch
 
     monkeypatch.setattr(GridInterval, "points", refuse)
     monkeypatch.setattr(GridInterval, "sort_key", property(refuse))
-    monkeypatch.setattr(GridInterval, "__post_init__", refuse)
+    monkeypatch.setattr(GridInterval, "__init__", refuse)
     members = canonical_grid_intervals((-1, 2, 4, 6), 2, 3)
     monkeypatch.undo()
     assert len(members) == count_grid_intervals(6, 5, 2, 3)

@@ -36,6 +36,35 @@ def test_traced_names_exist():
         assert meth in owner.__dict__, f"grinv.{layer}.{cls}.{meth}"
 
 
+def test_the_tracer_installs_after_a_bare_import():
+    """In a fresh interpreter, as perfbench/run.py goes: `import grinv`,
+    the workloads and the tracer loaded by path, the tracer installed
+    (it looks each traced layer up in sys.modules) and undone."""
+    code = f"""
+import importlib.util, sys
+import grinv
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, {str(ROOT / "perfbench")!r} + f"/{{name}}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+load("workloads")
+tracing = load("tracing")
+invariants = sys.modules["grinv.invariants"]
+gri = invariants.gri
+undo = tracing.install(tracing.Tracer())
+assert invariants.gri is not gri
+undo()
+assert invariants.gri is gri
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
