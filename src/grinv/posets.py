@@ -9,7 +9,7 @@ Two representations coexist:
   ``from_covers`` closes and checks a relation from outside.  Its
   boolean ``leq`` matrix is built with numpy on first use, for oracles;
   nothing else here imports numpy.
-* ``SubposetId`` — the sorted member ids of a subset of a FinitePoset.
+* ``SubposetId`` — the sorted distinct member ids of a subset of a FinitePoset.
   :func:`subposet` checks a subset against a kind (interval, segment,
   connected) on the way in.
 * ``GridInterval`` — an interval of the integer plane, stored as
@@ -433,9 +433,8 @@ def subposet(poset: FinitePoset, members, kind: str | None = None) -> SubposetId
     "interval" must be an interval, "segment" an interval with one
     minimal and one maximal element, "connected" and the default None
     connected."""
-    ms = tuple(sorted(set(members)))
-    if not ms:
-        raise ValueError("empty subposet")
+    sid = SubposetId(members)
+    ms = sid.members
     check_ids(ms, poset.n)
     if kind in ("interval", "segment"):
         if not poset.is_interval_subset(ms):
@@ -446,7 +445,7 @@ def subposet(poset: FinitePoset, members, kind: str | None = None) -> SubposetId
         raise ValueError(f"unknown subposet kind {kind!r}")
     elif not poset.is_connected_subset(ms):
         raise ValueError("subset is not connected")
-    return SubposetId(ms)
+    return sid
 
 
 def check_segment(n_min: int, n_max: int) -> None:
